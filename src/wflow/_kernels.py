@@ -1,183 +1,53 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Exact metric kernels: the assignment behind W2 and the MMD permutation null.
 
-The jitted path is the default whenever numba imports; set WFLOW_NUMBA=0
-to force the numpy fallback. Both paths implement identical algorithms
-and are cross-checked in the test suite; benchmarks/bench_kernels.py
-compares their throughput.
+One exact path per kernel. The assignment is scipy's
+``linear_sum_assignment``; scipy is imported on the first call, so code
+that never computes W2 never pays for the import. The permutation null is
+one BLAS product of the joint kernel matrix with a 0/1 indicator matrix.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("WFLOW_NUMBA", "1").lower() not in ("0", "false", "off")
-
-
+# kept for callers that record which kernel path ran; there is only one now
 NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-
-def _assignment_loops(cost):
-    """Exact square assignment via shortest augmenting paths with potentials.
-
-    O(n^3); returns the column assigned to each row. Index 0 of the
-    internal arrays is a virtual column used to seed each augmentation.
-    """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    assigned_row = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, np.bool_)
-        while True:
-            used[j0] = True
-            i0 = assigned_row[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[assigned_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if assigned_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            assigned_row[j0] = assigned_row[j1]
-            j0 = j1
-    row_to_col = np.empty(n, np.int64)
-    for j in range(1, n + 1):
-        row_to_col[assigned_row[j] - 1] = j - 1
-    return row_to_col
-
-
-def _assignment_numpy(cost):
-    """Same algorithm with the inner column scan vectorized."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    assigned_row = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, bool)
-        while True:
-            used[j0] = True
-            i0 = assigned_row[j0]
-            free = ~used
-            free[0] = False
-            cur = np.full(n + 1, np.inf)
-            cur[1:] = cost[i0 - 1, :] - u[i0] - v[1:]
-            upd = free & (cur < minv)
-            minv[upd] = cur[upd]
-            way[upd] = j0
-            masked = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(masked))
-            delta = masked[j1]
-            u[assigned_row[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if assigned_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            assigned_row[j0] = assigned_row[j1]
-            j0 = j1
-    row_to_col = np.empty(n, np.int64)
-    for j in range(1, n + 1):
-        row_to_col[assigned_row[j] - 1] = j - 1
-    return row_to_col
-
-
-def _mmd2_perm_loops(K, m, perms, out):
-    """U-statistic MMD^2 for each pre-drawn permutation of the joint sample."""
-    n_perms = perms.shape[0]
-    total = K.shape[0]
-    n = total - m
-    for p in range(n_perms):
-        idx = perms[p]
-        sxx = 0.0
-        syy = 0.0
-        sxy = 0.0
-        for a in range(m):
-            ia = idx[a]
-            for b in range(a + 1, m):
-                sxx += K[ia, idx[b]]
-        for a in range(m, total):
-            ia = idx[a]
-            for b in range(a + 1, total):
-                syy += K[ia, idx[b]]
-        for a in range(m):
-            ia = idx[a]
-            for b in range(m, total):
-                sxy += K[ia, idx[b]]
-        out[p] = 2.0 * sxx / (m * (m - 1)) + 2.0 * syy / (n * (n - 1)) - 2.0 * sxy / (m * n)
-    return out
-
-
-def _mmd2_perm_numpy(K, m, perms, out):
-    n = K.shape[0] - m
-    for p in range(perms.shape[0]):
-        ia, ib = perms[p, :m], perms[p, m:]
-        kxx = K[np.ix_(ia, ia)]
-        kyy = K[np.ix_(ib, ib)]
-        kxy = K[np.ix_(ia, ib)]
-        out[p] = (
-            (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-            + (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-            - 2.0 * kxy.sum() / (m * n)
-        )
-    return out
-
-
-if NUMBA_ENABLED:
-    _assignment_jit = njit(cache=True)(_assignment_loops)
-    _mmd2_perm_jit = njit(cache=True)(_mmd2_perm_loops)
 
 
 def solve_assignment(cost: np.ndarray) -> np.ndarray:
     """Column assigned to each row, minimizing the total cost. Square input."""
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    # importing scipy.optimize takes ~0.5 s and ~50 MB, so only W2 pays for it
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got {cost.shape}")
-    if NUMBA_ENABLED:
-        return _assignment_jit(cost)
-    return _assignment_numpy(cost)
+    return linear_sum_assignment(cost)[1]
 
 
 def mmd2_permutations(K: np.ndarray, m: int, perms: np.ndarray) -> np.ndarray:
-    """Unbiased MMD^2 under each permuted split of a joint kernel matrix."""
-    K = np.ascontiguousarray(K, dtype=np.float64)
-    perms = np.ascontiguousarray(perms, dtype=np.int64)
-    out = np.empty(perms.shape[0])
-    if NUMBA_ENABLED:
-        return _mmd2_perm_jit(K, m, perms, out)
-    return _mmd2_perm_numpy(K, m, perms, out)
+    """Unbiased MMD^2 under each permuted split of a joint kernel matrix.
+
+    Row p of ``perms`` puts its first m entries in the first sample. With
+    A[:, p] the 0/1 indicator of that sample and B = 1 - A, the within- and
+    between-sample kernel sums of every permutation come out of one product
+    KA = K @ A (and KB = K @ B = rowsum(K) - KA):
+
+        sxx = colsum(A * KA) - diag(K) @ A
+        syy = colsum(B * KB) - diag(K) @ B
+        sxy = colsum(B * KA)
+    """
+    K = np.asarray(K, dtype=np.float64)
+    perms = np.asarray(perms, dtype=np.int64)
+    total, n_perms = K.shape[0], perms.shape[0]
+    n = total - m
+    A = np.zeros((total, n_perms))
+    A[perms[:, :m].T, np.arange(n_perms)] = 1.0
+    B = 1.0 - A
+    KA = K @ A
+    KB = K.sum(axis=1)[:, None] - KA
+    diag = np.diag(K)
+    sxx = np.einsum("ip,ip->p", A, KA) - diag @ A
+    syy = np.einsum("ip,ip->p", B, KB) - diag @ B
+    sxy = np.einsum("ip,ip->p", B, KA)
+    return sxx / (m * (m - 1)) + syy / (n * (n - 1)) - 2.0 * sxy / (m * n)

@@ -256,6 +256,12 @@ def save_checkpoint(chain: FlowChain, path):
         fh.write(header + payload + crc)
 
 
+def _decode(names, code, what):
+    if code not in names:
+        raise CheckpointError(f"unknown {what} code {code}")
+    return names[code]
+
+
 def load_checkpoint(path) -> FlowChain:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -266,6 +272,8 @@ def load_checkpoint(path) -> FlowChain:
         raise CheckpointError(
             f"checkpoint format version {version} is newer than supported {FORMAT_VERSION}"
         )
+    if version < 1:
+        raise CheckpointError(f"checkpoint format version {version} does not exist")
     start = len(MAGIC) + 10
     if len(blob) < start + payload_len + 4:
         raise CheckpointError("truncated file")
@@ -286,9 +294,10 @@ def load_checkpoint(path) -> FlowChain:
             fan_in, fan_out, act_code = r.take("<IIB")
             w = r.floats(fan_in * fan_out).reshape(fan_in, fan_out)
             b = r.floats(fan_out)
-            layers.append(Layer(w, b, _ACT_NAME[act_code]))
+            layers.append(Layer(w, b, _decode(_ACT_NAME, act_code, "activation")))
         field = VelocityField(layers, (t_a, t_b), t_total, d)
-        cfg = odeint.IntegratorConfig(_SCHEME_NAME[scheme_code], steps, (t_a, t_b))
+        scheme = _decode(_SCHEME_NAME, scheme_code, "integrator scheme")
+        cfg = odeint.IntegratorConfig(scheme, steps, (t_a, t_b))
         blocks.append(FlowBlock(field, cfg, trained=bool(trained)))
     base = _unpack_density(r)
     return FlowChain(blocks, base)

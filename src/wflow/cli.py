@@ -146,11 +146,11 @@ def _write_loss_csv(writer, result_losses, wall_ms, stem="loss"):
     with open(writer.path(f"{stem}.csv"), "w", encoding="ascii") as fh:
         fh.write("iteration,loss\n")
         for i, value in enumerate(result_losses):
-            fh.write(f"{i},{value!r}\n")
+            fh.write(f"{i},{float(value)!r}\n")
     with open(writer.path("timing.csv"), "w", encoding="ascii") as fh:
         fh.write("iteration,loss,wall_ms\n")
         for i, (value, wall) in enumerate(zip(result_losses, wall_ms)):
-            fh.write(f"{i},{value!r},{wall:.3f}\n")
+            fh.write(f"{i},{float(value)!r},{wall:.3f}\n")
 
 
 def _dataset_pools(cfg, seed):
@@ -208,7 +208,8 @@ def _chain_metrics(names, chn, target, holdout, seed):
     for name in names:
         extra = {}
         if name == "nll":
-            value = metrics.nll_eval(chn, holdout)
+            # above EXACT_DIVERGENCE_MAX_DIM the divergence is a Hutchinson estimate
+            value = metrics.nll_eval(chn, holdout, rng=np.random.default_rng([seed, 304]))
             extra = {"holdout_disjoint_from_training": True}  # by pool construction
         elif name == "kl_moment":
             pushed = flowchain.forward_map(chn, holdout)
@@ -219,7 +220,7 @@ def _chain_metrics(names, chn, target, holdout, seed):
             k = min(MMD_MAX_SAMPLES, holdout.m, generated.m)
             value = metrics.mmd_rbf(generated.positions[:k], holdout.positions[:k]).value
         elif name == "w2":
-            k = min(512, holdout.m, generated.m)
+            k = min(metrics.W2_MAX_PARTICLES, holdout.m, generated.m)
             value = metrics.w2_exact(generated.positions[:k], holdout.positions[:k])
         else:
             raise ConfigError("metric kl_mc applies to the eval task only")
@@ -430,7 +431,7 @@ def _task_eval(cfg, seed, writer):
             k = min(MMD_MAX_SAMPLES, train_pool.m, q_pool.m)
             value = metrics.mmd_rbf(train_pool.positions[:k], q_pool.positions[:k]).value
         elif name == "w2":
-            k = min(512, train_pool.m, q_pool.m)
+            k = min(metrics.W2_MAX_PARTICLES, train_pool.m, q_pool.m)
             value = metrics.w2_exact(train_pool.positions[:k], q_pool.positions[:k])
         else:
             raise ConfigError(f"metric {name!r} needs a trained chain; use a train task")

@@ -20,6 +20,7 @@ from wflow import numcore as nc
 from wflow.datasets import Gaussian, ParticleEnsemble
 
 W2_MAX_PARTICLES = 512
+_MEDIAN_ROW_BLOCK = 256
 
 
 def _pos(x) -> np.ndarray:
@@ -122,10 +123,24 @@ class MmdResult(NamedTuple):
 
 
 def median_bandwidth(a, b) -> tuple[float, bool]:
-    """Median pairwise distance over the joint sample; falls back to 1.0 at zero."""
+    """Median pairwise distance over the joint sample; falls back to 1.0 at zero.
+
+    The strict upper triangle of the distance matrix is filled into one
+    buffer a block of rows at a time, so the full matrix, its temporaries
+    and the triangle's index arrays never exist at once.
+    """
     joint = np.concatenate([a, b], axis=0)
-    dists = np.sqrt(sq_dists(joint, joint))
-    med = float(np.median(dists[np.triu_indices(len(joint), k=1)]))
+    total = len(joint)
+    upper = np.empty(total * (total - 1) // 2)
+    pos = 0
+    for r0 in range(0, total, _MEDIAN_ROW_BLOCK):
+        r1 = min(r0 + _MEDIAN_ROW_BLOCK, total)
+        dists = np.sqrt(sq_dists(joint[r0:r1], joint[r0:]))
+        above = np.arange(r0, total)[None, :] > np.arange(r0, r1)[:, None]
+        row_major = dists[above]
+        upper[pos:pos + row_major.size] = row_major
+        pos += row_major.size
+    med = float(np.median(upper, overwrite_input=True))
     if med <= 0.0:
         return 1.0, True
     return med, False

@@ -1,5 +1,8 @@
 """Chain composition, likelihood, sampling, and the checkpoint format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from conftest import affine_flow_map, compose_affine, gaussian_kl, gaussian_logpdf, push_gaussian
@@ -174,6 +177,39 @@ def test_checkpoint_future_version_rejected(tmp_path):
     blob[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(fc.CheckpointError, match="version"):
+        fc.load_checkpoint(path)
+
+
+def test_checkpoint_version_zero_rejected(tmp_path):
+    chn = _perturbed_chain(1, 1, seed=23, steps=4, widths=(4,))
+    path = tmp_path / "c.wflw"
+    fc.save_checkpoint(chn, path)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (0).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(fc.CheckpointError, match="version 0"):
+        fc.load_checkpoint(path)
+
+
+# payload offsets of the first block's scheme code and its first layer's
+# activation code: chain header <IId, interval <dd, then <BIB; the layer
+# count <H and the layer header <IIB follow
+_SCHEME_AT = struct.calcsize("<IId") + struct.calcsize("<dd")
+_ACT_AT = _SCHEME_AT + struct.calcsize("<BIB") + struct.calcsize("<H") + struct.calcsize("<II")
+
+
+@pytest.mark.parametrize("offset,what", [(_SCHEME_AT, "scheme"), (_ACT_AT, "activation")])
+def test_checkpoint_unknown_code_rejected(tmp_path, offset, what):
+    chn = _perturbed_chain(1, 1, seed=23, steps=4, widths=(4,))
+    path = tmp_path / "c.wflw"
+    fc.save_checkpoint(chn, path)
+    blob = bytearray(path.read_bytes())
+    start = len(fc.MAGIC) + struct.calcsize("<HQ")
+    assert blob[start + offset] in (0, 1)  # rk4 and tanh are the codes written
+    blob[start + offset] = 9
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[start:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(fc.CheckpointError, match=f"unknown .*{what} code 9"):
         fc.load_checkpoint(path)
 
 

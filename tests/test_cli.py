@@ -171,6 +171,9 @@ names = nll, kl_moment
     lines = (out / "loss.csv").read_text().strip().splitlines()
     assert lines[0] == "iteration,loss"
     assert len(lines) - 1 == 2 * 40
+    for name in ("loss.csv", "timing.csv"):
+        rows = (out / name).read_text().strip().splitlines()[1:]
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows), name
     loaded = fc.load_checkpoint(out / "chain.wflw")
     assert len(loaded.blocks) == 2
 
@@ -254,6 +257,34 @@ names = nll
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"][0]["name"] == "nll"
     assert report["metrics"][0]["config"]["holdout_disjoint_from_training"] is True
+
+
+def test_train_cnf_hutchinson_nll(tmp_path):
+    # d=10 is above the exact-trace limit, so nll_eval takes Hutchinson probes
+    cfg = _write(tmp_path, "cnf10.ini", """
+[experiment]
+task = train-cnf
+seed = 1
+[dataset]
+dim = 10
+count = 64
+holdout = 32
+[model]
+blocks = 1
+width = 8
+depth = 1
+steps_per_block = 2
+[train]
+batch_size = 16
+iterations = 1
+[metrics]
+names = nll
+""")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, out=str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"][0]["name"] == "nll"
+    assert np.isfinite(report["metrics"][0]["value"])
 
 
 def test_train_lfm_task(tmp_path):

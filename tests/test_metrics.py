@@ -107,6 +107,15 @@ def test_w2_equals_exhaustive_permutation_minimum(m):
     assert metrics.w2_exact(a, b) == pytest.approx(np.sqrt(brute / m), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 100, 512])
+def test_w2_1d_equals_sorted_matching(m):
+    # in one dimension the monotone (sorted) coupling is optimal
+    rng = np.random.default_rng(m)
+    a, b = rng.normal(size=m), rng.standard_t(3, size=m) + 0.7
+    want = np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2))
+    assert metrics.w2_exact(a, b) == pytest.approx(want, rel=1e-12)
+
+
 def test_w2_gaussian_mean_shift():
     rng = np.random.default_rng(8)
     a = ds.standard_gaussian(1).sample(512, rng)
@@ -165,6 +174,18 @@ def test_mmd_zero_median_fallback():
     res = metrics.mmd_rbf(a, b)
     assert res.bandwidth == 1.0
     assert res.bandwidth_fallback
+
+
+@pytest.mark.parametrize("total", [2, 3, 255, 256, 257, 600])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_median_bandwidth_matches_full_triangle(total, d):
+    # the row-blocked buffer holds exactly the strict upper triangle
+    rng = np.random.default_rng(total * 10 + d)
+    joint = rng.normal(size=(total, d))
+    split = total // 2
+    dists = np.sqrt(metrics.sq_dists(joint, joint))
+    want = float(np.median(dists[np.triu_indices(total, k=1)]))
+    assert metrics.median_bandwidth(joint[:split], joint[split:]) == (want, False)
 
 
 # --- kl_mc ----------------------------------------------------------------------
