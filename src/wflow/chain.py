@@ -283,6 +283,18 @@ def load_checkpoint(path) -> FlowChain:
         raise CheckpointError("checksum failure")
 
     r = _Reader(payload)
+    try:
+        chain = _unpack_chain(r)
+    except ValueError as err:  # out-of-range fields, including LinAlgError
+        raise CheckpointError(f"invalid checkpoint contents: {err}") from err
+    if r.pos != len(payload):
+        raise CheckpointError(f"{len(payload) - r.pos} trailing bytes after the base density")
+    if chain.base.d != chain.d:
+        raise CheckpointError(f"base density dimension {chain.base.d} != chain dimension {chain.d}")
+    return chain
+
+
+def _unpack_chain(r: _Reader) -> FlowChain:
     n_blocks, d, t_total = r.take("<IId")
     blocks = []
     for _ in range(n_blocks):
@@ -299,5 +311,4 @@ def load_checkpoint(path) -> FlowChain:
         scheme = _decode(_SCHEME_NAME, scheme_code, "integrator scheme")
         cfg = odeint.IntegratorConfig(scheme, steps, (t_a, t_b))
         blocks.append(FlowBlock(field, cfg, trained=bool(trained)))
-    base = _unpack_density(r)
-    return FlowChain(blocks, base)
+    return FlowChain(blocks, _unpack_density(r))

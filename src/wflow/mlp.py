@@ -69,27 +69,12 @@ class BoundLayers:
                 w, b = tape.watch(w), tape.watch(b)
             self.entries.append((w, b, layer.act))
 
-    def forward(self, h: nc.Tensor, want_derivs=False):
-        """Apply all layers; optionally return per-layer activation derivatives.
-
-        Derivatives come back as tape expressions (None for identity layers)
-        so a chain built from them stays differentiable in the parameters.
-        """
-        derivs = []
+    def forward(self, h: nc.Tensor) -> nc.Tensor:
+        """Apply all layers in order."""
         for w, b, act in self.entries:
-            z = nc.affine(h, w, b)
+            h = nc.affine(h, w, b)
             if act == "tanh":
-                h = nc.tanh(z)
-                if want_derivs:
-                    derivs.append(nc.add(1.0, nc.mul(nc.square(h), -1.0)))
+                h = nc.tanh(h)
             elif act == "softplus":
-                h = nc.softplus(z)
-                if want_derivs:
-                    derivs.append(nc.sigmoid(z))
-            else:
-                h = z
-                if want_derivs:
-                    derivs.append(None)
-        if want_derivs:
-            return h, derivs
+                h = nc.softplus(h)
         return h

@@ -1,11 +1,13 @@
 """Dense float64 tensors, a recording tape, and reverse-mode gradients.
 
 Eager numpy evaluation with optional recording onto an explicit tape. The
-primitive set is deliberately closed and small (add, mul, matmul, affine,
-tanh, softplus, sum, mean, square, exp, log, concat, slice); every primitive
-carries its own local partials, so one reverse sweep over a frozen tape
-yields exactly one gradient per watched parameter. Any non-finite primitive
-output aborts immediately -- silent NaN propagation is treated as a bug.
+built-in primitives are small and general (add, mul, matmul, affine, tanh,
+softplus, sum, mean, square, exp, log, concat, slice); other modules
+register fused primitives through the same registry (``_primitive``), e.g.
+``velocity_divergence`` in ``wflow.velocity``. Every primitive carries its
+own vector-Jacobian product, so one reverse sweep over a frozen tape yields
+exactly one gradient per watched parameter. Any non-finite primitive output
+aborts immediately -- silent NaN propagation is treated as a bug.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "log",
     "concat",
     "slice_",
-    "sigmoid",
     "record_forward",
     "grad",
     "check_gradient_fd",
@@ -100,7 +101,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     # Operator sugar. Subtraction and negation are expressed through the
-    # closed primitive set (add + mul by -1) so the tape stays auditable.
+    # built-in primitives (add + mul by -1) so the tape stays auditable.
     def __add__(self, other):
         return add(self, other)
 
@@ -535,11 +536,6 @@ def slice_(x, axis, start, stop) -> Tensor:
     return _apply("slice", (as_tensor(x),), (axis, start, stop))
 
 
-def sigmoid(x) -> Tensor:
-    """exp(-softplus(-x)): numerically stable and built from closed primitives."""
-    return exp(mul(softplus(mul(x, -1.0)), -1.0))
-
-
 # ---------------------------------------------------------------------------
 # recording, reverse sweep, finite-difference check
 
@@ -588,6 +584,8 @@ def grad(tape: Tape, seed=None):
         inputs = [tape.nodes[j].value for j in node.inputs]
         contribs = _BACKWARD[node.op](node, inputs, g)
         for j, contrib in zip(node.inputs, contribs):
+            if contrib is None:  # an input the primitive is constant in
+                continue
             if adjoints[j] is None:
                 adjoints[j] = contrib
             else:

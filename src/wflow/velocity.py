@@ -1,11 +1,14 @@
 """Time-conditioned MLP velocity fields and their divergence.
 
 The field maps (x, t) -> velocity in R^d through a dense stack applied to
-concat(x, t / t_total). Divergence (the Jacobian trace over the x block)
-comes from explicit directional-derivative chains built out of the same
-closed primitive set, so it stays differentiable in the parameters with a
-single reverse sweep: d basis chains for the exact trace, or K Rademacher
-probe chains for the Hutchinson estimate.
+concat(x, t / t_total). Velocity and divergence (the Jacobian trace over
+the x block) come from one taped primitive, ``velocity_divergence``: its
+forward pass carries K directional derivatives of the stack alongside the
+primal, and its hand-written VJP reverses both chains, so the divergence
+stays differentiable in the parameters and in x with a single reverse
+sweep. The probes are the d basis vectors for the exact trace, or K
+Rademacher draws for the Hutchinson estimate (FFJORD, Grathwohl et al.
+2019, arXiv:1810.01367).
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ class VelocityField:
         t_a, t_b = float(interval[0]), float(interval[1])
         if not t_a < t_b:
             raise ValueError(f"empty interval [{t_a}, {t_b})")
+        if not layers:
+            raise ValueError("velocity field needs at least one layer")
+        for prev, layer in zip(layers, layers[1:]):
+            if layer.w.shape[0] != prev.w.shape[1]:
+                raise ValueError(
+                    f"layer widths do not chain: {prev.w.shape[1]} outputs feed "
+                    f"{layer.w.shape[0]} inputs"
+                )
         if layers[0].w.shape[0] != d + 1:
             raise ValueError(
                 f"first layer expects width {layers[0].w.shape[0]}, need d+1 = {d + 1}"
@@ -77,6 +88,8 @@ class BoundVelocity:
     def __init__(self, field: VelocityField, tape=None):
         self.field = field
         self.bound = mlp.BoundLayers(field.layers, tape)
+        self.params = tuple(p for w, b, _ in self.bound.entries for p in (w, b))
+        self.acts = tuple(act for _, _, act in self.bound.entries)
 
     def _time_column(self, t, m):
         scale = 1.0 / self.field.t_total
@@ -94,41 +107,105 @@ class BoundVelocity:
         return self.bound.forward(h)
 
     def velocity_and_divergence(self, x: nc.Tensor, t, est: DivergenceEstimator, rng=None):
+        """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node."""
         m, d = x.shape
         h = nc.concat([x, self._time_column(t, m)], axis=1)
-        v, derivs = self.bound.forward(h, want_derivs=True)
-
-        def chain(u):
-            # directional derivative of the stack along u, w.r.t. the input
-            for (w, _, _), deriv in zip(self.bound.entries, derivs):
-                u = nc.matmul(u, w)
-                if deriv is not None:
-                    u = nc.mul(u, deriv)
-            return u
-
         if est.mode == "exact":
-            cols = []
-            for j in range(d):
-                e = np.zeros((1, d + 1))
-                e[0, j] = 1.0
-                u = chain(nc.Tensor(e))
-                cols.append(nc.slice_(u, 1, j, j + 1))
-            div = nc.tsum(nc.concat(cols, axis=1), axis=1)
-            if div.shape[0] == 1 and m > 1:
-                # all-identity stacks keep the basis row un-batched
-                div = nc.mul(div, nc.Tensor(np.ones(m)))
+            probes, scale = np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
         else:
             if rng is None:
                 raise ValueError("hutchinson divergence needs an rng")
-            acc = None
-            for _ in range(est.probes):
-                eps = rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
-                u0 = np.concatenate([eps, np.zeros((m, 1))], axis=1)
-                u = chain(nc.Tensor(u0))
-                quad = nc.tsum(nc.mul(u, nc.Tensor(eps)), axis=1)
-                acc = quad if acc is None else nc.add(acc, quad)
-            div = nc.mul(acc, 1.0 / est.probes)
-        return v, div
+            probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
+                               for _ in range(est.probes)])
+            scale = 1.0 / est.probes
+        out = nc._apply("velocity_divergence", (h, nc.Tensor(probes), *self.params),
+                        (self.acts, scale))
+        return nc.slice_(out, 1, 0, d), nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the fused primitive: inputs h = concat(x, t column) (m, d+1), probes E
+# (K, m, d), then w0, b0, w1, b1, ...; meta (activations, scale). The output
+# packs [v | div] as (m, d+1), div = scale * sum_k rowsum(U[k] * E[k]) with
+# the tangent U started from E through w0[:d] and carried as
+# U <- (U @ w) * act'(z). Nothing beyond the output is kept on the node, so
+# eager callers hold no residuals and a replay leaves none stale; the VJP
+# recomputes the sweep.
+
+def _activate(act, z):
+    """act(z) and its slope act'(z); the slope is None for identity layers."""
+    if act == "tanh":
+        a = np.tanh(z)
+        return a, 1.0 - a * a
+    if act == "softplus":
+        return nc._softplus_fwd((z,), ()), nc._sigmoid_np(z)
+    return z, None
+
+
+def _sweep(h, probes, params, acts):
+    """Yield (a_in, u_in, a_out, slope, t, u_out) for each layer in order.
+
+    ``a`` are the primal activations (m, width); ``u`` the K stacked tangents
+    as one (K*m, width) block, so each layer's tangent is one GEMM; ``t`` is
+    the tangent before the slope multiplies it.
+    """
+    k, m, d = probes.shape
+    a, u = h, probes.reshape(k * m, d)
+    for i, act in enumerate(acts):
+        w, b = params[2 * i], params[2 * i + 1]
+        a_out, slope = _activate(act, a @ w + b)
+        t = u @ (w[:d] if i == 0 else w)
+        u_out = t if slope is None else (t.reshape(k, m, -1) * slope).reshape(k * m, -1)
+        yield a, u, a_out, slope, t, u_out
+        a, u = a_out, u_out
+
+
+def _velocity_divergence_fwd(args, meta):
+    h, probes, params = args[0], args[1], args[2:]
+    acts, scale = meta
+    for _, _, v, _, _, u in _sweep(h, probes, params, acts):
+        pass
+    div = (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
+    return np.concatenate([v, div[:, None]], axis=1)
+
+
+def _velocity_divergence_bwd(node, inputs, g):
+    h, probes, params = inputs[0], inputs[1], inputs[2:]
+    acts, scale = node.meta
+    k, m, d = probes.shape
+    layers = list(_sweep(h, probes, params, acts))
+    a_bar = g[:, :d]
+    u_bar = ((scale * g[:, d])[:, None] * probes).reshape(k * m, d)
+    grads = [None] * len(params)
+    for i in range(len(layers) - 1, -1, -1):
+        a_in, u_in, a_out, slope, t, _ = layers[i]
+        w = params[2 * i]
+        if slope is None:
+            z_bar, t_bar = a_bar, u_bar
+        else:
+            width = slope.shape[1]
+            u_bar = u_bar.reshape(k, m, width)
+            t_bar = (u_bar * slope).reshape(k * m, width)
+            slope_bar = np.einsum("kmn,kmn->mn", u_bar, t.reshape(k, m, width))
+            # z_bar = a_bar act' + slope_bar d(act')/dz, where d(act')/dz is
+            # -2 a act' for tanh and act' (1 - act') for softplus
+            if acts[i] == "tanh":
+                z_bar = slope * (a_bar - 2.0 * a_out * slope_bar)
+            else:
+                z_bar = slope * (a_bar + (1.0 - slope) * slope_bar)
+        w_bar = a_in.T @ z_bar
+        if i == 0:
+            w_bar[:d] += u_in.T @ t_bar
+        else:
+            w_bar += u_in.T @ t_bar
+            u_bar = t_bar @ w.T
+        grads[2 * i] = w_bar
+        grads[2 * i + 1] = z_bar.sum(axis=0)
+        a_bar = z_bar @ w.T
+    return (a_bar, None, *grads)
+
+
+nc._primitive("velocity_divergence", _velocity_divergence_fwd, _velocity_divergence_bwd)
 
 
 def init_near_identity(d, widths=(64, 64), seed=0, interval=(0.0, 1.0), t_total=None,

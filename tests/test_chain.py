@@ -11,6 +11,7 @@ from wflow import chain as fc
 from wflow import datasets as ds
 from wflow import odeint
 from wflow import velocity as vel
+from wflow.mlp import Layer
 
 
 def _perturbed_chain(d, n_blocks, seed=0, scale=0.25, steps=32, widths=(12, 12)):
@@ -223,6 +224,54 @@ def test_checkpoint_truncation_detected(tmp_path):
         fc.load_checkpoint(path)
 
 
+def _fuzz_checkpoint(tmp_path, base):
+    chn = fc.identity_chain(2, 1, base=base, widths=(3,), steps=4, seed=0)
+    rng = np.random.default_rng(1)
+    for layer in chn.blocks[0].field.layers:
+        layer.w += 0.3 * rng.normal(size=layer.w.shape)
+    path = tmp_path / "c.wflw"
+    fc.save_checkpoint(chn, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])
+def test_checkpoint_every_byte_mutation_loads_or_is_typed(tmp_path, base):
+    # CRC-valid corruption of any one payload byte must either load or raise
+    # CheckpointError (the CLI's exit 3), never a bare exception
+    path, blob = _fuzz_checkpoint(tmp_path, base)
+    start = len(fc.MAGIC) + struct.calcsize("<HQ")
+    rejected = 0
+    for pos in range(start, len(blob) - 4):
+        for value in (0, 2, 9, 255):
+            mutated = bytearray(blob)
+            mutated[pos] = value
+            mutated[-4:] = struct.pack("<I", zlib.crc32(bytes(mutated[start:-4])) & 0xFFFFFFFF)
+            path.write_bytes(bytes(mutated))
+            try:
+                fc.load_checkpoint(path)
+            except fc.CheckpointError:
+                rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])
+def test_checkpoint_every_truncation_rejected(tmp_path, base):
+    path, blob = _fuzz_checkpoint(tmp_path, base)
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(fc.CheckpointError):
+            fc.load_checkpoint(path)
+
+
+def test_checkpoint_base_dimension_mismatch_rejected(tmp_path):
+    path, _ = _fuzz_checkpoint(tmp_path, ds.standard_gaussian(2))
+    chn = fc.load_checkpoint(path)
+    chn.base = ds.standard_gaussian(3)
+    fc.save_checkpoint(chn, path)
+    with pytest.raises(fc.CheckpointError, match="dimension"):
+        fc.load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.wflw"
     path.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -237,6 +286,15 @@ def test_chain_requires_contiguous_intervals():
     b2 = fc.FlowBlock(f2, odeint.IntegratorConfig("rk4", 2, (1.5, 2.0)))
     with pytest.raises(ValueError, match="tile"):
         fc.FlowChain([b1, b2], ds.standard_gaussian(2))
+
+
+def test_field_rejects_unchained_layer_widths():
+    layers = [Layer(np.zeros((3, 4)), np.zeros(4), "tanh"),
+              Layer(np.zeros((5, 2)), np.zeros(2), "identity")]
+    with pytest.raises(ValueError, match="chain"):
+        vel.VelocityField(layers, (0.0, 1.0), 1.0, 2)
+    with pytest.raises(ValueError, match="at least one layer"):
+        vel.VelocityField([], (0.0, 1.0), 1.0, 2)
 
 
 def test_block_interval_mismatch_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wflow import numcore as nc
+from wflow import odeint
 from wflow import velocity as vel
 
 
@@ -149,3 +150,209 @@ def test_divergence_differentiable_in_parameters():
 
     report = nc.check_loss_gradient_fd(loss_fn, params)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# the fused velocity_divergence primitive against the per-basis and per-probe
+# directional-derivative chains it replaced, written out here as the oracle
+
+def _chain_velocity_and_divergence(bound, x, t, est, rng):
+    m, d = x.shape
+    h = nc.concat([x, bound._time_column(t, m)], axis=1)
+    derivs = []
+    for w, b, act in bound.bound.entries:
+        z = nc.affine(h, w, b)
+        if act == "tanh":
+            h = nc.tanh(z)
+            derivs.append(nc.add(1.0, nc.mul(nc.square(h), -1.0)))
+        elif act == "softplus":
+            h = nc.softplus(z)
+            derivs.append(nc.exp(nc.mul(nc.softplus(nc.mul(z, -1.0)), -1.0)))  # sigmoid
+        else:
+            h = z
+            derivs.append(None)
+
+    def chain(u):
+        for (w, _, _), deriv in zip(bound.bound.entries, derivs):
+            u = nc.matmul(u, w)
+            if deriv is not None:
+                u = nc.mul(u, deriv)
+        return u
+
+    if est.mode == "exact":
+        cols = []
+        for j in range(d):
+            e = np.zeros((1, d + 1))
+            e[0, j] = 1.0
+            cols.append(nc.slice_(chain(nc.Tensor(e)), 1, j, j + 1))
+        div = nc.tsum(nc.concat(cols, axis=1), axis=1)
+        if div.shape[0] == 1 and m > 1:
+            div = nc.mul(div, nc.Tensor(np.ones(m)))
+    else:
+        acc = None
+        for _ in range(est.probes):
+            eps = rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
+            u = chain(nc.Tensor(np.concatenate([eps, np.zeros((m, 1))], axis=1)))
+            quad = nc.tsum(nc.mul(u, nc.Tensor(eps)), axis=1)
+            acc = quad if acc is None else nc.add(acc, quad)
+        div = nc.mul(acc, 1.0 / est.probes)
+    return h, div
+
+
+def _fused(bound, x, t, est, rng):
+    return bound.velocity_and_divergence(x, t, est, rng)
+
+
+def _values_and_grads(field, x, est, evaluate, seed=5):
+    """v, div and the gradient of a random linear read-out of both, w.r.t. params and x."""
+    m, d = x.shape
+    mix = np.random.default_rng(seed)
+    cv, cd = mix.normal(size=(m, d)), mix.normal(size=m)
+    tape = nc.Tape()
+    with tape:
+        bound = field.bind(tape)
+        xt = tape.watch(nc.Tensor(x.copy()))
+        v, div = evaluate(bound, xt, 0.37, est, np.random.default_rng(seed))
+        out = nc.add(nc.tsum(nc.mul(v, cv)), nc.tsum(nc.mul(div, cd)))
+    tape.mark_output(out)
+    tape.freeze()
+    return v.data, div.data, [g.data for g in nc.grad(tape)]
+
+
+def _mlp_field(d, widths, act, seed, scale=0.5):
+    field = vel.init_near_identity(d, widths=widths, seed=seed, hidden_act=act)
+    rng = np.random.default_rng(seed + 100)
+    for layer in field.layers:
+        layer.w += scale * rng.normal(size=layer.w.shape)
+        layer.b += scale * rng.normal(size=layer.b.shape)
+    return field
+
+
+_ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchinson", probes=3)]
+
+
+@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
+@pytest.mark.parametrize("widths", [(7,), (12, 12), (6, 5, 4)])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_fused_matches_chain_oracle(d, widths, act, m, est):
+    field = _mlp_field(d, widths, act, seed=10 * d + len(widths))
+    x = np.random.default_rng(d + m).normal(size=(m, d))
+    want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
+    got = _values_and_grads(field, x, est, _fused)
+    assert got[0].shape == (m, d) and got[1].shape == (m,)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-13)
+    assert len(got[2]) == len(want[2]) == 2 * len(field.layers) + 1  # params, then x
+    for g_got, g_want in zip(got[2], want[2]):
+        np.testing.assert_allclose(g_got, g_want, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_fused_matches_chain_oracle_affine_field(m, est):
+    rng = np.random.default_rng(31)
+    field = vel.affine_field(rng.normal(size=(3, 3)), rng.normal(size=3))
+    field.layers[0].w[3] = rng.normal(size=3)  # time column
+    x = rng.normal(size=(m, 3))
+    want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
+    got = _values_and_grads(field, x, est, _fused)
+    for a, b in zip([got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
+@pytest.mark.parametrize("act", ["tanh", "softplus"])
+def test_fused_gradient_matches_finite_differences(act, est):
+    field = _mlp_field(2, (5, 4), act, seed=61, scale=0.4)
+    x = np.random.default_rng(62).normal(size=(3, 2))
+    params = [*field.parameter_arrays(), x]
+
+    def loss_fn():
+        tape = nc.Tape()
+        with tape:
+            bound = field.bind(tape)
+            xt = tape.watch(nc.Tensor(x))
+            v, div = bound.velocity_and_divergence(xt, 0.6, est, np.random.default_rng(63))
+            out = nc.add(nc.tmean(nc.square(v)), nc.tmean(nc.mul(div, nc.tsum(v, axis=1))))
+        tape.mark_output(out)
+        tape.freeze()
+        return float(out.data), [g.data for g in nc.grad(tape)]
+
+    report = nc.check_loss_gradient_fd(loss_fn, params)
+    assert report.passed, str(report)
+
+
+def test_fused_node_one_per_call():
+    field = _mlp_field(2, (8, 8), "tanh", seed=71)
+    tape = nc.Tape()
+    with tape:
+        field.bind(tape).velocity_and_divergence(
+            nc.Tensor(np.ones((4, 2))), 0.2, vel.DivergenceEstimator("exact"))
+    ops = [node.op for node in tape.nodes if node.op not in ("param", "const")]
+    assert ops == ["concat", "velocity_divergence", "slice", "slice", "sum"]
+
+
+def _record_fused_program(field, x, est):
+    tape = nc.Tape()
+    with tape:
+        bound = field.bind(tape)
+        v, div = bound.velocity_and_divergence(nc.Tensor(x), 0.4, est, np.random.default_rng(3))
+        out = nc.add(nc.tmean(nc.square(v)), nc.tmean(div))
+    tape.mark_output(out)
+    tape.freeze()
+    return out.data, tape
+
+
+@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
+def test_fused_replay_matches_fresh_recording(est):
+    field = _mlp_field(3, (9, 7), "softplus", seed=81)
+    x = np.random.default_rng(82).normal(size=(5, 3))
+    _, tape = _record_fused_program(field, x, est)
+    before = [g.data for g in nc.grad(tape)]
+    perturbed = [p + 0.125 for p in field.parameter_arrays()]
+    replayed = tape.replay(perturbed)
+    for layer, (w, b) in zip(field.layers, zip(perturbed[::2], perturbed[1::2])):
+        layer.w, layer.b = w, b
+    fresh, _ = _record_fused_program(field, x, est)
+    assert np.array_equal(replayed[0], fresh)
+    # the node keeps no residual a replay could overwrite
+    after = [g.data for g in nc.grad(tape)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_fused_nonfinite_weight_names_the_op():
+    field = _mlp_field(2, (6,), "tanh", seed=91)
+    field.layers[1].w[2, 0] = np.nan
+    tape = nc.Tape()
+    with pytest.raises(nc.NumericError) as err:
+        with tape:
+            field.bind(tape).velocity_and_divergence(
+                nc.Tensor(np.ones((3, 2))), 0.0, vel.DivergenceEstimator("exact"))
+    assert err.value.op == "velocity_divergence"
+    # the reported index is the tape length when the op failed; nothing of it was recorded
+    assert err.value.index == len(tape.nodes)
+    assert tape.nodes[-1].op == "concat"
+
+
+def test_fused_nonfinite_weight_through_odeint_reports_step():
+    field = _mlp_field(2, (6,), "tanh", seed=92)
+    field.layers[0].b[1] = np.nan
+    cfg = odeint.IntegratorConfig("rk4", 4, (0.0, 1.0))
+    with pytest.raises(odeint.IntegrationError) as err:
+        odeint.integrate_augmented(field, np.ones((3, 2)), cfg)
+    assert err.value.step == 0
+    assert err.value.__cause__.op == "velocity_divergence"
+
+
+def test_augmented_overflow_reports_same_step_as_plain():
+    # a stiff expanding field overflows partway; the fused stage and the plain
+    # velocity stage run the same arithmetic on x, so they fail at the same step
+    field = vel.affine_field(np.array([[10_000.0]]))
+    cfg = odeint.IntegratorConfig("rk4", 40, (0.0, 1.0))
+    with pytest.raises(odeint.IntegrationError) as plain:
+        odeint.integrate(field, np.array([1.0]), cfg)
+    with pytest.raises(odeint.IntegrationError) as aug:
+        odeint.integrate_augmented(field, np.array([1.0]), cfg)
+    assert aug.value.step == plain.value.step > 0
