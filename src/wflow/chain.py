@@ -208,6 +208,8 @@ class _Reader:
             raise CheckpointError("truncated file")
         out = struct.unpack_from(fmt, self.buf, self.pos)
         self.pos += size
+        if not all(np.isfinite(v) for v in out if isinstance(v, float)):
+            raise CheckpointError("non-finite time (t_total or a block interval end)")
         return out
 
     def floats(self, count):
@@ -216,6 +218,8 @@ class _Reader:
             raise CheckpointError("truncated file")
         out = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.pos)
         self.pos += size
+        if not np.all(np.isfinite(out)):
+            raise CheckpointError("non-finite weight, bias or base-density value")
         return out.astype(np.float64)
 
 

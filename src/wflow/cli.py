@@ -33,6 +33,7 @@ TASKS = ("train-cnf", "train-jko", "train-fm", "train-lfm", "ot", "dre", "dro",
          "eval", "sample")
 
 METRIC_NAMES = ("nll", "kl_moment", "gauss_fid", "mmd", "w2", "kl_mc")
+SAMPLE_METRICS = ("gauss_fid", "mmd", "w2")  # two-sample, shared by eval and train reports
 
 # kernel matrices are quadratic in the sample count; cap what mmd sees
 MMD_MAX_SAMPLES = 2048
@@ -107,6 +108,14 @@ def _as_float(cfg, section, key):
                           f"got {cfg[section][key]!r}") from err
 
 
+def _as_positive(cfg, section, key, convert=_as_int):
+    value = convert(cfg, section, key)
+    if not 0 < value < float("inf"):
+        raise ConfigError(f"[{section}] {key} must be positive and finite, "
+                          f"got {cfg[section][key]!r}")
+    return value
+
+
 def _as_floats(cfg, section, key):
     raw = cfg[section][key].strip()
     if not raw:
@@ -153,40 +162,65 @@ def _write_loss_csv(writer, result_losses, wall_ms, stem="loss"):
             fh.write(f"{i},{float(value)!r},{wall:.3f}\n")
 
 
+def _preset(cfg, key, d, shift=()):
+    try:
+        return ds.preset_density(cfg["dataset"][key], d, shift)
+    except KeyError as err:
+        raise ConfigError(f"[dataset] {key}: {err.args[0]}") from err
+
+
 def _dataset_pools(cfg, seed):
-    d = _as_int(cfg, "dataset", "dim")
-    count = _as_int(cfg, "dataset", "count")
-    holdout = _as_int(cfg, "dataset", "holdout")
+    d = _as_positive(cfg, "dataset", "dim")
+    count = _as_positive(cfg, "dataset", "count")
+    holdout = _as_positive(cfg, "dataset", "holdout")
     shift = _as_floats(cfg, "dataset", "shift")
-    source = ds.preset_density(cfg["dataset"]["source"], d, shift)
-    target = ds.preset_density(cfg["dataset"]["target"], d)
+    if shift and len(shift) != d:
+        raise ConfigError(f"[dataset] shift needs {d} components, got {len(shift)}")
+    source = _preset(cfg, "source", d, shift)
+    target = _preset(cfg, "target", d)
+    if source.d != target.d:  # the 2-D presets ignore dim
+        raise ConfigError(f"[dataset] source is {source.d}-D but target is {target.d}-D")
     train = ds.ParticleEnsemble(source.sample(count, np.random.default_rng([seed, 101])))
     hold = ds.ParticleEnsemble(source.sample(holdout, np.random.default_rng([seed, 202])))
     return source, target, train, hold
 
 
 def _train_config(cfg, seed) -> obj.TrainConfig:
-    return obj.TrainConfig(
-        learn_rate=_as_float(cfg, "train", "learn_rate"),
-        batch_size=_as_int(cfg, "train", "batch_size"),
-        iterations=_as_int(cfg, "train", "iterations"),
-        seed=seed,
-        gamma=_as_float(cfg, "train", "gamma"),
-        optimizer=cfg["train"]["optimizer"],
-    )
+    try:
+        return obj.TrainConfig(
+            learn_rate=_as_float(cfg, "train", "learn_rate"),
+            batch_size=_as_positive(cfg, "train", "batch_size"),
+            iterations=_as_positive(cfg, "train", "iterations"),
+            seed=seed,
+            gamma=_as_float(cfg, "train", "gamma"),
+            optimizer=cfg["train"]["optimizer"],
+        )
+    except ValueError as err:  # TrainConfig rejects gamma <= 0 and unknown optimizers
+        raise ConfigError(f"[train] {err}") from err
 
 
 def _build_chain(cfg, d, base, seed):
-    blocks = _as_int(cfg, "model", "blocks")
-    width = _as_int(cfg, "model", "width")
-    depth = _as_int(cfg, "model", "depth")
-    steps = _as_int(cfg, "model", "steps_per_block")
+    blocks = _as_positive(cfg, "model", "blocks")
+    width = _as_positive(cfg, "model", "width")
+    depth = _as_positive(cfg, "model", "depth")
+    steps = _as_positive(cfg, "model", "steps_per_block")
     scheme = cfg["model"]["scheme"]
-    t_total = cfg["model"]["t_total"]
-    t_total = float(t_total) if t_total else float(blocks)
+    if scheme not in odeint.SCHEMES:
+        raise ConfigError(f"[model] scheme must be one of {', '.join(odeint.SCHEMES)}, "
+                          f"got {scheme!r}")
+    t_total = (_as_positive(cfg, "model", "t_total", _as_float) if cfg["model"]["t_total"]
+               else float(blocks))
     return flowchain.identity_chain(d, blocks, base=base, widths=(width,) * depth,
                                     steps=steps, scheme=scheme, t_total=t_total,
                                     seed=seed)
+
+
+def _load_checkpoint(cfg):
+    path = cfg["model"]["checkpoint"]
+    try:
+        return flowchain.load_checkpoint(path)
+    except OSError as err:
+        raise ConfigError(f"[model] checkpoint cannot be read: {err}") from err
 
 
 def _metric_list(cfg):
@@ -198,6 +232,17 @@ def _metric_list(cfg):
         if n not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {n!r}; known: {', '.join(METRIC_NAMES)}")
     return names
+
+
+def _sample_metric(name, a, b):
+    """Two-sample metric between ensembles; mmd and w2 see capped prefixes."""
+    if name == "gauss_fid":
+        return metrics.gauss_fid(a, b)
+    if name == "mmd":
+        k = min(MMD_MAX_SAMPLES, a.m, b.m)
+        return metrics.mmd_rbf(a.positions[:k], b.positions[:k]).value
+    k = min(metrics.W2_MAX_PARTICLES, a.m, b.m)
+    return metrics.w2_exact(a.positions[:k], b.positions[:k])
 
 
 def _chain_metrics(names, chn, target, holdout, seed):
@@ -214,14 +259,8 @@ def _chain_metrics(names, chn, target, holdout, seed):
         elif name == "kl_moment":
             pushed = flowchain.forward_map(chn, holdout)
             value = metrics.moment_fit_kl(pushed, target)
-        elif name == "gauss_fid":
-            value = metrics.gauss_fid(generated, holdout)
-        elif name == "mmd":
-            k = min(MMD_MAX_SAMPLES, holdout.m, generated.m)
-            value = metrics.mmd_rbf(generated.positions[:k], holdout.positions[:k]).value
-        elif name == "w2":
-            k = min(metrics.W2_MAX_PARTICLES, holdout.m, generated.m)
-            value = metrics.w2_exact(generated.positions[:k], holdout.positions[:k])
+        elif name in SAMPLE_METRICS:
+            value = _sample_metric(name, generated, holdout)
         else:
             raise ConfigError("metric kl_mc applies to the eval task only")
         reports.append(metrics.MetricReport(name, float(value), sizes, seed, extra).__dict__)
@@ -287,7 +326,7 @@ def _task_train(task, cfg, seed, writer):
         noise = ds.ParticleEnsemble(target.sample(train_pool.m,
                                                   np.random.default_rng([seed, 77])))
         result = obj.train_block("fm", chn.blocks[0], (train_pool, noise), tcfg,
-                                 time_draws=_as_int(cfg, "train", "time_draws"))
+                                 time_draws=_as_positive(cfg, "train", "time_draws"))
         losses, walls = result.losses, result.wall_ms
     else:  # progressive: train-jko / train-lfm
         kind = "jko" if task == "train-jko" else "local_fm"
@@ -328,7 +367,8 @@ def _task_ot(cfg, seed, writer):
     tcfg = _train_config(cfg, seed)
     p_density = source if isinstance(source, ds.Gaussian) else None
     q_density = target if isinstance(target, ds.Gaussian) else None
-    res = tp.ot_train(train_pool, q_pool, chn, _as_float(cfg, "ot", "penalty"), tcfg,
+    penalty = _as_positive(cfg, "ot", "penalty", _as_float)
+    res = tp.ot_train(train_pool, q_pool, chn, penalty, tcfg,
                       p_density=p_density, q_density=q_density)
     flowchain.save_checkpoint(chn, writer.path("chain.wflw"))
     _write_loss_csv(writer, res.losses, res.wall_ms)
@@ -339,7 +379,7 @@ def _task_ot(cfg, seed, writer):
                  [(holdout.positions, "p"), (mapped.positions, "F(p)"),
                   (q_pool.positions[: holdout.m], "q")])
     payload = {"transport_cost": res.transport_cost, "kl_p": res.kl_p, "kl_q": res.kl_q,
-               "penalty": _as_float(cfg, "ot", "penalty")}
+               "penalty": penalty}
     _report(writer, cfg, "ot", seed, payload)
 
 
@@ -358,13 +398,12 @@ def _task_dre(cfg, seed, writer):
         checkpoint = cfg["model"]["checkpoint"]
         if not checkpoint:
             raise ConfigError("[dre] bridge_kind = flow needs [model] checkpoint")
-        path = flow_bridge_path(flowchain.load_checkpoint(checkpoint),
-                                train_pool, q_pool, bridges)
+        path = flow_bridge_path(_load_checkpoint(cfg), train_pool, q_pool, bridges)
     else:
         raise ConfigError(f"[dre] bridge_kind must be ou or flow, got {bridge_kind!r}")
 
     grid = support_grid(source, target, train_pool, q_pool,
-                        _as_int(cfg, "dre", "grid"))
+                        _as_positive(cfg, "dre", "grid"))
     direct = tp.fit_logistic_ratio(train_pool, q_pool, fit_cfg).log_ratio(grid)
     tele = tp.telescopic_log_ratio(path, grid, fit_cfg)
     analytic = None
@@ -401,14 +440,14 @@ def _task_dro(cfg, seed, writer):
     else:
         raise ConfigError(f"config-driven dro supports only the linear risk, got {kind!r}")
     tcfg = _train_config(cfg, seed)
-    res = tp.dro_train(risk, train_pool, _as_float(cfg, "dro", "gamma"), tcfg)
+    gamma = _as_positive(cfg, "dro", "gamma", _as_float)
+    res = tp.dro_train(risk, train_pool, gamma, tcfg)
     _write_loss_csv(writer, res.losses, res.wall_ms)
     ds.save_particles_csv(writer.path("samples.csv"), res.ensemble)
     if train_pool.d == 2:
         _scatter(writer, "samples.svg",
                  [(train_pool.positions, "p"), (res.ensemble.positions, "worst-case")])
-    payload = {"risk": res.risk, "movement": res.movement,
-               "gamma": _as_float(cfg, "dro", "gamma")}
+    payload = {"risk": res.risk, "movement": res.movement, "gamma": gamma}
     _report(writer, cfg, "dro", seed, payload)
 
 
@@ -425,16 +464,9 @@ def _task_eval(cfg, seed, writer):
                 name, res.value, sizes, seed,
                 {"std_err": res.std_err, "n_nonfinite": res.n_nonfinite}).__dict__)
             continue
-        if name == "gauss_fid":
-            value = metrics.gauss_fid(train_pool, q_pool)
-        elif name == "mmd":
-            k = min(MMD_MAX_SAMPLES, train_pool.m, q_pool.m)
-            value = metrics.mmd_rbf(train_pool.positions[:k], q_pool.positions[:k]).value
-        elif name == "w2":
-            k = min(metrics.W2_MAX_PARTICLES, train_pool.m, q_pool.m)
-            value = metrics.w2_exact(train_pool.positions[:k], q_pool.positions[:k])
-        else:
+        if name not in SAMPLE_METRICS:
             raise ConfigError(f"metric {name!r} needs a trained chain; use a train task")
+        value = _sample_metric(name, train_pool, q_pool)
         reports.append(metrics.MetricReport(name, float(value), sizes, seed).__dict__)
     if train_pool.d == 2:
         _scatter(writer, "samples.svg",
@@ -444,12 +476,11 @@ def _task_eval(cfg, seed, writer):
 
 def _task_sample(cfg, seed, writer):
     checkpoint = cfg["model"]["checkpoint"]
-    count = _as_int(cfg, "dataset", "count")
+    count = _as_positive(cfg, "dataset", "count")
     if checkpoint:
-        chn = flowchain.load_checkpoint(checkpoint)
+        chn = _load_checkpoint(cfg)
     else:
-        target = ds.preset_density(cfg["dataset"]["target"],
-                                   _as_int(cfg, "dataset", "dim"))
+        target = _preset(cfg, "target", _as_positive(cfg, "dataset", "dim"))
         if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
             raise ConfigError("sampling without a checkpoint needs an analytic target")
         chn = _build_chain(cfg, target.d, target, seed)
@@ -526,7 +557,7 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
         task = task or cfg["experiment"]["task"]
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
-        seed = seed if seed is not None else int(cfg["experiment"]["seed"])
+        seed = seed if seed is not None else _as_int(cfg, "experiment", "seed")
         out_dir = out or cfg["experiment"]["out"] or os.path.join("runs", task)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

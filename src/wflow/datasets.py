@@ -170,22 +170,6 @@ class GaussianMixture:
         }
 
 
-class PotentialDensity:
-    """Unnormalized density exp(-V); knows its potential but cannot sample."""
-
-    kind = "potential"
-
-    def __init__(self, potential, d):
-        self.potential = potential
-        self.d = d
-
-    def log_pdf(self, x):
-        raise NotImplementedError("potential densities have no normalized log-pdf")
-
-    def sample(self, n, rng):
-        raise NotImplementedError("potential densities have no sampler")
-
-
 def _logsumexp(a, axis):
     amax = np.max(a, axis=axis, keepdims=True)
     return (amax + np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True))).squeeze(axis)

@@ -6,8 +6,10 @@ softplus, sum, mean, square, exp, log, concat, slice); other modules
 register fused primitives through the same registry (``_primitive``), e.g.
 ``velocity_divergence`` in ``wflow.velocity``. Every primitive carries its
 own vector-Jacobian product, so one reverse sweep over a frozen tape yields
-exactly one gradient per watched parameter. Any non-finite primitive output
-aborts immediately -- silent NaN propagation is treated as a bug.
+exactly one gradient per watched parameter; ``value_and_grad`` is that
+protocol (record, mark the loss, freeze, sweep) for a scalar loss. Any
+non-finite primitive output aborts immediately -- silent NaN propagation is
+treated as a bug.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "slice_",
     "record_forward",
     "grad",
+    "value_and_grad",
     "check_gradient_fd",
     "check_loss_gradient_fd",
 ]
@@ -93,9 +96,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -232,10 +232,6 @@ class Tape:
 _ACTIVE: Tape | None = None
 
 
-def active_tape() -> Tape | None:
-    return _ACTIVE
-
-
 # ---------------------------------------------------------------------------
 # primitive registry
 
@@ -250,6 +246,8 @@ def _primitive(name, forward, backward):
 
 def _apply(op, tensors, meta=()) -> Tensor:
     tape = _ACTIVE
+    # inputs first, so an error names the slot the op itself would take
+    ids = tuple(tape.ensure_index(t) for t in tensors) if tape is not None else ()
     index = len(tape.nodes) if tape is not None else None
     args = [t.data for t in tensors]
     try:
@@ -261,7 +259,6 @@ def _apply(op, tensors, meta=()) -> Tensor:
         raise NumericError("non-finite output", op=op, index=index)
     out = Tensor(value)
     if tape is not None:
-        ids = tuple(tape.ensure_index(t) for t in tensors)
         out.node = tape._append(op, ids, out.data, meta)
         out.tape = tape
     return out
@@ -599,6 +596,26 @@ def grad(tape: Tape, seed=None):
     return results
 
 
+def value_and_grad(build):
+    """Record ``build(tape)`` on a fresh tape and run one reverse sweep.
+
+    ``build`` watches its parameters on the given tape (e.g. ``field.bind(tape)``)
+    and returns the scalar loss Tensor, or ``(loss, *extras)`` with scalar
+    extras. Returns ``(loss, grads, *extras)``: floats, and one gradient array
+    per watched parameter in watch order.
+    """
+    tape = Tape()
+    with tape:
+        out = build(tape)
+    loss, *extras = out if isinstance(out, tuple) else (out,)
+    if loss.data.shape != ():
+        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+    tape.mark_output(loss)
+    tape.freeze()
+    grads = [g.data for g in grad(tape)]
+    return (float(loss.data), grads, *(float(e.data) for e in extras))
+
+
 @dataclass
 class GradCheckReport:
     passed: bool
@@ -624,15 +641,8 @@ def check_gradient_fd(loss, params, rel_tol=1e-4) -> GradCheckReport:
     and FD gradients agree instead of dividing by zero.
     """
     params = [as_tensor(p) for p in params]
-    tape = Tape()
-    with tape:
-        watched = [tape.watch(Tensor(p.data.copy())) for p in params]
-        out = loss(*watched)
-    if out.data.shape != ():
-        raise ShapeError(f"loss must be scalar, got shape {out.data.shape}")
-    tape.mark_output(out)
-    tape.freeze()
-    analytic = [g.data for g in grad(tape)]
+    _, analytic = value_and_grad(
+        lambda tape: loss(*[tape.watch(Tensor(p.data.copy())) for p in params]))
 
     work = [p.data.copy() for p in params]
 

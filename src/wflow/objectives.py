@@ -1,4 +1,4 @@
-"""Training objectives and the optimizer loop that minimizes them.
+"""Training objectives and the one optimizer loop that minimizes them.
 
 Four ways to train a transport:
 
@@ -19,7 +19,7 @@ of blocks before it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +90,45 @@ class Sgd:
             p -= self.lr * g
 
 
-def make_optimizer(cfg: TrainConfig, params):
-    return Adam(params, cfg.learn_rate) if cfg.optimizer == "adam" else Sgd(params, cfg.learn_rate)
+def cosine_lr(floor):
+    """Learning-rate factor decaying from 1 at the first iteration toward ``floor``."""
+
+    def schedule(it, iterations):
+        return floor + 0.5 * (1.0 - floor) * (1.0 + np.cos(np.pi * it / iterations))
+
+    return schedule
+
+
+def fit(step, params, cfg: TrainConfig, *, schedule=None, check=None):
+    """The one minibatch loop behind every trainer; deterministic per seed.
+
+    Iteration ``it`` owns the stream ``default_rng([cfg.seed, it])``;
+    ``step(rng) -> (loss, grads)`` draws its batch from it and returns
+    gradients ordered like ``params``, which the optimizer updates in place.
+    ``schedule(it, iterations)`` scales ``cfg.learn_rate``; ``check(it,
+    losses)`` runs after each update and may raise to stop the run. A
+    NumericError in a step becomes TrainingDiverged with the losses so far.
+    Returns (losses, cumulative wall ms), one entry per iteration.
+    """
+    opt = Adam(params, cfg.learn_rate) if cfg.optimizer == "adam" else Sgd(params, cfg.learn_rate)
+    losses, wall = [], []
+    t_start = time.perf_counter()
+    for it in range(cfg.iterations):
+        rng = np.random.default_rng([cfg.seed, it])
+        try:
+            value, grads = step(rng)
+        except nc.NumericError as err:
+            raise TrainingDiverged(
+                f"loss became non-finite at iteration {it}: {err}",
+                np.asarray(losses)) from err
+        if schedule is not None:
+            opt.lr = cfg.learn_rate * schedule(it, cfg.iterations)
+        opt.step(grads)
+        losses.append(value)
+        wall.append(1e3 * (time.perf_counter() - t_start))
+        if check is not None:
+            check(it, losses)
+    return np.asarray(losses), np.asarray(wall)
 
 
 @dataclass
@@ -149,16 +186,14 @@ def nll_loss(chain: FlowChain, batch, est: DivergenceEstimator | None = None, rn
         est = default_estimator(chain.d)
     if not hasattr(chain.base, "log_pdf_expr"):
         raise TypeError("nll training needs a base density with a tape expression (Gaussian)")
-    tape = nc.Tape()
-    with tape:
+
+    def build(tape):
         bound = [(block.field.bind(tape), block.integrator) for block in chain.blocks]
         z, logdet = push_forward_logdet(bound, nc.Tensor(x), est, rng)
         loglik = nc.add(chain.base.log_pdf_expr(z), logdet)
-        loss = nc.mul(nc.tmean(loglik), -1.0)
-    tape.mark_output(loss)
-    tape.freeze()
-    grads = [g.data for g in nc.grad(tape)]
-    return float(loss.data), grads
+        return nc.mul(nc.tmean(loglik), -1.0)
+
+    return nc.value_and_grad(build)
 
 
 def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
@@ -175,17 +210,15 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
     if est is None:
         est = default_estimator(block.field.d)
     v_of = _resolve_potential(potential)
-    tape = nc.Tape()
-    with tape:
-        bound = block.field.bind(tape)
-        aug = odeint.integrate_augmented_tensor(bound, nc.Tensor(x), block.integrator, est, rng)
+
+    def build(tape):
+        aug = odeint.integrate_augmented_tensor(block.field.bind(tape), nc.Tensor(x),
+                                                block.integrator, est, rng)
         kl_part = nc.tmean(nc.add(v_of(aug.x), nc.mul(aug.logdet, -1.0)))
         move = nc.tmean(aug.displacement_sq())
-        loss = nc.add(kl_part, nc.mul(move, 1.0 / (2.0 * gamma)))
-    tape.mark_output(loss)
-    tape.freeze()
-    grads = [g.data for g in nc.grad(tape)]
-    return float(loss.data), grads
+        return nc.add(kl_part, nc.mul(move, 1.0 / (2.0 * gamma)))
+
+    return nc.value_and_grad(build)
 
 
 def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
@@ -217,20 +250,16 @@ def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
     span = t_b - t_a
     a0, a1, da0, da1 = interp.coeffs(s)
 
-    tape = nc.Tape()
-    with tape:
+    def build(tape):
         bound = field.bind(tape)
         x0_t, x1_t = nc.Tensor(x0), nc.Tensor(x1)
         xt = nc.add(nc.mul(x0_t, nc.Tensor(a0)), nc.mul(x1_t, nc.Tensor(a1)))
         target = nc.mul(
             nc.add(nc.mul(x0_t, nc.Tensor(da0)), nc.mul(x1_t, nc.Tensor(da1))), 1.0 / span)
-        vhat = bound.velocity(xt, t_a + s * span)
-        gap = vhat - target
-        loss = nc.tmean(nc.tsum(nc.square(gap), axis=1))
-    tape.mark_output(loss)
-    tape.freeze()
-    grads = [g.data for g in nc.grad(tape)]
-    return float(loss.data), grads
+        gap = bound.velocity(xt, t_a + s * span) - target
+        return nc.tmean(nc.tsum(nc.square(gap), axis=1))
+
+    return nc.value_and_grad(build)
 
 
 def make_local_fm_targets(batch_prev, gamma_n, rng):
@@ -253,16 +282,6 @@ class TrainResult:
     subject: object
     losses: np.ndarray
     wall_ms: np.ndarray
-    smoothed: np.ndarray = dc_field(init=False)
-
-    def __post_init__(self):
-        # monotone envelope: best loss seen so far
-        self.smoothed = (np.minimum.accumulate(self.losses)
-                         if len(self.losses) else self.losses.copy())
-
-
-def _iteration_rng(seed, iteration):
-    return np.random.default_rng([seed, iteration])
 
 
 def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
@@ -280,10 +299,6 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
         # mean-reverting step targets are constructed jointly with their
         # sources, so the local kind defaults to the paired coupling
         interp = Interpolant(coupling="paired" if loss_kind == "local_fm" else "independent")
-    params = subject.parameter_arrays()
-    opt = make_optimizer(cfg, params)
-    losses, wall = [], []
-
     if loss_kind == "fm":
         pool0, pool1 = _positions(data[0]), _positions(data[1])
         if len(pool0) != len(pool1):
@@ -292,37 +307,27 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
     else:
         pool = _positions(data)
         pool_size = len(pool)
-
     take = min(cfg.batch_size, pool_size)
-    t_start = time.perf_counter()
-    for it in range(cfg.iterations):
-        rng = _iteration_rng(cfg.seed, it)
+
+    def minibatch(rng):
         idx = rng.choice(pool_size, size=take, replace=False)
-        try:
-            if loss_kind == "nll":
-                value, grads = nll_loss(subject, pool[idx], est, rng)
-            elif loss_kind == "jko":
-                value, grads = jko_block_loss(subject, pool[idx], cfg.gamma, potential, est, rng)
-            elif loss_kind == "fm":
-                jdx = rng.choice(pool_size, size=take, replace=False)
-                value, grads = fm_loss(subject, interp, pool0[idx], pool1[jdx],
-                                       time_draws, rng)
-            else:
-                x_l, x_r = make_local_fm_targets(pool[idx], cfg.gamma, rng)
-                value, grads = fm_loss(subject, interp, x_l, x_r, time_draws, rng)
-        except nc.NumericError as err:
-            raise TrainingDiverged(
-                f"loss became non-finite at iteration {it}: {err}",
-                np.asarray(losses)) from err
-        opt.step(grads)
-        losses.append(value)
-        wall.append(1e3 * (time.perf_counter() - t_start))
+        if loss_kind == "nll":
+            return nll_loss(subject, pool[idx], est, rng)
+        if loss_kind == "jko":
+            return jko_block_loss(subject, pool[idx], cfg.gamma, potential, est, rng)
+        if loss_kind == "fm":
+            jdx = rng.choice(pool_size, size=take, replace=False)
+            return fm_loss(subject, interp, pool0[idx], pool1[jdx], time_draws, rng)
+        x_l, x_r = make_local_fm_targets(pool[idx], cfg.gamma, rng)
+        return fm_loss(subject, interp, x_l, x_r, time_draws, rng)
+
+    losses, wall = fit(minibatch, subject.parameter_arrays(), cfg)
     if isinstance(subject, FlowBlock):
         subject.trained = True
     elif isinstance(subject, FlowChain):
         for block in subject.blocks:
             block.trained = True
-    return TrainResult(subject, np.asarray(losses), np.asarray(wall))
+    return TrainResult(subject, losses, wall)
 
 
 def push_particles(block: FlowBlock, ensemble: ParticleEnsemble) -> ParticleEnsemble:

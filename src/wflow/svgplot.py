@@ -84,18 +84,3 @@ def trajectories_svg(path, trajectories, points=None):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_document("\n".join(rows) + "\n"))
 
-
-def line_svg(path, xs, ys, label=""):
-    """Single curve (e.g. a loss trace) with a light axis frame."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    pts = np.stack([xs, ys], axis=1)
-    to_px = _mapper(*_bounds([pts]))
-    px = to_px(pts)
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in px)
-    body = (
-        f'<polyline points="{coords}" fill="none" stroke="{PALETTE[0]}" stroke-width="1.5"/>\n'
-        f'<text x="8" y="18" font-size="13" fill="#333333">{label}</text>\n'
-    )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_document(body))

@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from wflow import numcore as nc
 from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain
 from wflow.datasets import Gaussian, ParticleEnsemble
-from wflow.objectives import TrainConfig, make_optimizer
+from wflow.objectives import TrainConfig, cosine_lr, fit
 from wflow.velocity import DivergenceEstimator, default_estimator, init_near_identity
 
 RATIO_WIDTHS = (64, 64)
@@ -68,19 +67,17 @@ def logistic_ratio_loss(layers, samples0, samples1):
     Its population minimizer is phi = log(f1/f0). Returns (loss, grads).
     """
     x0, x1 = _pos(samples0), _pos(samples1)
-    tape = nc.Tape()
-    with tape:
+
+    def build(tape):
         bound = mlp.BoundLayers(layers, tape)
         phi0 = bound.forward(nc.Tensor(x0))
         phi1 = bound.forward(nc.Tensor(x1))
-        loss = nc.add(
+        return nc.add(
             nc.tmean(nc.softplus(phi0)),
             nc.tmean(nc.softplus(nc.mul(phi1, -1.0))),
         )
-    tape.mark_output(loss)
-    tape.freeze()
-    grads = [g.data for g in nc.grad(tape)]
-    return float(loss.data), grads
+
+    return nc.value_and_grad(build)
 
 
 def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
@@ -93,19 +90,16 @@ def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
         raise nc.ShapeError(f"sample dimensions differ: {x0.shape[1]} vs {x1.shape[1]}")
     rng_init = np.random.default_rng(cfg.seed)
     layers = mlp.init_layers([x0.shape[1], *widths, 1], rng_init)
-    params = mlp.parameter_arrays(layers)
-    opt = make_optimizer(cfg, params)
-    base_lr = cfg.learn_rate
     take0 = min(cfg.batch_size, len(x0))
     take1 = min(cfg.batch_size, len(x1))
-    for it in range(cfg.iterations):
-        rng = np.random.default_rng([cfg.seed, it])
+
+    def minibatch(rng):
         i0 = rng.choice(len(x0), size=take0, replace=False)
         i1 = rng.choice(len(x1), size=take1, replace=False)
-        _, grads = logistic_ratio_loss(layers, x0[i0], x1[i1])
-        # cosine decay to a 10% floor settles the late-phase minibatch noise
-        opt.lr = base_lr * (0.1 + 0.45 * (1.0 + np.cos(np.pi * it / cfg.iterations)))
-        opt.step(grads)
+        return logistic_ratio_loss(layers, x0[i0], x1[i1])
+
+    # cosine decay to a 10% floor settles the late-phase minibatch noise
+    fit(minibatch, mlp.parameter_arrays(layers), cfg, schedule=cosine_lr(0.1))
     return RatioModel(layers, (step, (len(x0), len(x1))))
 
 
@@ -151,10 +145,11 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
 
     p_hat is the pullback of q through the inverse map and q_hat the
     pushforward of p; both KLs reduce to log-density differences via the
-    divergence integral along the trajectories.
+    divergence integral along the trajectories. Returns (loss, grads, cost,
+    kl_p, kl_q).
     """
-    tape = nc.Tape()
-    with tape:
+
+    def build(tape):
         bound = [(block.field.bind(tape), block.integrator) for block in chain_blocks]
         # forward side: transport cost and KL(p || p_hat)
         x = nc.Tensor(xp)
@@ -178,11 +173,9 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
             y = aug.x
         log_q_hat = nc.add(base_p.log_pdf_expr(y), logdet_rev)
         kl_q = nc.add(float(np.mean(base_q.log_pdf(xq))), nc.mul(nc.tmean(log_q_hat), -1.0))
-        loss = nc.add(cost, nc.mul(nc.add(kl_p, kl_q), gamma))
-    tape.mark_output(loss)
-    tape.freeze()
-    grads = [g.data for g in nc.grad(tape)]
-    return float(loss.data), grads, float(cost.data), float(kl_p.data), float(kl_q.data)
+        return nc.add(cost, nc.mul(nc.add(kl_p, kl_q), gamma)), cost, kl_p, kl_q
+
+    return nc.value_and_grad(build)
 
 
 def transport_cost(chain: FlowChain, p_samples) -> float:
@@ -216,29 +209,22 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
             raise TypeError(f"{name} density must expose a tape expression (Gaussian)")
     if est is None:
         est = default_estimator(chain.d)
-    params = chain.parameter_arrays()
-    opt = make_optimizer(cfg, params)
-    base_lr = cfg.learn_rate
     take_p = min(cfg.batch_size, len(xp_pool))
     take_q = min(cfg.batch_size, len(xq_pool))
-    losses, wall = [], []
-    t0 = time.perf_counter()
-    kl_p = kl_q = float("nan")
-    for it in range(cfg.iterations):
-        rng = np.random.default_rng([cfg.seed, it])
+    kls = [float("nan"), float("nan")]  # (kl_p, kl_q) of the latest step
+
+    def minibatch(rng):
         ip = rng.choice(len(xp_pool), size=take_p, replace=False)
         iq = rng.choice(len(xq_pool), size=take_q, replace=False)
-        value, grads, _, kl_p, kl_q = _ot_loss(
+        value, grads, _, kls[0], kls[1] = _ot_loss(
             chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma, est, rng)
-        # cosine decay: the penalty weight amplifies late-phase gradient noise
-        opt.lr = base_lr * (0.05 + 0.475 * (1.0 + np.cos(np.pi * it / cfg.iterations)))
-        opt.step(grads)
-        losses.append(value)
-        wall.append(1e3 * (time.perf_counter() - t0))
+        return value, grads
+
+    # cosine decay: the penalty weight amplifies late-phase gradient noise
+    losses, wall = fit(minibatch, chain.parameter_arrays(), cfg, schedule=cosine_lr(0.05))
     for block in chain.blocks:
         block.trained = True
-    return OtResult(chain, transport_cost(chain, xp_pool), kl_p, kl_q,
-                    np.asarray(losses), np.asarray(wall))
+    return OtResult(chain, transport_cost(chain, xp_pool), *kls, losses, wall)
 
 
 def _moment_gaussian(x) -> Gaussian:
@@ -346,36 +332,30 @@ def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
     field = init_near_identity(d, widths=widths, seed=cfg.seed + seed_offset,
                                interval=(0.0, 1.0))
     block = FlowBlock(field, odeint.IntegratorConfig("rk4", steps, (0.0, 1.0)))
-    params = block.parameter_arrays()
-    opt = make_optimizer(cfg, params)
-    losses, wall = [], []
-    t0 = time.perf_counter()
-    for it in range(cfg.iterations):
-        rng = np.random.default_rng([cfg.seed, it])
+
+    def minibatch(rng):
         x = _pos(draw(cfg.batch_size, rng))
-        tape = nc.Tape()
-        with tape:
-            bound = field.bind(tape)
-            y = odeint.integrate_tensor(bound, nc.Tensor(x), block.integrator)
+
+        def build(tape):
+            y = odeint.integrate_tensor(field.bind(tape), nc.Tensor(x), block.integrator)
             move = nc.tsum(nc.square(y - nc.Tensor(x)), axis=1)
-            loss = nc.add(nc.tmean(risk(y)), nc.mul(nc.tmean(move), 1.0 / (2.0 * gamma)))
-        tape.mark_output(loss)
-        tape.freeze()
-        grads = [g.data for g in nc.grad(tape)]
-        opt.step(grads)
-        losses.append(float(loss.data))
-        wall.append(1e3 * (time.perf_counter() - t0))
+            return nc.add(nc.tmean(risk(y)), nc.mul(nc.tmean(move), 1.0 / (2.0 * gamma)))
+
+        return nc.value_and_grad(build)
+
+    def check(it, losses):
         if it >= _DESCENT_WINDOW and it % 50 == 0 and _sustained_linear_descent(losses):
             raise UnboundedRiskError(
                 f"objective still descending linearly after {it} iterations "
                 f"(gamma={gamma}); risk appears unbounded below",
                 np.asarray(losses),
             )
+
+    losses, wall = fit(minibatch, block.parameter_arrays(), cfg, check=check)
     block.trained = True
     eval_rng = np.random.default_rng([cfg.seed, cfg.iterations])
     x_eval = _pos(pool if pool is not None else draw(4096, eval_rng))
     y_eval = odeint.integrate(field, x_eval, block.integrator)
     risk_value = float(np.mean(risk.eval(y_eval)))
     movement = float(np.mean(np.sum((y_eval - x_eval) ** 2, axis=1)))
-    return DroResult(block, ParticleEnsemble(y_eval), risk_value, movement,
-                     np.asarray(losses), np.asarray(wall))
+    return DroResult(block, ParticleEnsemble(y_eval), risk_value, movement, losses, wall)

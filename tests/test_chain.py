@@ -234,24 +234,78 @@ def _fuzz_checkpoint(tmp_path, base):
     return path, path.read_bytes()
 
 
+_PAYLOAD_START = len(fc.MAGIC) + struct.calcsize("<HQ")
+
+
+def _write_with_crc(path, mutated):
+    start = _PAYLOAD_START
+    mutated[-4:] = struct.pack("<I", zlib.crc32(bytes(mutated[start:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(mutated))
+
+
+def _density_floats(density):
+    if isinstance(density, ds.GaussianMixture):
+        return [density.weights] + [a for c in density.components for a in _density_floats(c)]
+    return [density.mean, density.cov]
+
+
+def _chain_is_finite(chn):
+    arrays = _density_floats(chn.base) + [np.asarray(chn.t_total)]
+    for block in chn.blocks:
+        arrays.append(np.asarray([*block.field.interval, block.field.t_total]))
+        arrays.extend(block.parameter_arrays())
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
 @pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])
 def test_checkpoint_every_byte_mutation_loads_or_is_typed(tmp_path, base):
-    # CRC-valid corruption of any one payload byte must either load or raise
-    # CheckpointError (the CLI's exit 3), never a bare exception
+    # CRC-valid corruption of any one payload byte must either load a finite
+    # chain or raise CheckpointError (the CLI's exit 3), never a bare exception
     path, blob = _fuzz_checkpoint(tmp_path, base)
-    start = len(fc.MAGIC) + struct.calcsize("<HQ")
     rejected = 0
-    for pos in range(start, len(blob) - 4):
+    for pos in range(_PAYLOAD_START, len(blob) - 4):
         for value in (0, 2, 9, 255):
             mutated = bytearray(blob)
             mutated[pos] = value
-            mutated[-4:] = struct.pack("<I", zlib.crc32(bytes(mutated[start:-4])) & 0xFFFFFFFF)
-            path.write_bytes(bytes(mutated))
+            _write_with_crc(path, mutated)
             try:
-                fc.load_checkpoint(path)
+                chn = fc.load_checkpoint(path)
             except fc.CheckpointError:
                 rejected += 1
+                continue
+            assert _chain_is_finite(chn), (pos, value)
     assert rejected > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])
+def test_checkpoint_nonfinite_float_never_loads(tmp_path, base, bad):
+    # a non-finite double written over any 8 payload bytes (t_total, interval
+    # ends, weights, biases and base-density values among them) is rejected
+    # unless the chain that loads holds only finite values
+    path, blob = _fuzz_checkpoint(tmp_path, base)
+    rejected = 0
+    for pos in range(_PAYLOAD_START, len(blob) - 4 - 8 + 1):
+        mutated = bytearray(blob)
+        mutated[pos : pos + 8] = struct.pack("<d", bad)
+        _write_with_crc(path, mutated)
+        try:
+            chn = fc.load_checkpoint(path)
+        except fc.CheckpointError:
+            rejected += 1
+            continue
+        assert _chain_is_finite(chn), pos
+    assert rejected > 0
+
+
+def test_checkpoint_nonfinite_t_total_rejected(tmp_path):
+    path, blob = _fuzz_checkpoint(tmp_path, ds.standard_gaussian(2))
+    mutated = bytearray(blob)
+    offset = _PAYLOAD_START + struct.calcsize("<II")  # header: n_blocks, d, t_total
+    mutated[offset : offset + 8] = struct.pack("<d", np.inf)
+    _write_with_crc(path, mutated)
+    with pytest.raises(fc.CheckpointError, match="non-finite"):
+        fc.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])

@@ -1,9 +1,11 @@
 """Experiment runner: config handling, artifacts, determinism, exit codes."""
 
+import configparser
 import json
 import os
 
 import numpy as np
+import pytest
 
 from wflow import chain as fc
 from wflow import cli
@@ -88,6 +90,72 @@ def test_bad_value_exit_2(tmp_path, capsys):
                  "[metrics]\nnames = mmd\n")
     assert cli.run_experiment(cfg, out=str(tmp_path / "o")) == 2
     assert "count" in capsys.readouterr().err
+
+
+_TINY = {
+    "train-jko": "[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
+                 "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n",
+    "ot": "[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
+          "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n",
+    "dro": "[dataset]\ncount = 64\nholdout = 32\n[train]\nbatch_size = 16\niterations = 2\n",
+    "eval": "[dataset]\ndim = 3\ncount = 64\n[metrics]\nnames = mmd\n",
+    "sample": "[dataset]\ncount = 16\n[model]\nwidth = 4\ndepth = 1\nsteps_per_block = 2\n",
+}
+
+
+def _tiny_config(tmp_path, task, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read_string(_TINY[task])
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / f"{task}.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("task, section, key, value", [
+    ("eval", "dataset", "source", "no-such-preset"),
+    ("eval", "dataset", "target", "no-such-preset"),
+    ("eval", "dataset", "source", "fig10-p"),  # 2-D preset against dim = 3
+    ("sample", "dataset", "target", "no-such-preset"),
+    ("train-jko", "model", "scheme", "midpoint"),
+    ("train-jko", "train", "optimizer", "lbfgs"),
+    ("train-jko", "train", "gamma", "0"),
+    ("train-jko", "train", "gamma", "-1"),
+    ("ot", "ot", "penalty", "0"),
+    ("dro", "dro", "gamma", "-0.5"),
+    ("train-jko", "model", "blocks", "0"),
+    ("train-jko", "dataset", "dim", "0"),
+    ("train-jko", "model", "depth", "0"),
+    ("train-jko", "model", "width", "0"),
+    ("train-jko", "model", "steps_per_block", "0"),
+    ("train-jko", "model", "t_total", "0"),
+    ("train-jko", "model", "t_total", "inf"),
+    ("train-jko", "train", "iterations", "0"),
+    ("train-jko", "train", "batch_size", "0"),
+    ("train-jko", "dataset", "count", "0"),
+    ("train-jko", "dataset", "holdout", "0"),
+    ("train-jko", "dataset", "shift", "1,2,3"),
+    ("sample", "dataset", "count", "0"),
+    ("sample", "model", "checkpoint", "{tmp}/missing.wflw"),
+])
+def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
+    cfg = _tiny_config(tmp_path, task, section, key, value.format(tmp=tmp_path))
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task=task, out=str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_diverged_training_exit_3(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path, "dro", "train", "learn_rate", "1e200")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="dro", out=str(out)) == 3
+    assert "non-finite at iteration" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -71,7 +71,8 @@ def test_shape_error_carries_op_index():
         nc.record_forward(lambda w: nc.matmul(w, nc.Tensor(np.ones((3, 2)))),
                           [np.ones((1, 2))])
     assert err.value.op == "matmul"
-    assert err.value.index == 1  # the leaf parameter occupies index 0
+    # the parameter leaf is index 0 and the constant operand 1; the op would be 2
+    assert err.value.index == 2
 
 
 def test_nonfinite_output_aborts():

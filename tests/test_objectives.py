@@ -257,11 +257,55 @@ def test_divergent_training_aborts_with_trace():
     assert err.value.trace.ndim == 1
 
 
-def test_smoothed_trace_is_monotone():
+def test_fit_trace_stops_at_the_failing_iteration():
+    draws = []
+
+    def step(rng):
+        it = len(draws)
+        draws.append(int(rng.integers(2**31)))
+        if it == 4:
+            raise nc.NumericError("non-finite output")
+        return float(it), [np.ones(2)]
+
+    cfg = obj.TrainConfig(learn_rate=0.1, iterations=10, seed=7, optimizer="sgd")
+    with pytest.raises(obj.TrainingDiverged, match="iteration 4") as err:
+        obj.fit(step, [np.zeros(2)], cfg)
+    assert err.value.trace.ndim == 1
+    assert err.value.trace.tolist() == [0.0, 1.0, 2.0, 3.0]
+    # every iteration draws from its own stream [seed, it]
+    assert draws == [int(np.random.default_rng([7, it]).integers(2**31)) for it in range(5)]
+
+
+def test_fit_schedule_scales_the_rate_and_check_can_stop():
+    param = np.zeros(1)
+    seen = []
+
+    def check(it, losses):
+        seen.append((it, len(losses)))
+        if it == 2:
+            raise RuntimeError("stop")
+
+    cfg = obj.TrainConfig(learn_rate=0.5, iterations=6, optimizer="sgd")
+    with pytest.raises(RuntimeError, match="stop"):
+        obj.fit(lambda rng: (0.0, [np.ones(1)]), [param], cfg,
+                schedule=lambda it, n: 1.0 / (it + 1), check=check)
+    assert seen == [(0, 1), (1, 2), (2, 3)]
+    assert param[0] == -0.5 * (1.0 + 1.0 / 2 + 1.0 / 3)
+
+
+@pytest.mark.parametrize("floor, half", [(0.1, 0.45), (0.05, 0.475)])
+def test_cosine_lr_matches_the_literal_schedules(floor, half):
+    # the classifier (floor 0.1) and OT (floor 0.05) schedules, bit for bit
+    schedule = obj.cosine_lr(floor)
+    for n in (1, 7, 40, 1200):
+        for it in range(n):
+            assert schedule(it, n) == floor + half * (1.0 + np.cos(np.pi * it / n))
+
+
+def test_trace_has_one_entry_per_iteration():
     block = _tiny_chain(1, 1, steps=4, widths=(6,)).blocks[0]
     cfg = obj.TrainConfig(learn_rate=0.02, batch_size=32, iterations=30, seed=2)
     res = obj.train_block("jko", block, np.random.default_rng(4).normal(size=(128, 1)), cfg)
-    assert np.all(np.diff(res.smoothed) <= 0)
     assert len(res.losses) == 30 and len(res.wall_ms) == 30
 
 

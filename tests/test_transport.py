@@ -101,6 +101,14 @@ def test_telescoping_identical_path_near_zero():
     assert np.abs(est).mean() <= 0.15
 
 
+def test_telescoping_models_record_their_bridge():
+    rng = np.random.default_rng(6)
+    pools = [rng.normal(size=(40, 1)) + k for k in range(3)]
+    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=16, iterations=3, seed=1)
+    _, models = tp.telescopic_log_ratio(pools, np.zeros((2, 1)), cfg, return_models=True)
+    assert [m.trained_on for m in models] == [(0, (40, 40)), (1, (40, 40))]
+
+
 def test_telescoping_needs_two_ensembles():
     with pytest.raises(ValueError):
         tp.telescopic_log_ratio([np.zeros((5, 1))], np.zeros((2, 1)), FIT_CFG)
@@ -142,6 +150,19 @@ def test_ot_rejects_bad_gamma():
     with pytest.raises(ValueError):
         tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn, gamma=0.0,
                     cfg=obj.TrainConfig(iterations=1))
+
+
+def test_ot_divergence_raises_training_diverged():
+    # an absurd learning rate overflows the flow after the first update
+    p, q = ds.standard_gaussian(1), ds.Gaussian([1.0], [[1.0]])
+    rng = np.random.default_rng(9)
+    chn = fc.identity_chain(1, 1, steps=2, widths=(4,), t_total=1.0, seed=1)
+    cfg = obj.TrainConfig(learn_rate=1e200, batch_size=16, iterations=5, seed=0)
+    with pytest.raises(obj.TrainingDiverged) as err:
+        tp.ot_train(p.sample(32, rng), q.sample(32, rng), chn, gamma=1.0, cfg=cfg,
+                    p_density=p, q_density=q)
+    assert err.value.trace.ndim == 1
+    assert 1 <= len(err.value.trace) < 5
 
 
 def test_ot_loss_gradient_fd():
@@ -226,6 +247,15 @@ def test_dro_unbounded_risk_detected():
     cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=1500, seed=5)
     with pytest.raises(tp.UnboundedRiskError):
         tp.dro_train(risk, ds.standard_gaussian(2), gamma=2.0, cfg=cfg)
+
+
+def test_dro_divergence_raises_training_diverged():
+    risk = tp.RiskFunction.linear([1.0, 0.0])
+    cfg = obj.TrainConfig(learn_rate=1e200, batch_size=16, iterations=5, seed=0)
+    with pytest.raises(obj.TrainingDiverged) as err:
+        tp.dro_train(risk, ds.standard_gaussian(2), gamma=1.0, cfg=cfg, widths=(4,), steps=2)
+    assert err.value.trace.ndim == 1
+    assert 1 <= len(err.value.trace) < 5
 
 
 def test_dro_classifier_loss_risk_moves_across_boundary():

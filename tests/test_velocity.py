@@ -331,9 +331,10 @@ def test_fused_nonfinite_weight_names_the_op():
             field.bind(tape).velocity_and_divergence(
                 nc.Tensor(np.ones((3, 2))), 0.0, vel.DivergenceEstimator("exact"))
     assert err.value.op == "velocity_divergence"
-    # the reported index is the tape length when the op failed; nothing of it was recorded
+    # the op's inputs are registered first, so the reported index is the slot
+    # the op would take; the last node is its probe leaf, the op is not recorded
     assert err.value.index == len(tape.nodes)
-    assert tape.nodes[-1].op == "concat"
+    assert tape.nodes[-1].op == "const"
 
 
 def test_fused_nonfinite_weight_through_odeint_reports_step():
