@@ -188,7 +188,7 @@ def _dataset_pools(cfg, seed):
 def _train_config(cfg, seed) -> obj.TrainConfig:
     try:
         return obj.TrainConfig(
-            learn_rate=_as_float(cfg, "train", "learn_rate"),
+            learn_rate=_as_positive(cfg, "train", "learn_rate", _as_float),
             batch_size=_as_positive(cfg, "train", "batch_size"),
             iterations=_as_positive(cfg, "train", "iterations"),
             seed=seed,
@@ -387,9 +387,9 @@ def _task_dre(cfg, seed, writer):
     source, target, train_pool, _ = _dataset_pools(cfg, seed)
     rng = np.random.default_rng([seed, 99])
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
-    bridges = _as_int(cfg, "dre", "bridges")
+    bridges = _as_positive(cfg, "dre", "bridges")
     fit_cfg = obj.TrainConfig(learn_rate=0.006, batch_size=256,
-                              iterations=_as_int(cfg, "dre", "classifier_iterations"),
+                              iterations=_as_positive(cfg, "dre", "classifier_iterations"),
                               seed=seed)
     bridge_kind = cfg["dre"]["bridge_kind"]
     if bridge_kind == "ou":

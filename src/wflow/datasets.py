@@ -50,7 +50,13 @@ def save_particles_csv(path, ensemble: ParticleEnsemble):
 
 
 def load_particles_csv(path) -> ParticleEnsemble:
+    """Read a particle CSV; a NaN or infinite cell raises ValueError naming the file."""
     data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite value {data[row, col]!r} at row {row + 1}, "
+                         f"column {col + 1}")
     return ParticleEnsemble(data)
 
 

@@ -3,8 +3,10 @@
 Eager numpy evaluation with optional recording onto an explicit tape. The
 built-in primitives are small and general (add, mul, matmul, affine, tanh,
 softplus, sum, mean, square, exp, log, concat, slice); other modules
-register fused primitives through the same registry (``_primitive``), e.g.
-``velocity_divergence`` in ``wflow.velocity``. Every primitive carries its
+register fused primitives through the same registry (``_primitive``):
+``velocity_divergence`` (one velocity + divergence stage) in
+``wflow.velocity`` and ``integrate_block`` (one whole Euler/RK4 block
+integration) in ``wflow.odeint``. Every primitive carries its
 own vector-Jacobian product, so one reverse sweep over a frozen tape yields
 exactly one gradient per watched parameter; ``value_and_grad`` is that
 protocol (record, mark the loss, freeze, sweep) for a scalar loss. Any
@@ -45,13 +47,18 @@ __all__ = [
 ]
 
 
+def _locate(message, op, index):
+    if op is None:
+        return message
+    where = "" if index is None else f" at tape index {index}"
+    return f"{message} (op '{op}'{where})"
+
+
 class NumericError(RuntimeError):
     """A primitive produced a NaN/Inf output, or a tape contract was violated."""
 
     def __init__(self, message, op=None, index=None):
-        if op is not None:
-            message = f"{message} (op '{op}' at tape index {index})"
-        super().__init__(message)
+        super().__init__(_locate(message, op, index))
         self.op = op
         self.index = index
 
@@ -60,9 +67,7 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with a primitive; carries the op index."""
 
     def __init__(self, message, op=None, index=None):
-        if op is not None:
-            message = f"{message} (op '{op}' at tape index {index})"
-        super().__init__(message)
+        super().__init__(_locate(message, op, index))
         self.op = op
         self.index = index
 

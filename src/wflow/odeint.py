@@ -4,21 +4,33 @@ Deterministic by construction: a uniform grid, no step-size adaptation.
 The augmented variant carries the running divergence integral (for the
 density change along the trajectory) as part of the same RK4 state, so
 the accumulated value is consistent with the position at the same order.
-All arithmetic goes through the numcore primitives, which makes both the
-end state and the divergence integral differentiable in the field
-parameters when run under a tape.
+
+One block integration is one taped primitive, ``integrate_block``. Its
+forward runs the Euler/RK4 loop in numpy and calls the fused stage kernel
+of ``wflow.velocity`` once per stage; its hand-written VJP is the discrete
+adjoint of that loop (discretize-then-optimize, as opposed to the continuous
+adjoint of Chen et al. 2018, "Neural Ordinary Differential Equations"),
+walking steps and stages in reverse through the stage kernel's VJP. The
+output keeps every stage input [x | t / t_total] next to the end state, so
+the reverse sweep never re-integrates and a replay never leaves them stale.
+The end state and the divergence integral are differentiable in the field
+parameters and in x0. Velocity-only integration is the same loop with no
+divergence probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from wflow import numcore as nc
+from wflow import velocity
 from wflow.velocity import BoundVelocity, DivergenceEstimator, VelocityField, default_estimator
 
 SCHEMES = ("euler", "rk4")
+_STAGES = {"euler": 1, "rk4": 4}
 
 
 class IntegrationError(nc.NumericError):
@@ -82,30 +94,158 @@ def _grid(cfg: IntegratorConfig, direction: str):
     raise ValueError(f"direction must be forward or reverse, got {direction!r}")
 
 
+class _Block(NamedTuple):
+    """Static description of one block integration (the primitive's meta)."""
+
+    acts: tuple
+    scale: float      # divergence trace scale of the probes
+    scheme: str
+    steps: int
+    t: float          # start time
+    h: float          # signed step
+    t_scale: float    # 1 / t_total, the time embedding
+    direction: str
+
+
+def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, scale) -> _Block:
+    t, h = _grid(cfg, direction)
+    return _Block(bound.acts, scale, cfg.scheme, cfg.steps, t, h,
+                  1.0 / bound.field.t_total, direction)
+
+
 def _combine_rk4(x, k1, k2, k3, k4, h):
-    ksum = nc.add(nc.add(k1, nc.mul(nc.add(k2, k3), 2.0)), k4)
-    return nc.add(x, nc.mul(ksum, h / 6.0))
+    return x + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
+
+
+def _run(x, probes, params, blk: _Block, stage_inputs=None):
+    """The Euler/RK4 loop in numpy: returns (x_end, logdet).
+
+    ``probes`` is (1, K, m, d), shared by every stage, or (S, K, m, d), one
+    stack per stage in order; K = 0 integrates the velocity alone (logdet
+    stays zero). ``stage_inputs`` (m, S, d+1), when given, receives the input
+    of every stage. Finiteness is checked once per step.
+    """
+    m = x.shape[0]
+    per = _STAGES[blk.scheme]
+    logdet = np.zeros(m)
+    # eager runs keep one step's stage inputs, for the finiteness check only
+    step_inputs = np.empty((m, per, x.shape[1] + 1)) if stage_inputs is None else None
+    s = 0
+
+    def stage(xs, ts):
+        nonlocal s
+        hin = np.concatenate([xs, np.full((m, 1), float(ts) * blk.t_scale)], axis=1)
+        hs[:, s % per] = hin
+        # s % len(probes) is 0 for shared probes and s for per-stage ones
+        v, div = velocity.stage_forward(hin, probes[s % len(probes)], params, blk.acts, blk.scale)
+        s += 1
+        return v, div
+
+    t, h = blk.t, blk.h
+    with np.errstate(all="ignore"):
+        for i in range(blk.steps):
+            hs = step_inputs if stage_inputs is None else stage_inputs[:, i * per:(i + 1) * per]
+            if blk.scheme == "euler":
+                v, div = stage(x, t)
+                x = x + v * h
+                if div is not None:
+                    logdet = logdet + div * h
+            else:
+                k1, d1 = stage(x, t)
+                k2, d2 = stage(x + k1 * (h / 2.0), t + h / 2.0)
+                k3, d3 = stage(x + k2 * (h / 2.0), t + h / 2.0)
+                k4, d4 = stage(x + k3 * h, t + h)
+                x = _combine_rk4(x, k1, k2, k3, k4, h)
+                if d1 is not None:
+                    logdet = _combine_rk4(logdet, d1, d2, d3, d4, h)
+            if not (np.isfinite(hs).all() and np.isfinite(x).all() and np.isfinite(logdet).all()):
+                cause = nc.NumericError("non-finite output", op="velocity_divergence")
+                raise IntegrationError(i, blk.direction, cause) from cause
+            t += h
+    return x, logdet
+
+
+# ---------------------------------------------------------------------------
+# the block primitive: inputs x0 (m, d), probes (P, K, m, d), then w0, b0,
+# w1, b1, ...; meta a _Block. The output packs, per particle, the end state
+# [x_end | logdet] followed by the S stage inputs, as (m, (S+1)(d+1)).
+
+def _integrate_block_fwd(args, meta):
+    x0 = args[0]
+    m, d = x0.shape
+    out = np.empty((m, 1 + _STAGES[meta.scheme] * meta.steps, d + 1))
+    x, logdet = _run(x0, args[1], args[2:], meta, out[:, 1:])
+    out[:, 0, :d] = x
+    out[:, 0, d] = logdet
+    return out.reshape(m, -1)
+
+
+def _integrate_block_bwd(node, inputs, g):
+    x0, probes, params = inputs[0], inputs[1], inputs[2:]
+    blk: _Block = node.meta
+    m, d = x0.shape
+    per = _STAGES[blk.scheme]
+    g = g.reshape(m, -1, d + 1)
+    hs = node.value.reshape(m, -1, d + 1)
+    ld_bar = g[:, 0, d]  # logdet enters additively, so its cotangent is the same at every step
+    grads = [np.zeros_like(p) for p in params]
+
+    def pull(s, k_bar, weight):
+        """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
+        h_bar, stage_grads = velocity.stage_vjp(
+            np.ascontiguousarray(hs[:, 1 + s]), probes[s % len(probes)], params, blk.acts,
+            blk.scale, k_bar, ld_bar * weight)
+        for acc, grad in zip(grads, stage_grads):
+            acc += grad
+        return h_bar[:, :d] + g[:, 1 + s, :d]
+
+    h = blk.h
+    x_bar = g[:, 0, :d]
+    for i in range(blk.steps - 1, -1, -1):
+        s = i * per
+        if blk.scheme == "euler":
+            x_bar = x_bar + pull(s, x_bar * h, h)
+            continue
+        c = x_bar * (h / 6.0)
+        x4 = pull(s + 3, c, h / 6.0)
+        x3 = pull(s + 2, c * 2.0 + x4 * h, (h / 6.0) * 2.0)
+        x2 = pull(s + 1, c * 2.0 + x3 * (h / 2.0), (h / 6.0) * 2.0)
+        x1 = pull(s, c + x2 * (h / 2.0), h / 6.0)
+        x_bar = x_bar + x4 + x3 + x2 + x1
+    return (x_bar, None, *grads)
+
+
+nc._primitive("integrate_block", _integrate_block_fwd, _integrate_block_bwd)
+
+
+def _block_probes(est: DivergenceEstimator | None, cfg: IntegratorConfig, m, d, rng):
+    """(P, K, m, d) probes and their trace scale for one block.
+
+    None (velocity only): no probes. Exact trace: the basis, shared by every
+    stage. Hutchinson: one draw per stage, in stage order.
+    """
+    if est is None:
+        return np.empty((1, 0, m, d)), 1.0
+    if est.mode == "exact":
+        probes, scale = velocity.draw_probes(est, m, d, rng)
+        return probes[None], scale
+    draws = [velocity.draw_probes(est, m, d, rng) for _ in range(_STAGES[cfg.scheme] * cfg.steps)]
+    return np.stack([p for p, _ in draws]), draws[0][1]
+
+
+def _integrate_block(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig, direction,
+                     est=None, rng=None) -> nc.Tensor:
+    """The packed block output as one taped node."""
+    probes, scale = _block_probes(est, cfg, *x0.shape, rng)
+    return nc._apply("integrate_block", (x0, nc.Tensor(probes), *bound.params),
+                     _block_meta(bound, cfg, direction, scale))
 
 
 def integrate_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
                      direction="forward") -> nc.Tensor:
     """Tape-friendly integration of dx/dt = v(x, t) over the config interval."""
-    t, h = _grid(cfg, direction)
-    x = x0
-    for i in range(cfg.steps):
-        try:
-            if cfg.scheme == "euler":
-                x = nc.add(x, nc.mul(bound.velocity(x, t), h))
-            else:
-                k1 = bound.velocity(x, t)
-                k2 = bound.velocity(nc.add(x, nc.mul(k1, h / 2.0)), t + h / 2.0)
-                k3 = bound.velocity(nc.add(x, nc.mul(k2, h / 2.0)), t + h / 2.0)
-                k4 = bound.velocity(nc.add(x, nc.mul(k3, h)), t + h)
-                x = _combine_rk4(x, k1, k2, k3, k4, h)
-        except nc.NumericError as err:
-            raise IntegrationError(i, direction, err) from err
-        t += h
-    return x
+    d = x0.shape[1]
+    return nc.slice_(_integrate_block(bound, x0, cfg, direction), 1, 0, d)
 
 
 def integrate_augmented_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
@@ -116,52 +256,37 @@ def integrate_augmented_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: Integra
     The divergence is evaluated at the same RK4 stage points as the state;
     the returned ``logdet`` is the signed integral of div v over the
     traversed time span (negative of the forward value when reversed).
+    Hutchinson probes are drawn from ``rng`` stage by stage, in step order.
     """
-    t, h = _grid(cfg, direction)
-    m = x0.shape[0]
-    x = x0
-    logdet = nc.Tensor(np.zeros(m))
-    for i in range(cfg.steps):
-        try:
-            if cfg.scheme == "euler":
-                v, div = bound.velocity_and_divergence(x, t, est, rng)
-                x = nc.add(x, nc.mul(v, h))
-                logdet = nc.add(logdet, nc.mul(div, h))
-            else:
-                k1, d1 = bound.velocity_and_divergence(x, t, est, rng)
-                k2, d2 = bound.velocity_and_divergence(
-                    nc.add(x, nc.mul(k1, h / 2.0)), t + h / 2.0, est, rng)
-                k3, d3 = bound.velocity_and_divergence(
-                    nc.add(x, nc.mul(k2, h / 2.0)), t + h / 2.0, est, rng)
-                k4, d4 = bound.velocity_and_divergence(
-                    nc.add(x, nc.mul(k3, h)), t + h, est, rng)
-                x = _combine_rk4(x, k1, k2, k3, k4, h)
-                logdet = _combine_rk4(logdet, d1, d2, d3, d4, h)
-        except IntegrationError:
-            raise
-        except nc.NumericError as err:
-            raise IntegrationError(i, direction, err) from err
-        t += h
-    return AugmentedState(x=x, logdet=logdet, x_start=x0)
+    d = x0.shape[1]
+    out = _integrate_block(bound, x0, cfg, direction, est, rng)
+    logdet = nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
+    return AugmentedState(x=nc.slice_(out, 1, 0, d), logdet=logdet, x_start=x0)
+
+
+def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, est=None, rng=None):
+    """Run the loop on plain arrays (no tape, no kept stage inputs): (x0 batch, x, logdet)."""
+    _check_interval(field, cfg)
+    xb = np.asarray(x0, dtype=np.float64)
+    xb = xb[None, :] if xb.ndim == 1 else xb
+    bound = field.bind()
+    probes, scale = _block_probes(est, cfg, *xb.shape, rng)
+    x, logdet = _run(xb, probes, [p.data for p in bound.params],
+                     _block_meta(bound, cfg, direction, scale))
+    return xb, x, logdet
 
 
 def integrate(field: VelocityField, x0, cfg: IntegratorConfig, direction="forward") -> np.ndarray:
     """Eager endpoint of the trajectory started at x0 ((d,) or (m, d))."""
-    _check_interval(field, cfg)
-    xb = np.asarray(x0, dtype=np.float64)
-    single = xb.ndim == 1
-    out = integrate_tensor(field.bind(), nc.Tensor(xb[None, :] if single else xb), cfg, direction)
-    return out.data[0] if single else out.data
+    _, x, _ = _eager(field, x0, cfg, direction)
+    return x[0] if np.ndim(x0) == 1 else x
 
 
 def integrate_augmented(field: VelocityField, x0, cfg: IntegratorConfig,
                         est: DivergenceEstimator | None = None, rng=None,
                         direction="forward") -> AugmentedState:
     """Eager augmented integration; state fields hold Tensors over a batch."""
-    _check_interval(field, cfg)
     if est is None:
         est = default_estimator(field.d)
-    xb = np.asarray(x0, dtype=np.float64)
-    if xb.ndim == 1:
-        xb = xb[None, :]
-    return integrate_augmented_tensor(field.bind(), nc.Tensor(xb), cfg, est, rng, direction)
+    xb, x, logdet = _eager(field, x0, cfg, direction, est, rng)
+    return AugmentedState(x=nc.Tensor(x), logdet=nc.Tensor(logdet), x_start=nc.Tensor(xb))

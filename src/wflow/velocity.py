@@ -102,86 +102,107 @@ class BoundVelocity:
             col = (t * scale).reshape(m, 1)
         return nc.Tensor(col)
 
-    def velocity(self, x: nc.Tensor, t) -> nc.Tensor:
+    def _stage(self, x: nc.Tensor, t, probes, scale) -> nc.Tensor:
+        """One fused stage node; the output packs [v | div] as (m, d+1)."""
         h = nc.concat([x, self._time_column(t, x.shape[0])], axis=1)
-        return self.bound.forward(h)
+        return nc._apply("velocity_divergence", (h, nc.Tensor(probes), *self.params),
+                         (self.acts, scale))
+
+    def velocity(self, x: nc.Tensor, t) -> nc.Tensor:
+        """Velocity (m, d) at (x, t): the fused stage with no probes."""
+        m, d = x.shape
+        return nc.slice_(self._stage(x, t, np.empty((0, m, d)), 1.0), 1, 0, d)
 
     def velocity_and_divergence(self, x: nc.Tensor, t, est: DivergenceEstimator, rng=None):
         """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node."""
         m, d = x.shape
-        h = nc.concat([x, self._time_column(t, m)], axis=1)
-        if est.mode == "exact":
-            probes, scale = np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
-        else:
-            if rng is None:
-                raise ValueError("hutchinson divergence needs an rng")
-            probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
-                               for _ in range(est.probes)])
-            scale = 1.0 / est.probes
-        out = nc._apply("velocity_divergence", (h, nc.Tensor(probes), *self.params),
-                        (self.acts, scale))
+        out = self._stage(x, t, *draw_probes(est, m, d, rng))
         return nc.slice_(out, 1, 0, d), nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
 
 
-# ---------------------------------------------------------------------------
-# the fused primitive: inputs h = concat(x, t column) (m, d+1), probes E
-# (K, m, d), then w0, b0, w1, b1, ...; meta (activations, scale). The output
-# packs [v | div] as (m, d+1), div = scale * sum_k rowsum(U[k] * E[k]) with
-# the tangent U started from E through w0[:d] and carried as
-# U <- (U @ w) * act'(z). Nothing beyond the output is kept on the node, so
-# eager callers hold no residuals and a replay leaves none stale; the VJP
-# recomputes the sweep.
+def draw_probes(est: DivergenceEstimator, m, d, rng):
+    """One stage's probe stack E (K, m, d) and its trace scale.
 
-def _activate(act, z):
-    """act(z) and its slope act'(z); the slope is None for identity layers."""
+    Exact trace: the d basis vectors, scale 1. Hutchinson: K Rademacher draws
+    from ``rng``, scale 1/K.
+    """
+    if est.mode == "exact":
+        return np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
+    if rng is None:
+        raise ValueError("hutchinson divergence needs an rng")
+    probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
+                       for _ in range(est.probes)])
+    return probes, 1.0 / est.probes
+
+
+# ---------------------------------------------------------------------------
+# the fused stage kernel: input h = concat(x, t column) (m, d+1), probes E
+# (K, m, d), then w0, b0, w1, b1, ...; activations and scale. It returns
+# v (m, d) and div = scale * sum_k rowsum(U[k] * E[k]) with the tangent U
+# started from E through w0[:d] and carried as U <- (U @ w) * act'(z); with
+# K = 0 probes it skips the tangents (velocity only, div None). The
+# ``velocity_divergence`` primitive packs [v | div] as (m, d+1) and keeps
+# nothing beyond its output, so eager callers hold no residuals and a replay
+# leaves none stale; its VJP recomputes the sweep. ``wflow.odeint`` calls the
+# same kernel and VJP once per stage of a block.
+
+def _activate(act, z, want_slope=True):
+    """act(z) and its slope act'(z); the slope is None for identity layers or when unwanted."""
     if act == "tanh":
         a = np.tanh(z)
-        return a, 1.0 - a * a
+        return a, (1.0 - a * a) if want_slope else None
     if act == "softplus":
-        return nc._softplus_fwd((z,), ()), nc._sigmoid_np(z)
+        return nc._softplus_fwd((z,), ()), (nc._sigmoid_np(z) if want_slope else None)
     return z, None
 
 
-def _sweep(h, probes, params, acts):
+def _sweep(h, probes, params, acts, want_slopes=True):
     """Yield (a_in, u_in, a_out, slope, t, u_out) for each layer in order.
 
     ``a`` are the primal activations (m, width); ``u`` the K stacked tangents
     as one (K*m, width) block, so each layer's tangent is one GEMM; ``t`` is
-    the tangent before the slope multiplies it.
+    the tangent before the slope multiplies it. With K = 0 the tangent
+    entries are None.
     """
     k, m, d = probes.shape
-    a, u = h, probes.reshape(k * m, d)
+    a, u = h, (probes.reshape(k * m, d) if k else None)
     for i, act in enumerate(acts):
         w, b = params[2 * i], params[2 * i + 1]
-        a_out, slope = _activate(act, a @ w + b)
-        t = u @ (w[:d] if i == 0 else w)
-        u_out = t if slope is None else (t.reshape(k, m, -1) * slope).reshape(k * m, -1)
+        a_out, slope = _activate(act, a @ w + b, want_slopes or k > 0)
+        t = u_out = None
+        if k:
+            t = u @ (w[:d] if i == 0 else w)
+            u_out = t if slope is None else (t.reshape(k, m, -1) * slope).reshape(k * m, -1)
         yield a, u, a_out, slope, t, u_out
         a, u = a_out, u_out
 
 
-def _velocity_divergence_fwd(args, meta):
-    h, probes, params = args[0], args[1], args[2:]
-    acts, scale = meta
-    for _, _, v, _, _, u in _sweep(h, probes, params, acts):
+def stage_forward(h, probes, params, acts, scale):
+    """Velocity (m, d) and divergence (m,) at the stage input h; div is None for K = 0."""
+    for _, _, v, _, _, u in _sweep(h, probes, params, acts, want_slopes=False):
         pass
-    div = (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
-    return np.concatenate([v, div[:, None]], axis=1)
+    if not len(probes):
+        return v, None
+    return v, (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
 
 
-def _velocity_divergence_bwd(node, inputs, g):
-    h, probes, params = inputs[0], inputs[1], inputs[2:]
-    acts, scale = node.meta
+def stage_vjp(h, probes, params, acts, scale, v_bar, div_bar):
+    """Pull (v_bar, div_bar) back through one stage: (h_bar, [w0_bar, b0_bar, ...]).
+
+    ``div_bar`` is ignored for K = 0 probes.
+    """
     k, m, d = probes.shape
     layers = list(_sweep(h, probes, params, acts))
-    a_bar = g[:, :d]
-    u_bar = ((scale * g[:, d])[:, None] * probes).reshape(k * m, d)
+    a_bar = v_bar
+    u_bar = ((scale * div_bar)[:, None] * probes).reshape(k * m, d) if k else None
     grads = [None] * len(params)
     for i in range(len(layers) - 1, -1, -1):
         a_in, u_in, a_out, slope, t, _ = layers[i]
         w = params[2 * i]
         if slope is None:
             z_bar, t_bar = a_bar, u_bar
+        elif not k:
+            z_bar = a_bar * slope
         else:
             width = slope.shape[1]
             u_bar = u_bar.reshape(k, m, width)
@@ -194,15 +215,28 @@ def _velocity_divergence_bwd(node, inputs, g):
             else:
                 z_bar = slope * (a_bar + (1.0 - slope) * slope_bar)
         w_bar = a_in.T @ z_bar
-        if i == 0:
+        if k and i == 0:
             w_bar[:d] += u_in.T @ t_bar
-        else:
+        elif k:
             w_bar += u_in.T @ t_bar
             u_bar = t_bar @ w.T
         grads[2 * i] = w_bar
         grads[2 * i + 1] = z_bar.sum(axis=0)
         a_bar = z_bar @ w.T
-    return (a_bar, None, *grads)
+    return a_bar, grads
+
+
+def _velocity_divergence_fwd(args, meta):
+    v, div = stage_forward(args[0], args[1], args[2:], *meta)
+    if div is None:
+        div = np.zeros(len(v))
+    return np.concatenate([v, div[:, None]], axis=1)
+
+
+def _velocity_divergence_bwd(node, inputs, g):
+    d = inputs[1].shape[2]
+    h_bar, grads = stage_vjp(inputs[0], inputs[1], inputs[2:], *node.meta, g[:, :d], g[:, d])
+    return (h_bar, None, *grads)
 
 
 nc._primitive("velocity_divergence", _velocity_divergence_fwd, _velocity_divergence_bwd)

@@ -98,6 +98,8 @@ _TINY = {
     "ot": "[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
           "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n",
     "dro": "[dataset]\ncount = 64\nholdout = 32\n[train]\nbatch_size = 16\niterations = 2\n",
+    "dre": "[dataset]\ncount = 64\nholdout = 32\n[dre]\nbridges = 2\ngrid = 4\n"
+           "classifier_iterations = 2\n",
     "eval": "[dataset]\ndim = 3\ncount = 64\n[metrics]\nnames = mmd\n",
     "sample": "[dataset]\ncount = 16\n[model]\nwidth = 4\ndepth = 1\nsteps_per_block = 2\n",
 }
@@ -135,6 +137,12 @@ def _tiny_config(tmp_path, task, section, key, value):
     ("train-jko", "model", "t_total", "inf"),
     ("train-jko", "train", "iterations", "0"),
     ("train-jko", "train", "batch_size", "0"),
+    ("train-jko", "train", "learn_rate", "0"),
+    ("train-jko", "train", "learn_rate", "-0.01"),
+    ("train-jko", "train", "learn_rate", "nan"),
+    ("dro", "train", "learn_rate", "inf"),
+    ("dre", "dre", "classifier_iterations", "0"),
+    ("dre", "dre", "bridges", "0"),
     ("train-jko", "dataset", "count", "0"),
     ("train-jko", "dataset", "holdout", "0"),
     ("train-jko", "dataset", "shift", "1,2,3"),

@@ -1,7 +1,13 @@
 """Analytic densities, presets, and the particle CSV interchange format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from wflow import datasets as ds
@@ -139,6 +145,37 @@ def test_particle_csv_round_trip(tmp_path):
     ds.save_particles_csv(path, ens)
     back = ds.load_particles_csv(path)
     assert np.allclose(back.positions, ens.positions, atol=1e-15)
+
+
+_FINITE_PARTICLES = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
+    elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_FINITE_PARTICLES)
+def test_particle_csv_round_trip_bit_exact(positions):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "particles.csv")
+        ds.save_particles_csv(path, ds.ParticleEnsemble(positions))
+        back = ds.load_particles_csv(path).positions
+    assert back.shape == positions.shape
+    assert back.tobytes() == positions.tobytes()  # bit for bit, signed zeros included
+
+
+@settings(deadline=None, max_examples=40)
+@given(_FINITE_PARTICLES, st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_particle_csv_nonfinite_cell_rejected(positions, data, bad):
+    row = data.draw(st.integers(0, positions.shape[0] - 1))
+    col = data.draw(st.integers(0, positions.shape[1] - 1))
+    positions = positions.copy()
+    positions[row, col] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "particles.csv")
+        ds.save_particles_csv(path, ds.ParticleEnsemble(positions))
+        with pytest.raises(ValueError, match="particles.csv") as err:
+            ds.load_particles_csv(path)
+    assert f"row {row + 1}, column {col + 1}" in str(err.value)
 
 
 def test_density_spec_round_trip():

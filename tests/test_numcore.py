@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wflow import numcore as nc
 
@@ -116,6 +119,27 @@ def test_broadcast_add_mul_gradients():
         return nc.tsum(nc.add(prod, 1.0))
 
     report = nc.check_gradient_fd(loss, [np.ones((3, 2)), np.array([2.0, -1.0])])
+    assert report.passed, str(report)
+
+
+@settings(deadline=None, max_examples=80)
+@given(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=3),
+       st.sampled_from(["add", "mul"]), st.integers(0, 2**32 - 1))
+def test_broadcast_gradients_match_finite_differences(shapes, op, seed):
+    # _unbroadcast must sum the output cotangent back to each operand's shape
+    (shape_a, shape_b), out_shape = shapes.input_shapes, shapes.result_shape
+    rng = np.random.default_rng(seed)
+    a, b = np.asarray(rng.normal(size=shape_a)), np.asarray(rng.normal(size=shape_b))
+    weights = nc.Tensor(rng.normal(size=out_shape))
+    primitive = nc.add if op == "add" else nc.mul
+
+    def loss(at, bt):
+        return nc.tsum(nc.mul(primitive(at, bt), weights))
+
+    _, grads = nc.value_and_grad(lambda tape: loss(tape.watch(nc.Tensor(a)),
+                                                   tape.watch(nc.Tensor(b))))
+    assert [g.shape for g in grads] == [a.shape, b.shape]
+    report = nc.check_gradient_fd(loss, [a, b])
     assert report.passed, str(report)
 
 

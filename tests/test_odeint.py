@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import affine_flow_map
 
-from wflow import odeint
+from wflow import chain as fc
+from wflow import numcore as nc
+from wflow import objectives, odeint
 from wflow import velocity as vel
 
 
@@ -156,3 +158,228 @@ def test_config_validation():
         odeint.IntegratorConfig("rk5", 4, (0.0, 1.0))
     with pytest.raises(ValueError):
         odeint.IntegratorConfig("rk4", 4, (1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the integrate_block primitive against the per-stage Tensor recording it
+# replaced, written out here as the oracle: one stage node per stage (the old
+# dense-layer chain for velocity-only stages) and the Euler/RK4 arithmetic as
+# add/mul tape ops
+
+def _combine_rk4_oracle(x, k1, k2, k3, k4, h):
+    ksum = nc.add(nc.add(k1, nc.mul(nc.add(k2, k3), 2.0)), k4)
+    return nc.add(x, nc.mul(ksum, h / 6.0))
+
+
+def _stage_loop(bound, x0, cfg, direction, est=None, rng=None):
+    t, h = (cfg.interval[0], cfg.h) if direction == "forward" else (cfg.interval[1], -cfg.h)
+
+    def f(x, s):
+        if est is None:
+            return bound.bound.forward(nc.concat([x, bound._time_column(s, x.shape[0])], 1)), None
+        return bound.velocity_and_divergence(x, s, est, rng)
+
+    x, logdet = x0, nc.Tensor(np.zeros(x0.shape[0]))
+    for _ in range(cfg.steps):
+        if cfg.scheme == "euler":
+            v, div = f(x, t)
+            x = nc.add(x, nc.mul(v, h))
+            if div is not None:
+                logdet = nc.add(logdet, nc.mul(div, h))
+        else:
+            k1, d1 = f(x, t)
+            k2, d2 = f(nc.add(x, nc.mul(k1, h / 2.0)), t + h / 2.0)
+            k3, d3 = f(nc.add(x, nc.mul(k2, h / 2.0)), t + h / 2.0)
+            k4, d4 = f(nc.add(x, nc.mul(k3, h)), t + h)
+            x = _combine_rk4_oracle(x, k1, k2, k3, k4, h)
+            if d1 is not None:
+                logdet = _combine_rk4_oracle(logdet, d1, d2, d3, d4, h)
+        t += h
+    return x, (logdet if est is not None else None)
+
+
+def _block(bound, x0, cfg, direction, est=None, rng=None):
+    if est is None:
+        return odeint.integrate_tensor(bound, x0, cfg, direction), None
+    aug = odeint.integrate_augmented_tensor(bound, x0, cfg, est, rng, direction)
+    return aug.x, aug.logdet
+
+
+def _chain_fields(blocks, scheme, act="tanh"):
+    edges = np.linspace(0.0, 1.0, blocks + 1)
+    fields, cfgs = [], []
+    for i in range(blocks):
+        interval = (float(edges[i]), float(edges[i + 1]))
+        field = vel.init_near_identity(2, widths=(5, 4), seed=40 + i, interval=interval,
+                                       t_total=1.0, hidden_act=act)
+        rng = np.random.default_rng(50 + i)
+        for layer in field.layers:
+            layer.w += 0.5 * rng.normal(size=layer.w.shape)
+            layer.b += 0.3 * rng.normal(size=layer.b.shape)
+        fields.append(field)
+        cfgs.append(odeint.IntegratorConfig(scheme, 3, interval))
+    return fields, cfgs
+
+
+def _chain_program(fields, cfgs, x, direction, est, run):
+    """End state, summed logdet, and the value and gradients (params, then x) of a read-out."""
+    m, d = x.shape
+    mix = np.random.default_rng(17)
+    cx, cl = mix.normal(size=(m, d)), mix.normal(size=m)
+    rng = np.random.default_rng(3)
+    tape = nc.Tape()
+    with tape:
+        bounds = [f.bind(tape) for f in fields]
+        y = tape.watch(nc.Tensor(x.copy()))
+        pairs = list(zip(bounds, cfgs))
+        total = None
+        for bound, cfg in (pairs if direction == "forward" else pairs[::-1]):
+            y, logdet = run(bound, y, cfg, direction, est, rng)
+            if logdet is not None:
+                total = logdet if total is None else nc.add(total, logdet)
+        out = nc.tsum(nc.mul(y, cx))
+        if total is not None:
+            out = nc.add(out, nc.tsum(nc.mul(total, cl)))
+    tape.mark_output(out)
+    tape.freeze()
+    grads = [g.data for g in nc.grad(tape)]
+    return y.data, (None if total is None else total.data), float(out.data), grads
+
+
+_BLOCK_ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchinson", 3),
+                     None]
+_BLOCK_IDS = ["exact", "hutch3", "velocity"]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_block_adjoint_matches_stage_oracle(scheme, direction, est, blocks):
+    fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh")
+    x = np.random.default_rng(blocks).normal(size=(6, 2))
+    want = _chain_program(fields, cfgs, x, direction, est, _stage_loop)
+    got = _chain_program(fields, cfgs, x, direction, est, _block)
+    assert np.array_equal(got[0], want[0])
+    assert (got[1] is None) == (est is None)
+    if est is not None:
+        assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert len(got[3]) == len(want[3]) == 6 * blocks + 1
+    for g_got, g_want in zip(got[3], want[3]):
+        assert np.linalg.norm(g_got - g_want) <= 1e-12 * max(np.linalg.norm(g_want), 1e-300)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_block_adjoint_matches_finite_differences(scheme, direction, est, blocks):
+    fields, cfgs = _chain_fields(blocks, scheme)
+    x = np.random.default_rng(blocks + 10).normal(size=(3, 2))
+    params = [p for f in fields for p in f.parameter_arrays()] + [x]
+
+    def loss_fn():
+        _, _, value, grads = _chain_program(fields, cfgs, x, direction, est, _block)
+        return value, grads
+
+    report = nc.check_loss_gradient_fd(loss_fn, params)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_block_output_columns_all_differentiable(scheme):
+    # the packed output also carries every stage input; a read-out of all of
+    # it must get the same gradient as finite differences
+    fields, cfgs = _chain_fields(1, scheme)
+    x = np.random.default_rng(21).normal(size=(3, 2))
+    est = vel.DivergenceEstimator("exact")
+
+    def loss_fn():
+        tape = nc.Tape()
+        with tape:
+            bound = fields[0].bind(tape)
+            x0 = tape.watch(nc.Tensor(x.copy()))
+            out = odeint._integrate_block(bound, x0, cfgs[0], "forward", est)
+            mix = np.random.default_rng(22).normal(size=out.shape)
+            loss = nc.tsum(nc.mul(out, mix))
+        tape.mark_output(loss)
+        tape.freeze()
+        return float(loss.data), [g.data for g in nc.grad(tape)]
+
+    report = nc.check_loss_gradient_fd(loss_fn, [*fields[0].parameter_arrays(), x])
+    assert report.passed, str(report)
+
+
+def test_block_records_one_node():
+    fields, cfgs = _chain_fields(1, "rk4")
+    for est, reads in ((None, ["slice"]), (vel.DivergenceEstimator("exact"),
+                                           ["slice", "sum", "slice"])):
+        tape = nc.Tape()
+        with tape:
+            _block(fields[0].bind(tape), nc.Tensor(np.ones((4, 2))), cfgs[0], "forward", est)
+        ops = [node.op for node in tape.nodes if node.op not in ("param", "const")]
+        assert ops == ["integrate_block", *reads]
+
+
+def test_jko_loss_tape_is_a_few_dozen_nodes(monkeypatch):
+    # one 10-step RK4 block at batch 192: 555 nodes when every stage and every
+    # RK4 add/mul was its own node
+    sizes = []
+    sweep = nc.grad
+
+    def spy(tape, seed=None):
+        sizes.append(len(tape.nodes))
+        return sweep(tape, seed)
+
+    monkeypatch.setattr(nc, "grad", spy)
+    field = vel.init_near_identity(2, widths=(64, 64), seed=9)
+    block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 10, (0.0, 1.0)))
+    objectives.jko_block_loss(block, np.random.default_rng(2).normal(size=(192, 2)), 0.5)
+    assert sizes and sizes[0] <= 30
+
+
+def _record_block_program(fields, cfgs, x, est):
+    tape = nc.Tape()
+    with tape:
+        bound = fields[0].bind(tape)
+        y, logdet = _block(bound, nc.Tensor(x), cfgs[0], "forward", est, np.random.default_rng(3))
+        out = nc.tmean(nc.square(y))
+        if logdet is not None:
+            out = nc.add(out, nc.tmean(logdet))
+    tape.mark_output(out)
+    tape.freeze()
+    return out.data, tape
+
+
+@pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
+def test_block_replay_matches_fresh_recording(est):
+    fields, cfgs = _chain_fields(1, "rk4")
+    x = np.random.default_rng(82).normal(size=(5, 2))
+    _, tape = _record_block_program(fields, cfgs, x, est)
+    before = [g.data for g in nc.grad(tape)]
+    perturbed = [p + 0.125 for p in fields[0].parameter_arrays()]
+    replayed = tape.replay(perturbed)
+    for layer, (w, b) in zip(fields[0].layers, zip(perturbed[::2], perturbed[1::2])):
+        layer.w, layer.b = w, b
+    fresh, _ = _record_block_program(fields, cfgs, x, est)
+    assert np.array_equal(replayed[0], fresh)
+    # the stage inputs live in the node's output, so the replay leaves them as recorded
+    after = [g.data for g in nc.grad(tape)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_eager_integration_bit_identical_to_stage_loop(scheme, direction):
+    field = _noisy_field(3, seed=14)
+    cfg = odeint.IntegratorConfig(scheme, 5, (0.0, 1.0))
+    x = np.random.default_rng(15).normal(size=(9, 3))
+    want, _ = _stage_loop(field.bind(), nc.Tensor(x), cfg, direction)
+    assert np.array_equal(odeint.integrate(field, x, cfg, direction), want.data)
+    for est in _BLOCK_ESTIMATORS[:2]:
+        want_x, want_ld = _stage_loop(field.bind(), nc.Tensor(x), cfg, direction, est,
+                                      np.random.default_rng(16))
+        aug = odeint.integrate_augmented(field, x, cfg, est, np.random.default_rng(16), direction)
+        assert np.array_equal(aug.x.data, want_x.data)
+        assert np.array_equal(aug.logdet.data, want_ld.data)
