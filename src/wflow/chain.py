@@ -150,11 +150,14 @@ def log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng
         est = default_estimator(chain.d)
     xb = np.asarray(x, dtype=np.float64)
     single = xb.ndim == 1
-    if single:
-        xb = xb[None, :]
-    bound = [(block.field.bind(), block.integrator) for block in chain.blocks]
-    z, logdet = push_forward_logdet(bound, nc.Tensor(xb), est, rng)
-    out = chain.base.log_pdf(z.data) + logdet.data
+    z = xb[None, :] if single else xb
+    logdet = None
+    # push_forward_logdet's loop without a tape or kept stage inputs: same values, bit for bit
+    for block in chain.blocks:
+        aug = odeint.integrate_augmented(block.field, z, block.integrator, est, rng)
+        z = aug.x.data
+        logdet = aug.logdet.data if logdet is None else logdet + aug.logdet.data
+    out = chain.base.log_pdf(z) + logdet
     if not np.all(np.isfinite(out)):
         raise nc.NumericError("non-finite log-density")
     return float(out[0]) if single else out
@@ -164,14 +167,15 @@ def sample(chain: FlowChain, n, rng, with_logdens=False) -> ParticleEnsemble:
     """Draw base samples and pull them back through the inverse map.
 
     ``with_logdens`` fills the per-particle log-density accumulator (one
-    extra augmented forward pass over the generated points).
+    extra augmented forward pass over the generated points; a Hutchinson
+    trace draws its probes from ``rng`` after the base draw).
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     z = chain.base.sample(n, rng)
     out = inverse_map(chain, ParticleEnsemble(z))
     if with_logdens:
-        out.logdens = np.asarray(log_density(chain, out.positions))
+        out.logdens = np.asarray(log_density(chain, out.positions, rng=rng))
     return out
 
 

@@ -253,7 +253,8 @@ def _chain_metrics(names, chn, target, holdout, seed):
     for name in names:
         extra = {}
         if name == "nll":
-            # above EXACT_DIVERGENCE_MAX_DIM the divergence is a Hutchinson estimate
+            # default_estimator: the exact trace up to EXACT_DIVERGENCE_MAX_DIM (in
+            # closed form for one or two hidden layers), a Hutchinson estimate above
             value = metrics.nll_eval(chn, holdout, rng=np.random.default_rng([seed, 304]))
             extra = {"holdout_disjoint_from_training": True}  # by pool construction
         elif name == "kl_moment":

@@ -14,8 +14,9 @@ walking steps and stages in reverse through the stage kernel's VJP. The
 output keeps every stage input [x | t / t_total] next to the end state, so
 the reverse sweep never re-integrates and a replay never leaves them stale.
 The end state and the divergence integral are differentiable in the field
-parameters and in x0. Velocity-only integration is the same loop with no
-divergence probes.
+parameters and in x0. The block meta carries the stage kernel's mode
+(velocity, tangent or closed); velocity-only integration is the same loop
+in velocity mode, and an exact trace in closed mode carries no probes.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class _Block(NamedTuple):
     """Static description of one block integration (the primitive's meta)."""
 
     acts: tuple
+    mode: str         # stage kernel mode: velocity, tangent or closed
     scale: float      # divergence trace scale of the probes
     scheme: str
     steps: int
@@ -107,9 +109,9 @@ class _Block(NamedTuple):
     direction: str
 
 
-def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, scale) -> _Block:
+def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, mode, scale) -> _Block:
     t, h = _grid(cfg, direction)
-    return _Block(bound.acts, scale, cfg.scheme, cfg.steps, t, h,
+    return _Block(bound.acts, mode, scale, cfg.scheme, cfg.steps, t, h,
                   1.0 / bound.field.t_total, direction)
 
 
@@ -121,9 +123,9 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
     """The Euler/RK4 loop in numpy: returns (x_end, logdet).
 
     ``probes`` is (1, K, m, d), shared by every stage, or (S, K, m, d), one
-    stack per stage in order; K = 0 integrates the velocity alone (logdet
-    stays zero). ``stage_inputs`` (m, S, d+1), when given, receives the input
-    of every stage. Finiteness is checked once per step.
+    stack per stage in order; in velocity mode the logdet stays zero.
+    ``stage_inputs`` (m, S, d+1), when given, receives the input of every
+    stage. Finiteness is checked once per step.
     """
     m = x.shape[0]
     per = _STAGES[blk.scheme]
@@ -137,7 +139,8 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
         hin = np.concatenate([xs, np.full((m, 1), float(ts) * blk.t_scale)], axis=1)
         hs[:, s % per] = hin
         # s % len(probes) is 0 for shared probes and s for per-stage ones
-        v, div = velocity.stage_forward(hin, probes[s % len(probes)], params, blk.acts, blk.scale)
+        v, div = velocity.stage_forward(hin, probes[s % len(probes)], params, blk.acts,
+                                        blk.mode, blk.scale)
         s += 1
         return v, div
 
@@ -194,7 +197,7 @@ def _integrate_block_bwd(node, inputs, g):
         """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
         h_bar, stage_grads = velocity.stage_vjp(
             np.ascontiguousarray(hs[:, 1 + s]), probes[s % len(probes)], params, blk.acts,
-            blk.scale, k_bar, ld_bar * weight)
+            blk.mode, blk.scale, k_bar, ld_bar * weight)
         for acc, grad in zip(grads, stage_grads):
             acc += grad
         return h_bar[:, :d] + g[:, 1 + s, :d]
@@ -218,27 +221,29 @@ def _integrate_block_bwd(node, inputs, g):
 nc._primitive("integrate_block", _integrate_block_fwd, _integrate_block_bwd)
 
 
-def _block_probes(est: DivergenceEstimator | None, cfg: IntegratorConfig, m, d, rng):
-    """(P, K, m, d) probes and their trace scale for one block.
+def _block_probes(est: DivergenceEstimator | None, acts, cfg: IntegratorConfig, m, d, rng):
+    """The stage kernel mode, (P, K, m, d) probes and their trace scale for one block.
 
-    None (velocity only): no probes. Exact trace: the basis, shared by every
-    stage. Hutchinson: one draw per stage, in stage order.
+    None: velocity only, no probes. Exact trace: the closed form with no
+    probes, or the basis shared by every stage (``velocity.draw_probes``
+    decides from the stack). Hutchinson: one draw per stage, in stage order.
     """
     if est is None:
-        return np.empty((1, 0, m, d)), 1.0
+        return "velocity", np.empty((1, 0, m, d)), 1.0
     if est.mode == "exact":
-        probes, scale = velocity.draw_probes(est, m, d, rng)
-        return probes[None], scale
-    draws = [velocity.draw_probes(est, m, d, rng) for _ in range(_STAGES[cfg.scheme] * cfg.steps)]
-    return np.stack([p for p, _ in draws]), draws[0][1]
+        mode, probes, scale = velocity.draw_probes(est, acts, m, d, rng)
+        return mode, probes[None], scale
+    draws = [velocity.draw_probes(est, acts, m, d, rng)
+             for _ in range(_STAGES[cfg.scheme] * cfg.steps)]
+    return "tangent", np.stack([p for _, p, _ in draws]), draws[0][2]
 
 
 def _integrate_block(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig, direction,
                      est=None, rng=None) -> nc.Tensor:
     """The packed block output as one taped node."""
-    probes, scale = _block_probes(est, cfg, *x0.shape, rng)
+    mode, probes, scale = _block_probes(est, bound.acts, cfg, *x0.shape, rng)
     return nc._apply("integrate_block", (x0, nc.Tensor(probes), *bound.params),
-                     _block_meta(bound, cfg, direction, scale))
+                     _block_meta(bound, cfg, direction, mode, scale))
 
 
 def integrate_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
@@ -270,9 +275,9 @@ def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, est=None,
     xb = np.asarray(x0, dtype=np.float64)
     xb = xb[None, :] if xb.ndim == 1 else xb
     bound = field.bind()
-    probes, scale = _block_probes(est, cfg, *xb.shape, rng)
+    mode, probes, scale = _block_probes(est, bound.acts, cfg, *xb.shape, rng)
     x, logdet = _run(xb, probes, [p.data for p in bound.params],
-                     _block_meta(bound, cfg, direction, scale))
+                     _block_meta(bound, cfg, direction, mode, scale))
     return xb, x, logdet
 
 

@@ -2,13 +2,22 @@
 
 The field maps (x, t) -> velocity in R^d through a dense stack applied to
 concat(x, t / t_total). Velocity and divergence (the Jacobian trace over
-the x block) come from one taped primitive, ``velocity_divergence``: its
-forward pass carries K directional derivatives of the stack alongside the
-primal, and its hand-written VJP reverses both chains, so the divergence
-stays differentiable in the parameters and in x with a single reverse
-sweep. The probes are the d basis vectors for the exact trace, or K
-Rademacher draws for the Hutchinson estimate (FFJORD, Grathwohl et al.
-2019, arXiv:1810.01367).
+the x block) come from one taped primitive, ``velocity_divergence``, whose
+hand-written VJP keeps the divergence differentiable in the parameters and
+in x with a single reverse sweep. The stage kernel behind it has three
+modes:
+
+- ``velocity``: the primal sweep alone, no divergence;
+- ``tangent``: the sweep also carries K directional derivatives, started
+  from the d basis vectors for the exact trace of a deep stack or from K
+  Rademacher draws for the Hutchinson estimate (FFJORD, Grathwohl et al.
+  2019, arXiv:1810.01367);
+- ``closed``: the exact trace in closed form for a stack with one or two
+  hidden layers and an identity output layer, at the cost of at most one
+  (m, h) @ (h, h) product whatever d is (the kind of architecture Chen &
+  Duvenaud 2019, arXiv:1912.03579, make cheap to differentiate).
+
+``draw_probes`` picks the mode from the estimator and the stack's shape.
 """
 
 from __future__ import annotations
@@ -102,49 +111,72 @@ class BoundVelocity:
             col = (t * scale).reshape(m, 1)
         return nc.Tensor(col)
 
-    def _stage(self, x: nc.Tensor, t, probes, scale) -> nc.Tensor:
+    def _stage(self, x: nc.Tensor, t, mode, probes, scale) -> nc.Tensor:
         """One fused stage node; the output packs [v | div] as (m, d+1)."""
         h = nc.concat([x, self._time_column(t, x.shape[0])], axis=1)
         return nc._apply("velocity_divergence", (h, nc.Tensor(probes), *self.params),
-                         (self.acts, scale))
+                         (self.acts, mode, scale))
 
     def velocity(self, x: nc.Tensor, t) -> nc.Tensor:
-        """Velocity (m, d) at (x, t): the fused stage with no probes."""
+        """Velocity (m, d) at (x, t): the fused stage with no divergence."""
         m, d = x.shape
-        return nc.slice_(self._stage(x, t, np.empty((0, m, d)), 1.0), 1, 0, d)
+        return nc.slice_(self._stage(x, t, "velocity", np.empty((0, m, d)), 1.0), 1, 0, d)
 
     def velocity_and_divergence(self, x: nc.Tensor, t, est: DivergenceEstimator, rng=None):
         """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node."""
         m, d = x.shape
-        out = self._stage(x, t, *draw_probes(est, m, d, rng))
+        out = self._stage(x, t, *draw_probes(est, self.acts, m, d, rng))
         return nc.slice_(out, 1, 0, d), nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
 
 
-def draw_probes(est: DivergenceEstimator, m, d, rng):
-    """One stage's probe stack E (K, m, d) and its trace scale.
+def has_closed_form(acts) -> bool:
+    """Whether the exact trace of a stack with these activations has a closed form.
 
-    Exact trace: the d basis vectors, scale 1. Hutchinson: K Rademacher draws
-    from ``rng``, scale 1/K.
+    It does for one or two hidden layers (any activation) under an identity
+    output layer; deeper stacks and other output layers take the tangents.
+    """
+    return len(acts) in (2, 3) and acts[-1] == "identity"
+
+
+def draw_probes(est: DivergenceEstimator, acts, m, d, rng):
+    """One stage's kernel mode, probe stack E (K, m, d) and trace scale.
+
+    Exact trace: the closed form with no probes when ``has_closed_form(acts)``,
+    else the d basis vectors, scale 1. Hutchinson: K Rademacher draws from
+    ``rng``, scale 1/K.
     """
     if est.mode == "exact":
-        return np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
+        if has_closed_form(acts):
+            return "closed", np.empty((0, m, d)), 1.0
+        return "tangent", np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
     if rng is None:
         raise ValueError("hutchinson divergence needs an rng")
     probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
                        for _ in range(est.probes)])
-    return probes, 1.0 / est.probes
+    return "tangent", probes, 1.0 / est.probes
 
 
 # ---------------------------------------------------------------------------
 # the fused stage kernel: input h = concat(x, t column) (m, d+1), probes E
-# (K, m, d), then w0, b0, w1, b1, ...; activations and scale. It returns
-# v (m, d) and div = scale * sum_k rowsum(U[k] * E[k]) with the tangent U
-# started from E through w0[:d] and carried as U <- (U @ w) * act'(z); with
-# K = 0 probes it skips the tangents (velocity only, div None). The
-# ``velocity_divergence`` primitive packs [v | div] as (m, d+1) and keeps
+# (K, m, d), then w0, b0, w1, b1, ...; activations, mode and trace scale. It
+# returns v (m, d) and div (m,), by mode:
+#
+# - velocity (K = 0): the primal sweep alone, div None;
+# - tangent: div = scale * sum_k rowsum(U[k] * E[k]), with the tangent U
+#   started from E through w0[:d] and carried as U <- (U @ w) * act'(z), one
+#   GEMM per layer over the K stacked tangents;
+# - closed (K = 0): in row-vector notation, W0x = w0[:d] and D_i = act'(z_i)
+#   (ones for an identity layer). Two hidden layers give
+#   div = rowsum((D1 @ B) * D2) with the (h1, h2) coupling
+#   B = w1 * (w2 @ W0x)^T; one hidden layer gives div = D1 @ c with
+#   c = rowsum(w1 * W0x^T).
+#
+# The ``velocity_divergence`` primitive packs [v | div] as (m, d+1) and keeps
 # nothing beyond its output, so eager callers hold no residuals and a replay
-# leaves none stale; its VJP recomputes the sweep. ``wflow.odeint`` calls the
-# same kernel and VJP once per stage of a block.
+# leaves none stale; its VJP recomputes the sweep, the primal alone in the
+# velocity and closed modes. Both divergence modes reach z through act'' (see
+# stage_vjp). ``wflow.odeint`` calls the same kernel and VJP once per stage of
+# a block.
 
 def _activate(act, z, want_slope=True):
     """act(z) and its slope act'(z); the slope is None for identity layers or when unwanted."""
@@ -177,43 +209,92 @@ def _sweep(h, probes, params, acts, want_slopes=True):
         a, u = a_out, u_out
 
 
-def stage_forward(h, probes, params, acts, scale):
-    """Velocity (m, d) and divergence (m,) at the stage input h; div is None for K = 0."""
+def _hidden_slopes(layers):
+    """D_i = act'(z_i) of each hidden layer of a sweep; ones for identity layers."""
+    return [np.ones_like(a_out) if slope is None else slope
+            for _, _, a_out, slope, _, _ in layers[:-1]]
+
+
+def _coupling(params, d):
+    """The closed form's weights: c (h,) for one hidden layer, B (h1, h2) for two."""
+    w0x, w1 = params[0][:d], params[2]
+    if len(params) == 4:
+        return np.einsum("pi,ip->p", w1, w0x)
+    return w1 * (params[4] @ w0x).T
+
+
+def _closed_cotangents(layers, params, d, div_bar):
+    """Pull div_bar back through the closed form.
+
+    Returns the cotangent of each layer's slope D_i (None for the output
+    layer) and each layer's weight cotangent through the coupling; the first
+    one is for w0[:d].
+    """
+    slopes = _hidden_slopes(layers)
+    w0x, w1 = params[0][:d], params[2]
+    if len(slopes) == 1:
+        c_bar = div_bar @ slopes[0]
+        return ([div_bar[:, None] * _coupling(params, d), None],
+                [(w1 * c_bar[:, None]).T, c_bar[:, None] * w0x.T])
+    w2 = params[4]
+    cross = w2 @ w0x  # (h2, h1), so B = w1 * cross^T
+    coupling = w1 * cross.T
+    p_bar = div_bar[:, None] * slopes[1]
+    coupling_bar = slopes[0].T @ p_bar
+    cross_bar = (coupling_bar * w1).T
+    return ([p_bar @ coupling.T, div_bar[:, None] * (slopes[0] @ coupling), None],
+            [w2.T @ cross_bar, coupling_bar * cross.T, cross_bar @ w0x.T])
+
+
+def stage_forward(h, probes, params, acts, mode, scale):
+    """Velocity (m, d) and divergence (m,) at the stage input h; div is None in velocity mode."""
+    if mode == "closed":
+        layers = list(_sweep(h, probes, params, acts))
+        slopes = _hidden_slopes(layers)
+        div = slopes[0] @ _coupling(params, h.shape[1] - 1)
+        if len(slopes) == 2:
+            div = (div * slopes[1]).sum(axis=1)
+        return layers[-1][2], div
     for _, _, v, _, _, u in _sweep(h, probes, params, acts, want_slopes=False):
         pass
-    if not len(probes):
+    if mode == "velocity":
         return v, None
     return v, (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
 
 
-def stage_vjp(h, probes, params, acts, scale, v_bar, div_bar):
+def stage_vjp(h, probes, params, acts, mode, scale, v_bar, div_bar):
     """Pull (v_bar, div_bar) back through one stage: (h_bar, [w0_bar, b0_bar, ...]).
 
-    ``div_bar`` is ignored for K = 0 probes.
+    ``div_bar`` is ignored in velocity mode.
     """
     k, m, d = probes.shape
     layers = list(_sweep(h, probes, params, acts))
+    slope_bars, coupling_bars = [None] * len(layers), None
+    if mode == "closed":
+        slope_bars, coupling_bars = _closed_cotangents(layers, params, d, div_bar)
     a_bar = v_bar
     u_bar = ((scale * div_bar)[:, None] * probes).reshape(k * m, d) if k else None
     grads = [None] * len(params)
     for i in range(len(layers) - 1, -1, -1):
         a_in, u_in, a_out, slope, t, _ = layers[i]
         w = params[2 * i]
-        if slope is None:
-            z_bar, t_bar = a_bar, u_bar
-        elif not k:
-            z_bar = a_bar * slope
-        else:
+        slope_bar = slope_bars[i]
+        t_bar = u_bar
+        if k and slope is not None:
             width = slope.shape[1]
             u_bar = u_bar.reshape(k, m, width)
             t_bar = (u_bar * slope).reshape(k * m, width)
             slope_bar = np.einsum("kmn,kmn->mn", u_bar, t.reshape(k, m, width))
-            # z_bar = a_bar act' + slope_bar d(act')/dz, where d(act')/dz is
-            # -2 a act' for tanh and act' (1 - act') for softplus
-            if acts[i] == "tanh":
-                z_bar = slope * (a_bar - 2.0 * a_out * slope_bar)
-            else:
-                z_bar = slope * (a_bar + (1.0 - slope) * slope_bar)
+        if slope is None:
+            z_bar = a_bar
+        elif slope_bar is None:
+            z_bar = a_bar * slope
+        # z_bar = a_bar act' + slope_bar d(act')/dz, where d(act')/dz is
+        # -2 a act' for tanh and act' (1 - act') for softplus
+        elif acts[i] == "tanh":
+            z_bar = slope * (a_bar - 2.0 * a_out * slope_bar)
+        else:
+            z_bar = slope * (a_bar + (1.0 - slope) * slope_bar)
         w_bar = a_in.T @ z_bar
         if k and i == 0:
             w_bar[:d] += u_in.T @ t_bar
@@ -223,6 +304,10 @@ def stage_vjp(h, probes, params, acts, scale, v_bar, div_bar):
         grads[2 * i] = w_bar
         grads[2 * i + 1] = z_bar.sum(axis=0)
         a_bar = z_bar @ w.T
+    if coupling_bars:
+        grads[0][:d] += coupling_bars[0]
+        for i, bar in enumerate(coupling_bars[1:], 1):
+            grads[2 * i] += bar
     return a_bar, grads
 
 

@@ -9,6 +9,7 @@ from conftest import affine_flow_map, compose_affine, gaussian_kl, gaussian_logp
 
 from wflow import chain as fc
 from wflow import datasets as ds
+from wflow import numcore as nc
 from wflow import odeint
 from wflow import velocity as vel
 from wflow.mlp import Layer
@@ -119,6 +120,34 @@ def test_sampling_determinism():
     a = fc.sample(chn, 50, np.random.default_rng(11))
     b = fc.sample(chn, 50, np.random.default_rng(11))
     assert np.array_equal(a.positions, b.positions)
+
+
+def test_sampling_with_logdens_above_exact_dim():
+    # d = 10 takes the Hutchinson default, whose probes come from the sampling
+    # rng after the base draw, so the positions match a plain sample
+    chn = fc.identity_chain(10, 1, widths=(8,), steps=2)
+    ens = fc.sample(chn, 20, np.random.default_rng(12), with_logdens=True)
+    plain = fc.sample(chn, 20, np.random.default_rng(12))
+    assert np.array_equal(ens.positions, plain.positions)
+    assert np.allclose(ens.logdens, chn.base.log_pdf(ens.positions))  # zero field
+    chn = _perturbed_chain(10, 1, seed=2, steps=2, widths=(8,))
+    ens = fc.sample(chn, 20, np.random.default_rng(12), with_logdens=True)
+    assert np.array_equal(ens.positions, fc.sample(chn, 20, np.random.default_rng(12)).positions)
+    assert ens.logdens.shape == (20,) and np.all(np.isfinite(ens.logdens))
+
+
+@pytest.mark.parametrize("est", [vel.DivergenceEstimator("exact"),
+                                 vel.DivergenceEstimator("hutchinson", probes=3)],
+                         ids=["exact", "hutch3"])
+def test_eager_log_density_bit_identical_to_taped(est):
+    chn = _perturbed_chain(3, 2, seed=4, steps=5)
+    x = np.random.default_rng(5).normal(size=(7, 3))
+    got = fc.log_density(chn, x, est, np.random.default_rng(6))
+    tape = nc.Tape()
+    with tape:
+        bound = [(block.field.bind(tape), block.integrator) for block in chn.blocks]
+        z, logdet = fc.push_forward_logdet(bound, nc.Tensor(x), est, np.random.default_rng(6))
+    assert np.array_equal(got, chn.base.log_pdf(z.data) + logdet.data)
 
 
 def test_sampling_pushforward_variance():

@@ -383,3 +383,26 @@ def test_eager_integration_bit_identical_to_stage_loop(scheme, direction):
         aug = odeint.integrate_augmented(field, x, cfg, est, np.random.default_rng(16), direction)
         assert np.array_equal(aug.x.data, want_x.data)
         assert np.array_equal(aug.logdet.data, want_ld.data)
+
+
+@pytest.mark.parametrize("widths", [(5,), (5, 4)], ids=["depth1", "depth2"])
+@pytest.mark.parametrize("act", ["tanh", "softplus"])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_closed_form_block_adjoint_matches_finite_differences(scheme, act, widths):
+    field = vel.init_near_identity(2, widths=widths, seed=23, hidden_act=act)
+    rng = np.random.default_rng(24)
+    for layer in field.layers:
+        layer.w += 0.5 * rng.normal(size=layer.w.shape)
+        layer.b += 0.3 * rng.normal(size=layer.b.shape)
+    cfg = odeint.IntegratorConfig(scheme, 3, (0.0, 1.0))
+    est = vel.DivergenceEstimator("exact")
+    mode, probes, _ = odeint._block_probes(est, field.bind().acts, cfg, 3, 2, None)
+    assert mode == "closed" and probes.size == 0  # no (d, m, d) basis rides along
+    x = rng.normal(size=(3, 2))
+
+    def loss_fn():
+        _, _, value, grads = _chain_program([field], [cfg], x, "forward", est, _block)
+        return value, grads
+
+    report = nc.check_loss_gradient_fd(loss_fn, [*field.parameter_arrays(), x])
+    assert report.passed, str(report)

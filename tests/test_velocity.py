@@ -357,3 +357,106 @@ def test_augmented_overflow_reports_same_step_as_plain():
     with pytest.raises(odeint.IntegrationError) as aug:
         odeint.integrate_augmented(field, np.array([1.0]), cfg)
     assert aug.value.step == plain.value.step > 0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form exact trace against the tangent kernel, which stays the
+# oracle (and the path for deeper stacks, other output layers and Hutchinson)
+
+def _stage_case(field, m, seed):
+    d = field.d
+    rng = np.random.default_rng(seed)
+    h = np.concatenate([rng.normal(size=(m, d)), np.full((m, 1), 0.4)], axis=1)
+    acts = tuple(layer.act for layer in field.layers)
+    cotangents = (rng.normal(size=(m, d)), rng.normal(size=m))
+    return h, field.parameter_arrays(), acts, cotangents
+
+
+def _basis(m, d):
+    return np.broadcast_to(np.eye(d)[:, None, :], (d, m, d))
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 32])
+@pytest.mark.parametrize("widths", [(9,), (9, 7)], ids=["depth1", "depth2"])
+@pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
+def test_closed_form_matches_tangent_kernel(d, widths, act):
+    m = 6
+    field = _mlp_field(d, widths, act, seed=d + len(widths))
+    h, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
+    mode, empty, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, d, None)
+    assert (mode, empty.shape, scale) == ("closed", (0, m, d), 1.0)
+    want_v, want_div = vel.stage_forward(h, _basis(m, d), params, acts, "tangent", 1.0)
+    got_v, got_div = vel.stage_forward(h, empty, params, acts, "closed", 1.0)
+    assert np.array_equal(got_v, want_v)
+    want_h, want_g = vel.stage_vjp(h, _basis(m, d), params, acts, "tangent", 1.0, v_bar, div_bar)
+    got_h, got_g = vel.stage_vjp(h, empty, params, acts, "closed", 1.0, v_bar, div_bar)
+    assert len(got_g) == len(want_g) == len(params)
+    for got, want in zip([got_div, got_h, *got_g], [want_div, want_h, *want_g]):
+        assert got.shape == want.shape
+        assert _rel_err(got, want) <= 1e-12
+
+
+def _tanh_output_field(d, seed):
+    field = _mlp_field(d, (6, 5), "softplus", seed=seed)
+    field.layers[-1].act = "tanh"
+    return field
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _mlp_field(3, (6, 5, 4), "tanh", seed=5),
+    lambda: _tanh_output_field(3, seed=6),
+    lambda: vel.affine_field(np.random.default_rng(7).normal(size=(3, 3))),
+], ids=["depth3", "tanh_output", "affine"])
+def test_exact_trace_outside_closed_form_keeps_tangents(make):
+    field = make()
+    m = 5
+    h, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
+    assert not vel.has_closed_form(acts)
+    mode, probes, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, 3, None)
+    assert mode == "tangent" and scale == 1.0
+    assert np.array_equal(probes, _basis(m, 3))
+    # the fused node runs the tangent kernel on the basis, bit for bit
+    v, div = field.bind().velocity_and_divergence(nc.Tensor(h[:, :3]), 0.4,
+                                                  vel.DivergenceEstimator("exact"))
+    want_v, want_div = vel.stage_forward(h, probes, params, acts, "tangent", 1.0)
+    assert np.array_equal(v.data, want_v) and np.array_equal(div.data, want_div)
+    want_h, want_g = vel.stage_vjp(h, probes, params, acts, "tangent", 1.0, v_bar, div_bar)
+    tape = nc.Tape()
+    with tape:
+        bound = field.bind(tape)
+        x = tape.watch(nc.Tensor(h[:, :3].copy()))
+        v, div = bound.velocity_and_divergence(x, 0.4, vel.DivergenceEstimator("exact"))
+        out = nc.add(nc.tsum(nc.mul(v, v_bar)), nc.tsum(nc.mul(div, div_bar)))
+    tape.mark_output(out)
+    tape.freeze()
+    grads = [g.data for g in nc.grad(tape)]
+    for got, want in zip(grads, [*want_g, want_h[:, :3]]):
+        assert np.array_equal(got, want)
+
+
+def test_hutchinson_keeps_tangents_on_closed_form_stacks():
+    # Hutchinson never takes the closed form: same Rademacher draws from the
+    # rng, in the same order, and the tangent kernel
+    field = _mlp_field(4, (8, 8), "tanh", seed=9)
+    acts = tuple(layer.act for layer in field.layers)
+    assert vel.has_closed_form(acts)
+    est = vel.DivergenceEstimator("hutchinson", probes=3)
+    mode, probes, scale = vel.draw_probes(est, acts, 5, 4, np.random.default_rng(10))
+    rng = np.random.default_rng(10)
+    want = np.stack([rng.integers(0, 2, size=(5, 4)) * 2.0 - 1.0 for _ in range(3)])
+    assert mode == "tangent" and scale == 1.0 / 3
+    assert np.array_equal(probes, want)
+    x = np.random.default_rng(11).normal(size=(5, 4))
+    got = vel.divergence(field, x, 0.2, est, np.random.default_rng(10))
+    h = np.concatenate([x, np.full((5, 1), 0.2)], axis=1)
+    _, want_div = vel.stage_forward(h, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
+    assert np.array_equal(got, want_div)
+
+
+def test_default_estimator_switches_above_exact_dim():
+    assert vel.default_estimator(8) == vel.DivergenceEstimator("exact")
+    assert vel.default_estimator(9) == vel.DivergenceEstimator("hutchinson", probes=8)
