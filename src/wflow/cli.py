@@ -35,7 +35,8 @@ TASKS = ("train-cnf", "train-jko", "train-fm", "train-lfm", "ot", "dre", "dro",
 METRIC_NAMES = ("nll", "kl_moment", "gauss_fid", "mmd", "w2", "kl_mc")
 SAMPLE_METRICS = ("gauss_fid", "mmd", "w2")  # two-sample, shared by eval and train reports
 
-# kernel matrices are quadratic in the sample count; cap what mmd sees
+# mmd streams its kernel sums in row blocks, so memory stays flat; the cap
+# bounds its quadratic time in the sample count
 MMD_MAX_SAMPLES = 2048
 
 
@@ -223,7 +224,17 @@ def _load_checkpoint(cfg):
         raise ConfigError(f"[model] checkpoint cannot be read: {err}") from err
 
 
-def _metric_list(cfg):
+def _min_points(name, d):
+    """Fewest points per sample a metric needs: a covariance d+1, a U-statistic
+    or a standard error 2."""
+    if name in ("gauss_fid", "kl_moment"):
+        return d + 1
+    return 2 if name in ("mmd", "kl_mc") else 1
+
+
+def _metric_list(cfg, key, size, d):
+    """Requested metric names, each checked against the [dataset] key giving
+    the size of every sample it sees."""
     raw = cfg["metrics"]["names"].strip()
     if not raw:
         return []
@@ -231,6 +242,9 @@ def _metric_list(cfg):
     for n in names:
         if n not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {n!r}; known: {', '.join(METRIC_NAMES)}")
+        if size < _min_points(n, d):
+            raise ConfigError(f"[dataset] {key} = {size} is too small for metric {n}, "
+                              f"which needs at least {_min_points(n, d)} points")
     return names
 
 
@@ -312,6 +326,7 @@ def _task_train(task, cfg, seed, writer):
     d = train_pool.d
     if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
         raise ConfigError("training targets must be analytic densities")
+    names = _metric_list(cfg, "holdout", holdout.m, d)  # generated has holdout.m points too
     chn = _build_chain(cfg, d, target, seed)
     tcfg = _train_config(cfg, seed)
     est = default_estimator(d)
@@ -347,7 +362,6 @@ def _task_train(task, cfg, seed, writer):
 
     flowchain.save_checkpoint(chn, writer.path("chain.wflw"))
     _write_loss_csv(writer, np.asarray(losses), np.asarray(walls))
-    names = _metric_list(cfg)
     reports, generated = _chain_metrics(names, chn, target, holdout, seed)
     ds.save_particles_csv(writer.path("samples.csv"), generated)
     if d == 2:
@@ -458,7 +472,7 @@ def _task_eval(cfg, seed, writer):
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
     reports = []
     sizes = {"p": train_pool.m, "q": q_pool.m}
-    for name in _metric_list(cfg):
+    for name in _metric_list(cfg, "count", train_pool.m, train_pool.d):
         if name == "kl_mc":
             res = metrics.kl_mc(source.log_pdf, target.log_pdf, train_pool)
             reports.append(metrics.MetricReport(

@@ -106,8 +106,14 @@ _TINY = {
 
 
 def _tiny_config(tmp_path, task, section, key, value):
+    # "eval+kl_mc" is the tiny eval config with [metrics] names = kl_mc
+    task, _, names = task.partition("+")
     parser = configparser.ConfigParser()
     parser.read_string(_TINY[task])
+    if names:
+        if not parser.has_section("metrics"):
+            parser.add_section("metrics")
+        parser.set("metrics", "names", names)
     if not parser.has_section(section):
         parser.add_section(section)
     parser.set(section, key, value)
@@ -148,14 +154,36 @@ def _tiny_config(tmp_path, task, section, key, value):
     ("train-jko", "dataset", "shift", "1,2,3"),
     ("sample", "dataset", "count", "0"),
     ("sample", "model", "checkpoint", "{tmp}/missing.wflw"),
+    # each metric's sample is below its minimum: 2 points, d+1 for a covariance
+    ("eval", "dataset", "count", "1"),
+    ("eval+gauss_fid", "dataset", "count", "3"),
+    ("eval+kl_mc", "dataset", "count", "1"),
+    ("train-jko+gauss_fid", "dataset", "holdout", "1"),
+    ("train-jko+mmd", "dataset", "holdout", "1"),
+    ("train-jko+kl_moment", "dataset", "holdout", "2"),
 ])
 def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
     cfg = _tiny_config(tmp_path, task, section, key, value.format(tmp=tmp_path))
     out = tmp_path / "out"
-    assert cli.run_experiment(cfg, task=task, out=str(out)) == 2
+    assert cli.run_experiment(cfg, task=task.partition("+")[0], out=str(out)) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("task, key, value", [
+    ("eval+mmd,kl_mc,w2", "count", "2"),
+    ("eval+gauss_fid", "count", "4"),
+    ("train-jko+mmd,gauss_fid,kl_moment,nll,w2", "holdout", "3"),
+])
+def test_metric_minimum_sample_runs(tmp_path, task, key, value):
+    # the smallest samples the metrics accept give a finite, valid report
+    cfg = _tiny_config(tmp_path, task, "dataset", key, value)
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task=task.partition("+")[0], out=str(out)) == 0
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=lambda c: pytest.fail(f"{c} in report.json"))
+    assert [m["name"] for m in report["metrics"]] == task.partition("+")[2].split(",")
 
 
 def test_diverged_training_exit_3(tmp_path, capsys):

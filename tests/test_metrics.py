@@ -1,11 +1,15 @@
 """Metric values against closed forms and exhaustive small-instance oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import gaussian_kl
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wflow import _kernels
 from wflow import chain as fc
 from wflow import datasets as ds
 from wflow import metrics
@@ -186,6 +190,121 @@ def test_median_bandwidth_matches_full_triangle(total, d):
     dists = np.sqrt(metrics.sq_dists(joint, joint))
     want = float(np.median(dists[np.triu_indices(total, k=1)]))
     assert metrics.median_bandwidth(joint[:split], joint[split:]) == (want, False)
+
+
+# The kernels stream sq_dists in 64-row blocks; the references below build the
+# full matrices.
+
+def _full_triangle_median(joint):
+    dists = np.sqrt(metrics.sq_dists(joint, joint))
+    med = float(np.median(dists[np.triu_indices(len(joint), k=1)]))
+    return (1.0, True) if med <= 0.0 else (med, False)
+
+
+def _joint_sample(kind, total, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        joint = rng.normal(size=(total, d))
+    elif kind == "grid":  # few distinct values: duplicate points and tied distances
+        joint = rng.integers(0, 4, size=(total, d)).astype(float)
+    elif kind == "bin_edges":
+        # integer coordinates in [0, 6) on one axis, constant on the others:
+        # every squared distance is a square up to 25, whose float64 pattern
+        # has at most 4 mantissa bits, so it sits exactly on a bin edge
+        joint = np.zeros((total, d))
+        joint[:, 0] = rng.integers(0, 6, size=total)
+    elif kind == "outliers":  # a few far points: bins must not depend on the span
+        joint = rng.normal(size=(total, d))
+        joint[rng.integers(total, size=2)] *= 1e4
+    elif kind == "zero_span":
+        joint = rng.normal(size=(total, d))
+        joint[:, rng.integers(d)] = 2.5
+    elif kind == "duplicates":
+        distinct = rng.normal(size=(max(1, total // 8), d))
+        joint = distinct[rng.integers(len(distinct), size=total)]
+    else:  # all points equal: the median is zero, or round-off above it
+        joint = np.tile(rng.normal(size=d), (total, 1))
+    return joint * scale
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["normal", "grid", "bin_edges", "outliers", "zero_span",
+                             "duplicates", "equal"]),
+       total=st.one_of(st.integers(2, 140), st.sampled_from([63, 64, 65, 127, 128, 129])),
+       d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-3, 1e3, 1e-155]),
+       split=st.floats(0.0, 1.0))
+def test_median_bandwidth_bit_identical_to_np_median(kind, total, d, seed, scale, split):
+    joint = _joint_sample(kind, total, d, seed, scale)
+    k = int(split * total)
+    assert metrics.median_bandwidth(joint[:k], joint[k:]) == _full_triangle_median(joint)
+
+
+def test_median_bandwidth_all_equal_points_fall_back():
+    assert metrics.median_bandwidth(np.full((70, 2), 0.5), np.full((3, 2), 0.5)) == (1.0, True)
+
+
+def _full_mmd(a, b, bw):
+    m, n = len(a), len(b)
+    kxx = np.exp(-metrics.sq_dists(a, a) / (2.0 * bw**2))
+    kyy = np.exp(-metrics.sq_dists(b, b) / (2.0 * bw**2))
+    kxy = np.exp(-metrics.sq_dists(a, b) / (2.0 * bw**2))
+    return ((kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+            + (kyy.sum() - np.trace(kyy)) / (n * (n - 1)) - 2.0 * kxy.mean())
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (2, 63, 64, 65) for n in (2, 63, 64, 65)
+                                  if m != n])
+@pytest.mark.parametrize("bandwidth", ["median", 0.4])
+def test_mmd_matches_full_matrix_formula(m, n, bandwidth):
+    rng = np.random.default_rng(m * 100 + n)
+    a, b = rng.normal(size=(m, 3)), rng.normal(size=(n, 3)) + 0.3
+    res = metrics.mmd_rbf(a, b, bandwidth)
+    bw = (_full_triangle_median(np.concatenate([a, b]))[0] if bandwidth == "median"
+          else bandwidth)
+    assert res.bandwidth == bw
+    assert abs(res.value - _full_mmd(a, b, bw)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (63, 65), (64, 64), (100, 165)])
+def test_mmd_permutation_null_bit_identical_to_full_kernel(m, n):
+    rng = np.random.default_rng(m + n)
+    a, b = rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5
+    got = metrics.mmd_permutation_null(a, b, 30, rng=np.random.default_rng(7))
+    joint = np.concatenate([a, b])
+    bw = _full_triangle_median(joint)[0]
+    K = np.exp(-metrics.sq_dists(joint, joint) / (2.0 * bw**2))
+    perm_rng = np.random.default_rng(7)
+    perms = np.stack([perm_rng.permutation(m + n) for _ in range(30)])
+    assert got.tobytes() == _kernels.mmd2_permutations(K, m, perms).tobytes()
+
+
+def test_nan_input_gives_nan_bandwidth_and_values():
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(70, 2)), rng.normal(size=(66, 2))
+    a[5, 1] = np.nan
+    bw, fellback = metrics.median_bandwidth(a, b)
+    assert np.isnan(bw) and fellback is False
+    res = metrics.mmd_rbf(a, b)
+    assert np.isnan(res.value) and np.isnan(res.bandwidth) and not res.bandwidth_fallback
+    assert np.isnan(metrics.mmd_permutation_null(a, b, 5)).all()
+
+
+@pytest.mark.parametrize("outliers", [False, True])
+@pytest.mark.parametrize("kernel", ["mmd_rbf", "median_bandwidth"])
+def test_pairwise_kernels_hold_no_quadratic_buffer(kernel, outliers):
+    # a 4096-point joint sample: its N(N-1)/2 distances alone are 64 MiB
+    rng = np.random.default_rng(18)
+    a, b = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2)) + 1.0
+    if outliers:  # two far points stretch the sample's bounding box 10^4-fold
+        b[:2] *= 1e4
+    tracemalloc.start()
+    try:
+        getattr(metrics, kernel)(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # --- kl_mc ----------------------------------------------------------------------
