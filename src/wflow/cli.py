@@ -141,9 +141,13 @@ class ArtifactWriter:
         return p
 
     def json(self, name, payload):
+        # strict JSON: a NaN or an infinity is a numeric failure, not a value
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as err:
+            raise nc.NumericError(f"{name}: {err}") from err
         with open(self.path(name), "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def rollback(self):
         for p in self.written:
@@ -232,9 +236,9 @@ def _min_points(name, d):
     return 2 if name in ("mmd", "kl_mc") else 1
 
 
-def _metric_list(cfg, key, size, d):
+def _metric_list(cfg, task, key, size, d):
     """Requested metric names, each checked against the [dataset] key giving
-    the size of every sample it sees."""
+    the size of every sample it sees, and against the task."""
     raw = cfg["metrics"]["names"].strip()
     if not raw:
         return []
@@ -242,6 +246,8 @@ def _metric_list(cfg, key, size, d):
     for n in names:
         if n not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {n!r}; known: {', '.join(METRIC_NAMES)}")
+        if n == "kl_mc" and task != "eval":
+            raise ConfigError("metric kl_mc applies to the eval task only")
         if size < _min_points(n, d):
             raise ConfigError(f"[dataset] {key} = {size} is too small for metric {n}, "
                               f"which needs at least {_min_points(n, d)} points")
@@ -274,10 +280,8 @@ def _chain_metrics(names, chn, target, holdout, seed):
         elif name == "kl_moment":
             pushed = flowchain.forward_map(chn, holdout)
             value = metrics.moment_fit_kl(pushed, target)
-        elif name in SAMPLE_METRICS:
-            value = _sample_metric(name, generated, holdout)
         else:
-            raise ConfigError("metric kl_mc applies to the eval task only")
+            value = _sample_metric(name, generated, holdout)
         reports.append(metrics.MetricReport(name, float(value), sizes, seed, extra).__dict__)
     return reports, generated
 
@@ -326,7 +330,13 @@ def _task_train(task, cfg, seed, writer):
     d = train_pool.d
     if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
         raise ConfigError("training targets must be analytic densities")
-    names = _metric_list(cfg, "holdout", holdout.m, d)  # generated has holdout.m points too
+    names = _metric_list(cfg, task, "holdout", holdout.m, d)  # generated has holdout.m too
+    # progressive tasks report each block's kl_moment on the pushed training particles
+    need = _min_points("kl_moment", d)
+    progressive = task in ("train-jko", "train-lfm")
+    if progressive and isinstance(target, ds.Gaussian) and train_pool.m < need:
+        raise ConfigError(f"[dataset] count = {train_pool.m} is too small for the per-block "
+                          f"kl_moment, which needs at least {need} points")
     chn = _build_chain(cfg, d, target, seed)
     tcfg = _train_config(cfg, seed)
     est = default_estimator(d)
@@ -472,7 +482,7 @@ def _task_eval(cfg, seed, writer):
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
     reports = []
     sizes = {"p": train_pool.m, "q": q_pool.m}
-    for name in _metric_list(cfg, "count", train_pool.m, train_pool.d):
+    for name in _metric_list(cfg, "eval", "count", train_pool.m, train_pool.d):
         if name == "kl_mc":
             res = metrics.kl_mc(source.log_pdf, target.log_pdf, train_pool)
             reports.append(metrics.MetricReport(

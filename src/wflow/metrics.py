@@ -27,6 +27,9 @@ from wflow import chain as flowchain
 from wflow import numcore as nc
 from wflow.datasets import Gaussian, ParticleEnsemble
 
+# scipy's assignment on the eval distributions (N((1.5, 0), I) against N(0, I),
+# d=2, one BLAS thread, 2-core x86-64 host) takes about 0.15 s at 512 points,
+# 1.3 s at 1024 and 9 s at 2048: the cubic solve, not memory, sets the cap
 W2_MAX_PARTICLES = 512
 # rows of sq_dists a pairwise kernel holds at once
 _ROW_BLOCK = 64

@@ -10,6 +10,7 @@ import pytest
 from wflow import chain as fc
 from wflow import cli
 from wflow import datasets as ds
+from wflow import numcore as nc
 
 
 def _write(tmp_path, name, text):
@@ -161,6 +162,9 @@ def _tiny_config(tmp_path, task, section, key, value):
     ("train-jko+gauss_fid", "dataset", "holdout", "1"),
     ("train-jko+mmd", "dataset", "holdout", "1"),
     ("train-jko+kl_moment", "dataset", "holdout", "2"),
+    # the per-block kl_moment of a progressive task sees the count training particles
+    ("train-jko", "dataset", "count", "1"),
+    ("train-jko", "dataset", "count", "2"),
 ])
 def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
     cfg = _tiny_config(tmp_path, task, section, key, value.format(tmp=tmp_path))
@@ -184,6 +188,28 @@ def test_metric_minimum_sample_runs(tmp_path, task, key, value):
     report = json.loads((out / "report.json").read_text(),
                         parse_constant=lambda c: pytest.fail(f"{c} in report.json"))
     assert [m["name"] for m in report["metrics"]] == task.partition("+")[2].split(",")
+
+
+def test_kl_mc_on_a_train_task_rejected_before_training(tmp_path, capsys, monkeypatch):
+    def train_block(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.obj, "train_block", train_block)
+    cfg = _tiny_config(tmp_path, "train-jko+kl_mc", "dataset", "holdout", "32")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="train-jko", out=str(out)) == 2
+    assert "kl_mc applies to the eval task only" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_artifact_json_rejects_non_finite_values(tmp_path):
+    writer = cli.ArtifactWriter(str(tmp_path))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(nc.NumericError, match="report.json"):
+            writer.json("report.json", {"metrics": [{"value": bad}]})
+    assert not any(tmp_path.iterdir())
+    writer.json("report.json", {"value": 1.5})
+    assert json.loads((tmp_path / "report.json").read_text()) == {"value": 1.5}
 
 
 def test_diverged_training_exit_3(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import stage_oracle
+from stage_oracle import lean_forward, lean_vjp, time_column
 
 from wflow import numcore as nc
 from wflow import odeint
@@ -158,7 +160,7 @@ def test_divergence_differentiable_in_parameters():
 
 def _chain_velocity_and_divergence(bound, x, t, est, rng):
     m, d = x.shape
-    h = nc.concat([x, bound._time_column(t, m)], axis=1)
+    h = nc.concat([x, time_column(bound, t, m)], axis=1)
     derivs = []
     for w, b, act in bound.bound.entries:
         z = nc.affine(h, w, b)
@@ -171,6 +173,8 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
         else:
             h = z
             derivs.append(None)
+    if est is None:
+        return h, None
 
     def chain(u):
         for (w, _, _), deriv in zip(bound.bound.entries, derivs):
@@ -200,6 +204,8 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
 
 
 def _fused(bound, x, t, est, rng):
+    if est is None:
+        return bound.velocity(x, t), None
     return bound.velocity_and_divergence(x, t, est, rng)
 
 
@@ -213,10 +219,12 @@ def _values_and_grads(field, x, est, evaluate, seed=5):
         bound = field.bind(tape)
         xt = tape.watch(nc.Tensor(x.copy()))
         v, div = evaluate(bound, xt, 0.37, est, np.random.default_rng(seed))
-        out = nc.add(nc.tsum(nc.mul(v, cv)), nc.tsum(nc.mul(div, cd)))
+        out = nc.tsum(nc.mul(v, cv))
+        if div is not None:
+            out = nc.add(out, nc.tsum(nc.mul(div, cd)))
     tape.mark_output(out)
     tape.freeze()
-    return v.data, div.data, [g.data for g in nc.grad(tape)]
+    return v.data, (None if div is None else div.data), [g.data for g in nc.grad(tape)]
 
 
 def _mlp_field(d, widths, act, seed, scale=0.5):
@@ -231,7 +239,7 @@ def _mlp_field(d, widths, act, seed, scale=0.5):
 _ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchinson", probes=3)]
 
 
-@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
+@pytest.mark.parametrize("est", [*_ESTIMATORS, None], ids=["exact", "hutch3", "velocity"])
 @pytest.mark.parametrize("m", [1, 6])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("widths", [(7,), (12, 12), (6, 5, 4)])
@@ -241,9 +249,12 @@ def test_fused_matches_chain_oracle(d, widths, act, m, est):
     x = np.random.default_rng(d + m).normal(size=(m, d))
     want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
     got = _values_and_grads(field, x, est, _fused)
-    assert got[0].shape == (m, d) and got[1].shape == (m,)
+    assert got[0].shape == (m, d)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-13)
+    assert (got[1] is None) == (want[1] is None) == (est is None)
+    if est is not None:
+        assert got[1].shape == (m,)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-13)
     assert len(got[2]) == len(want[2]) == 2 * len(field.layers) + 1  # params, then x
     for g_got, g_want in zip(got[2], want[2]):
         np.testing.assert_allclose(g_got, g_want, rtol=1e-12, atol=1e-13)
@@ -291,7 +302,7 @@ def test_fused_node_one_per_call():
         field.bind(tape).velocity_and_divergence(
             nc.Tensor(np.ones((4, 2))), 0.2, vel.DivergenceEstimator("exact"))
     ops = [node.op for node in tape.nodes if node.op not in ("param", "const")]
-    assert ops == ["concat", "velocity_divergence", "slice", "slice", "sum"]
+    assert ops == ["velocity_divergence", "slice", "slice", "sum"]
 
 
 def _record_fused_program(field, x, est):
@@ -366,10 +377,10 @@ def test_augmented_overflow_reports_same_step_as_plain():
 def _stage_case(field, m, seed):
     d = field.d
     rng = np.random.default_rng(seed)
-    h = np.concatenate([rng.normal(size=(m, d)), np.full((m, 1), 0.4)], axis=1)
+    x = rng.normal(size=(m, d))
     acts = tuple(layer.act for layer in field.layers)
     cotangents = (rng.normal(size=(m, d)), rng.normal(size=m))
-    return h, field.parameter_arrays(), acts, cotangents
+    return x, field.parameter_arrays(), acts, cotangents
 
 
 def _basis(m, d):
@@ -386,14 +397,14 @@ def _rel_err(got, want):
 def test_closed_form_matches_tangent_kernel(d, widths, act):
     m = 6
     field = _mlp_field(d, widths, act, seed=d + len(widths))
-    h, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
+    x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
     mode, empty, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, d, None)
     assert (mode, empty.shape, scale) == ("closed", (0, m, d), 1.0)
-    want_v, want_div = vel.stage_forward(h, _basis(m, d), params, acts, "tangent", 1.0)
-    got_v, got_div = vel.stage_forward(h, empty, params, acts, "closed", 1.0)
+    want_v, want_div = lean_forward(x, 0.4, _basis(m, d), params, acts, "tangent", 1.0)
+    got_v, got_div = lean_forward(x, 0.4, empty, params, acts, "closed", 1.0)
     assert np.array_equal(got_v, want_v)
-    want_h, want_g = vel.stage_vjp(h, _basis(m, d), params, acts, "tangent", 1.0, v_bar, div_bar)
-    got_h, got_g = vel.stage_vjp(h, empty, params, acts, "closed", 1.0, v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, _basis(m, d), params, acts, "tangent", 1.0, v_bar, div_bar)
+    got_h, got_g = lean_vjp(x, 0.4, empty, params, acts, "closed", 1.0, v_bar, div_bar)
     assert len(got_g) == len(want_g) == len(params)
     for got, want in zip([got_div, got_h, *got_g], [want_div, want_h, *want_g]):
         assert got.shape == want.shape
@@ -414,27 +425,27 @@ def _tanh_output_field(d, seed):
 def test_exact_trace_outside_closed_form_keeps_tangents(make):
     field = make()
     m = 5
-    h, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
+    x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
     assert not vel.has_closed_form(acts)
     mode, probes, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, 3, None)
     assert mode == "tangent" and scale == 1.0
     assert np.array_equal(probes, _basis(m, 3))
     # the fused node runs the tangent kernel on the basis, bit for bit
-    v, div = field.bind().velocity_and_divergence(nc.Tensor(h[:, :3]), 0.4,
+    v, div = field.bind().velocity_and_divergence(nc.Tensor(x), 0.4,
                                                   vel.DivergenceEstimator("exact"))
-    want_v, want_div = vel.stage_forward(h, probes, params, acts, "tangent", 1.0)
+    want_v, want_div = lean_forward(x, 0.4, probes, params, acts, "tangent", 1.0)
     assert np.array_equal(v.data, want_v) and np.array_equal(div.data, want_div)
-    want_h, want_g = vel.stage_vjp(h, probes, params, acts, "tangent", 1.0, v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, probes, params, acts, "tangent", 1.0, v_bar, div_bar)
     tape = nc.Tape()
     with tape:
         bound = field.bind(tape)
-        x = tape.watch(nc.Tensor(h[:, :3].copy()))
-        v, div = bound.velocity_and_divergence(x, 0.4, vel.DivergenceEstimator("exact"))
+        xt = tape.watch(nc.Tensor(x.copy()))
+        v, div = bound.velocity_and_divergence(xt, 0.4, vel.DivergenceEstimator("exact"))
         out = nc.add(nc.tsum(nc.mul(v, v_bar)), nc.tsum(nc.mul(div, div_bar)))
     tape.mark_output(out)
     tape.freeze()
     grads = [g.data for g in nc.grad(tape)]
-    for got, want in zip(grads, [*want_g, want_h[:, :3]]):
+    for got, want in zip(grads, [*want_g, want_h]):
         assert np.array_equal(got, want)
 
 
@@ -452,11 +463,76 @@ def test_hutchinson_keeps_tangents_on_closed_form_stacks():
     assert np.array_equal(probes, want)
     x = np.random.default_rng(11).normal(size=(5, 4))
     got = vel.divergence(field, x, 0.2, est, np.random.default_rng(10))
-    h = np.concatenate([x, np.full((5, 1), 0.2)], axis=1)
-    _, want_div = vel.stage_forward(h, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
+    _, want_div = lean_forward(x, 0.2, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
     assert np.array_equal(got, want_div)
 
 
 def test_default_estimator_switches_above_exact_dim():
     assert vel.default_estimator(8) == vel.DivergenceEstimator("exact")
     assert vel.default_estimator(9) == vel.DivergenceEstimator("hutchinson", probes=8)
+
+
+# ---------------------------------------------------------------------------
+# the lean kernel (x and its time, the time folded into the first bias, the
+# coupling built once, in-place updates) against the concat-input kernel it
+# replaced, kept in tests/stage_oracle.py
+
+_KERNEL_CASES = {
+    "velocity": ((9, 7), "velocity", None),
+    "tangent_exact_depth3": ((6, 5, 4), "tangent", "basis"),
+    "tangent_hutchinson": ((9, 7), "tangent", "rademacher"),
+    "closed_depth1": ((9,), "closed", None),
+    "closed_depth2": ((9, 7), "closed", None),
+}
+
+
+def _assert_close_per_element(got, want):
+    # 1e-13 of each element, floored at 1e-13 of the array's largest entry for
+    # elements that come out of a cancellation
+    assert got.shape == want.shape
+    floor = 1e-13 * (np.abs(want).max() if want.size else 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=floor)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 192])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar_t", "per_row_t"])
+@pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
+@pytest.mark.parametrize("case", list(_KERNEL_CASES))
+def test_lean_kernel_matches_concat_oracle(case, act, per_row, m):
+    widths, mode, probe_kind = _KERNEL_CASES[case]
+    d = 3
+    field = _mlp_field(d, widths, act, seed=len(widths) + m)
+    params, acts = field.parameter_arrays(), tuple(layer.act for layer in field.layers)
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(m, d))
+    tau = rng.uniform(size=m) if per_row else 0.4
+    scale, probes = 1.0, np.empty((0, m, d))
+    if probe_kind == "basis":
+        probes = _basis(m, d)
+    elif probe_kind == "rademacher":
+        scale, probes = 1.0 / 3, rng.integers(0, 2, size=(3, m, d)) * 2.0 - 1.0
+    h = np.concatenate([x, np.broadcast_to(np.reshape(tau, (-1, 1)), (m, 1))], axis=1)
+    v_bar, div_bar = rng.normal(size=(m, d)), rng.normal(size=m)
+    want_v, want_div = stage_oracle.stage_forward(h, probes, params, acts, mode, scale)
+    got_v, got_div = lean_forward(x, tau, probes, params, acts, mode, scale)
+    want_h, want_g = stage_oracle.stage_vjp(h, probes, params, acts, mode, scale, v_bar, div_bar)
+    got_x, got_g = lean_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar)
+    assert (got_div is None) == (want_div is None) == (mode == "velocity")
+    assert len(got_g) == len(want_g) == len(params)
+    pairs = [(got_v, want_v), (got_x, want_h[:, :d]), *zip(got_g, want_g)]
+    if mode != "velocity":
+        pairs.append((got_div, want_div))
+    for got, want in pairs:
+        _assert_close_per_element(got, want)
+
+
+def test_lean_vjp_leaves_its_cotangents_unchanged():
+    # the VJP updates cotangents in place on its own buffers only
+    field = _mlp_field(2, (6, 5), "tanh", seed=12)
+    params, acts = field.parameter_arrays(), tuple(layer.act for layer in field.layers)
+    rng = np.random.default_rng(13)
+    x, v_bar, div_bar = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=4)
+    before = [a.copy() for a in (x, v_bar, div_bar, *params)]
+    for mode in ("velocity", "closed"):
+        lean_vjp(x, 0.3, np.empty((0, 4, 2)), params, acts, mode, 1.0, v_bar, div_bar)
+    assert all(np.array_equal(a, b) for a, b in zip((x, v_bar, div_bar, *params), before))
