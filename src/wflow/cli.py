@@ -292,19 +292,14 @@ def _scatter(writer, name, groups):
 
 def _trajectory_plot(writer, chn, data, seed):
     rng = np.random.default_rng([seed, 404])
-    take = data.positions[rng.choice(data.m, size=min(8, data.m), replace=False)]
-    trajs = []
-    for x0 in take:
-        # trajectory sampled at block boundaries; enough for a path plot
-        pts = [x0]
-        x = x0[None, :]
-        for block in chn.blocks:
-            x = odeint.integrate(block.field, x, block.integrator)
-            pts.append(x[0])
-        trajs.append(np.asarray(pts))
-    if trajs and trajs[0].shape[1] == 2:
-        svgplot.trajectories_svg(writer.path("trajectories.svg"), trajs,
-                                 points=data.positions[:512])
+    x = data.positions[rng.choice(data.m, size=min(8, data.m), replace=False)]
+    # the start points as one batch, sampled at block boundaries; enough for a path plot
+    pts = [x]
+    for block in chn.blocks:
+        x = odeint.integrate(block.field, x, block.integrator)
+        pts.append(x)
+    svgplot.trajectories_svg(writer.path("trajectories.svg"), np.stack(pts, axis=1),
+                             points=data.positions[:512])
 
 
 def _report(writer, cfg, task, seed, payload):

@@ -129,11 +129,17 @@ def w2_exact(ens_a, ens_b) -> float:
     return float(np.sqrt(total / len(a)))
 
 
-def sq_dists(a, b) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.clip(aa + bb - 2.0 * (a @ b.T), 0.0, None)
+def sq_dists(a, b, out=None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at zero.
+
+    The same bytes as clip(|a|^2 + |b|^2 - 2 a b^T, 0), built in place in
+    ``out`` (or one fresh array) with a @ b.T the only temporary.
+    """
+    t = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :], out=out)
+    ab = a @ b.T
+    ab *= 2.0
+    t -= ab
+    return np.maximum(t, 0.0, out=t)
 
 
 def _row_blocks(a, b=None):
@@ -203,7 +209,10 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
 
 
 def _rbf(sq, bandwidth):
-    return np.exp(-sq / (2.0 * bandwidth**2))
+    """exp(-sq / (2 bandwidth^2)), overwriting sq."""
+    np.negative(sq, out=sq)
+    sq /= 2.0 * bandwidth**2
+    return np.exp(sq, out=sq)
 
 
 def _kernel_sum(a, b, bandwidth) -> float:
@@ -242,8 +251,8 @@ def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
 def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None) -> np.ndarray:
     """MMD^2 values under random relabelings of the joint sample.
 
-    The joint kernel matrix K is filled a row block at a time; it is kept
-    whole because every permutation's sums come out of one product with it.
+    The joint kernel matrix K is filled in place a row block at a time; it is
+    kept whole because every permutation's sums come out of one product with it.
     """
     a, b = _pos(ens_a), _pos(ens_b)
     if rng is None:
@@ -254,8 +263,8 @@ def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None
         bw = float(bandwidth)
     joint = np.concatenate([a, b], axis=0)
     K = np.empty((len(joint), len(joint)))
-    for r0, sq in _row_blocks(joint, joint):
-        K[r0:r0 + len(sq)] = _rbf(sq, bw)
+    for r0 in range(0, len(joint), _ROW_BLOCK):
+        _rbf(sq_dists(joint[r0:r0 + _ROW_BLOCK], joint, out=K[r0:r0 + _ROW_BLOCK]), bw)
     perms = np.stack([rng.permutation(len(joint)) for _ in range(n_perms)])
     return _kernels.mmd2_permutations(K, len(a), perms)
 

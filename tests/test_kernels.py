@@ -1,10 +1,14 @@
 """The exact metric kernels against references computed independently here."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wflow
 from wflow import _kernels
 from wflow.metrics import sq_dists
 
@@ -66,6 +70,51 @@ def test_assignment_handles_ties():
 def test_assignment_rejects_nonsquare():
     with pytest.raises(ValueError):
         _kernels.solve_assignment(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 512])
+def test_assignment_matches_scipy_optimize(m):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(m + 7)
+    for cost in (rng.uniform(size=(m, m)),
+                 rng.integers(0, 3, size=(m, m)).astype(np.float64)):  # ties
+        want = linear_sum_assignment(cost)[1]
+        np.testing.assert_array_equal(_kernels.solve_assignment(cost), want)
+
+
+def test_w2_leaves_the_rest_of_scipy_unimported():
+    # a fresh interpreter: this one has scipy.linalg from conftest
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wflow import metrics\n"
+        "rng = np.random.default_rng(0)\n"
+        "print(metrics.w2_exact(rng.normal(size=(512, 2)), rng.normal(size=(512, 2)) + 1.0))\n"
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse',\n"
+        "                           'scipy.special') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    w2, loaded = proc.stdout.split("\n")[:2]
+    assert 0.5 < float(w2) < 2.0
+    assert loaded == ""
+
+
+def test_missing_solver_names_path_and_scipy_version(monkeypatch, tmp_path):
+    from importlib.metadata import version
+
+    path = str(tmp_path / "optimize" / "_lsap.so")
+    monkeypatch.setattr(_kernels, "_lsap_path", lambda: path)
+    monkeypatch.setattr(_kernels, "_linear_sum_assignment", None)
+    with pytest.raises(ImportError) as info:
+        _kernels.solve_assignment(np.zeros((2, 2)))
+    assert path in str(info.value)
+    assert f"scipy {version('scipy')}" in str(info.value)
 
 
 def _mmd2_ix_reference(K, m, perm):

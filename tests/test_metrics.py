@@ -240,6 +240,22 @@ def test_median_bandwidth_bit_identical_to_np_median(kind, total, d, seed, scale
     assert metrics.median_bandwidth(joint[:k], joint[k:]) == _full_triangle_median(joint)
 
 
+@pytest.mark.parametrize("kind", ["normal", "grid", "outliers", "duplicates", "equal"])
+@pytest.mark.parametrize("scale", [1.0, 1e-155, 1e160])
+def test_sq_dists_in_place_bit_identical_to_formula(kind, scale):
+    # the in-place build against clip(|a|^2 + |b|^2 - 2 a b^T, 0), NaN and inf included
+    joint = _joint_sample(kind, 130, 3, 5, scale)
+    joint[7, 1] = np.nan
+    a, b = joint[:70], joint[40:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.clip(np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+                       - 2.0 * (a @ b.T), 0.0, None)
+        out = np.empty((len(a), len(b)))
+        assert metrics.sq_dists(a, b).tobytes() == want.tobytes()
+        assert metrics.sq_dists(a, b, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
 def test_median_bandwidth_all_equal_points_fall_back():
     assert metrics.median_bandwidth(np.full((70, 2), 0.5), np.full((3, 2), 0.5)) == (1.0, True)
 
