@@ -5,7 +5,14 @@ that affects a result is echoed into report.json, and replaying the echoed
 config reproduces the run. Timing ends up in separate files (run_meta.json,
 timing.csv) so the metric artifacts stay byte-identical across reruns.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+CONFIG_TABLE holds every key: its raw default and the parser that checks it.
+parse_config checks every key of a config, whichever task runs, and returns
+the raw strings for the echo and the typed values the tasks read. Checks that
+tie keys together (lengths against dim, metric sample sizes, the DRE grid)
+run in the tasks before any training.
+
+Exit codes: 0 success, 2 config error, 3 numeric failure. An exit 2 or 3
+removes every artifact of the run and the output directory it made.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -44,98 +52,120 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMA = {
-    "experiment": {"task", "seed", "out"},
-    "dataset": {"source", "target", "dim", "count", "holdout", "shift"},
-    "model": {"blocks", "width", "depth", "steps_per_block", "scheme", "t_total",
-              "checkpoint"},
-    "train": {"learn_rate", "batch_size", "iterations", "gamma", "optimizer",
-              "time_draws"},
-    "metrics": {"names"},
-    "ot": {"penalty"},
-    "dre": {"bridges", "bridge_kind", "grid", "classifier_iterations"},
-    "dro": {"risk", "risk_c", "gamma"},
+def _parser(expects, convert, valid=lambda value: True):
+    """A key's parser: raw string -> typed value, or ValueError; `expects`
+    names the accepted values in the error message."""
+    def parse(raw):
+        value = convert(raw)
+        if not valid(value):
+            raise ValueError(raw)
+        return value
+    parse.expects = expects
+    return parse
+
+
+def _integer(minimum):
+    return _parser(f"an integer of at least {minimum}", int, lambda v: v >= minimum)
+
+
+def _choice(options):
+    return _parser(f"one of {', '.join(options)}", str, lambda v: v in options)
+
+
+def _optional(parse):
+    return _parser(f"empty or {parse.expects}", lambda raw: parse(raw) if raw else None)
+
+
+_POSITIVE = _parser("a positive finite number", float, lambda v: 0 < v < math.inf)
+_FLOATS = _parser("comma-separated finite numbers",
+                  lambda raw: tuple(float(v) for v in raw.split(",")) if raw else (),
+                  lambda values: all(map(math.isfinite, values)))
+_METRICS = _parser(f"comma-separated names from {', '.join(METRIC_NAMES)}",
+                   lambda raw: tuple(n.strip() for n in raw.split(",") if n.strip()),
+                   lambda names: set(names) <= set(METRIC_NAMES))
+_TEXT = _parser("text", str)
+
+# every key the CLI knows: section -> key -> (raw default, parser); every
+# default parses, so a key's check applies whichever task runs
+CONFIG_TABLE = {
+    "experiment": {"task": ("", _optional(_choice(TASKS))), "seed": ("0", _integer(0)),
+                   "out": ("", _TEXT)},
+    "dataset": {"source": ("standard-gaussian", _choice(ds.PRESETS)),
+                "target": ("standard-gaussian", _choice(ds.PRESETS)),
+                "dim": ("2", _integer(1)), "count": ("4096", _integer(1)),
+                "holdout": ("2048", _integer(1)), "shift": ("", _FLOATS)},
+    "model": {"blocks": ("1", _integer(1)), "width": ("64", _integer(1)),
+              "depth": ("2", _integer(1)), "steps_per_block": ("32", _integer(1)),
+              "scheme": ("rk4", _choice(odeint.SCHEMES)),
+              "t_total": ("", _optional(_POSITIVE)), "checkpoint": ("", _TEXT)},
+    "train": {"learn_rate": ("0.01", _POSITIVE), "batch_size": ("192", _integer(1)),
+              "iterations": ("400", _integer(1)), "gamma": ("1.0", _POSITIVE),
+              "optimizer": ("adam", _choice(("adam", "sgd"))),
+              "time_draws": ("1", _integer(1))},
+    "metrics": {"names": ("", _METRICS)},
+    "ot": {"penalty": ("30.0", _POSITIVE)},
+    "dre": {"bridges": ("4", _integer(1)), "bridge_kind": ("ou", _choice(("ou", "flow"))),
+            "grid": ("24", _integer(1)), "classifier_iterations": ("1200", _integer(1))},
+    "dro": {"risk": ("linear", _choice(("linear",))), "risk_c": ("1.0,0.0", _FLOATS),
+            "gamma": ("1.0", _POSITIVE)},
 }
 
-_DEFAULTS = {
-    "experiment": {"task": "", "seed": "0", "out": ""},
-    "dataset": {"source": "standard-gaussian", "target": "standard-gaussian",
-                "dim": "2", "count": "4096", "holdout": "2048", "shift": ""},
-    "model": {"blocks": "1", "width": "64", "depth": "2", "steps_per_block": "32",
-              "scheme": "rk4", "t_total": "", "checkpoint": ""},
-    "train": {"learn_rate": "0.01", "batch_size": "192", "iterations": "400",
-              "gamma": "1.0", "optimizer": "adam", "time_draws": "1"},
-    "metrics": {"names": ""},
-    "ot": {"penalty": "30.0"},
-    "dre": {"bridges": "4", "bridge_kind": "ou", "grid": "24",
-            "classifier_iterations": "1200"},
-    "dro": {"risk": "linear", "risk_c": "1.0,0.0", "gamma": "1.0"},
-}
 
-
-def parse_config(path) -> dict:
-    """Strictly validated flat config; unknown sections/keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def _value(section, key, raw):
+    parse = CONFIG_TABLE[section][key][1]
     try:
-        read = parser.read(path)
-    except configparser.Error as err:
+        return parse(raw)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {key} must be {parse.expects}, got {raw!r}") from err
+
+
+def parse_config(path):
+    """Strictly validated flat config; unknown sections/keys and bad values are
+    errors. Returns (raw, typed): the raw strings, defaults filled in, for the
+    echo, and every key parsed by its CONFIG_TABLE entry."""
+    # no interpolation: a value is its own text, and the echo writes it back as is
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    cfg = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    raw = {section: {key: default for key, (default, _) in keys.items()}
+           for section, keys in CONFIG_TABLE.items()}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in CONFIG_TABLE:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in CONFIG_TABLE[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            cfg[section][key] = value
-    return cfg
-
-
-def _as_int(cfg, section, key):
-    try:
-        return int(cfg[section][key])
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be an integer, "
-                          f"got {cfg[section][key]!r}") from err
-
-
-def _as_float(cfg, section, key):
-    try:
-        return float(cfg[section][key])
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be a number, "
-                          f"got {cfg[section][key]!r}") from err
-
-
-def _as_positive(cfg, section, key, convert=_as_int):
-    value = convert(cfg, section, key)
-    if not 0 < value < float("inf"):
-        raise ConfigError(f"[{section}] {key} must be positive and finite, "
-                          f"got {cfg[section][key]!r}")
-    return value
-
-
-def _as_floats(cfg, section, key):
-    raw = cfg[section][key].strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be comma-separated numbers") from err
+            raw[section][key] = value
+    typed = {section: {key: _value(section, key, value) for key, value in values.items()}
+             for section, values in raw.items()}
+    return raw, typed
 
 
 class ArtifactWriter:
-    """Tracks files written by one run so failures can clean up after themselves."""
+    """Tracks files written by one run so failures can clean up after themselves.
+
+    The output directory is made on the first write, and rollback removes the
+    directories this writer made, never one that existed before."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.written = []
-        os.makedirs(out_dir, exist_ok=True)
+        self.made = []  # deepest first
 
     def path(self, name):
+        if not self.written:
+            head = os.path.abspath(self.out_dir)
+            while not os.path.exists(head):
+                self.made.append(head)
+                head = os.path.dirname(head)
+            os.makedirs(self.out_dir, exist_ok=True)
         p = os.path.join(self.out_dir, name)
         self.written.append(p)
         return p
@@ -153,6 +183,11 @@ class ArtifactWriter:
         for p in self.written:
             if os.path.exists(p):
                 os.unlink(p)
+        for d in self.made:
+            try:
+                os.rmdir(d)
+            except OSError:  # holds files this run did not write
+                break
 
 
 def _write_loss_csv(writer, result_losses, wall_ms, stem="loss"):
@@ -167,22 +202,13 @@ def _write_loss_csv(writer, result_losses, wall_ms, stem="loss"):
             fh.write(f"{i},{float(value)!r},{wall:.3f}\n")
 
 
-def _preset(cfg, key, d, shift=()):
-    try:
-        return ds.preset_density(cfg["dataset"][key], d, shift)
-    except KeyError as err:
-        raise ConfigError(f"[dataset] {key}: {err.args[0]}") from err
-
-
 def _dataset_pools(cfg, seed):
-    d = _as_positive(cfg, "dataset", "dim")
-    count = _as_positive(cfg, "dataset", "count")
-    holdout = _as_positive(cfg, "dataset", "holdout")
-    shift = _as_floats(cfg, "dataset", "shift")
+    data = cfg["dataset"]
+    d, count, holdout, shift = data["dim"], data["count"], data["holdout"], data["shift"]
     if shift and len(shift) != d:
         raise ConfigError(f"[dataset] shift needs {d} components, got {len(shift)}")
-    source = _preset(cfg, "source", d, shift)
-    target = _preset(cfg, "target", d)
+    source = ds.preset_density(data["source"], d, shift)
+    target = ds.preset_density(data["target"], d)
     if source.d != target.d:  # the 2-D presets ignore dim
         raise ConfigError(f"[dataset] source is {source.d}-D but target is {target.d}-D")
     train = ds.ParticleEnsemble(source.sample(count, np.random.default_rng([seed, 101])))
@@ -191,32 +217,18 @@ def _dataset_pools(cfg, seed):
 
 
 def _train_config(cfg, seed) -> obj.TrainConfig:
-    try:
-        return obj.TrainConfig(
-            learn_rate=_as_positive(cfg, "train", "learn_rate", _as_float),
-            batch_size=_as_positive(cfg, "train", "batch_size"),
-            iterations=_as_positive(cfg, "train", "iterations"),
-            seed=seed,
-            gamma=_as_float(cfg, "train", "gamma"),
-            optimizer=cfg["train"]["optimizer"],
-        )
-    except ValueError as err:  # TrainConfig rejects gamma <= 0 and unknown optimizers
-        raise ConfigError(f"[train] {err}") from err
+    train = cfg["train"]
+    return obj.TrainConfig(learn_rate=train["learn_rate"], batch_size=train["batch_size"],
+                           iterations=train["iterations"], seed=seed, gamma=train["gamma"],
+                           optimizer=train["optimizer"])
 
 
 def _build_chain(cfg, d, base, seed):
-    blocks = _as_positive(cfg, "model", "blocks")
-    width = _as_positive(cfg, "model", "width")
-    depth = _as_positive(cfg, "model", "depth")
-    steps = _as_positive(cfg, "model", "steps_per_block")
-    scheme = cfg["model"]["scheme"]
-    if scheme not in odeint.SCHEMES:
-        raise ConfigError(f"[model] scheme must be one of {', '.join(odeint.SCHEMES)}, "
-                          f"got {scheme!r}")
-    t_total = (_as_positive(cfg, "model", "t_total", _as_float) if cfg["model"]["t_total"]
-               else float(blocks))
-    return flowchain.identity_chain(d, blocks, base=base, widths=(width,) * depth,
-                                    steps=steps, scheme=scheme, t_total=t_total,
+    model = cfg["model"]
+    return flowchain.identity_chain(d, model["blocks"], base=base,
+                                    widths=(model["width"],) * model["depth"],
+                                    steps=model["steps_per_block"], scheme=model["scheme"],
+                                    t_total=model["t_total"] or float(model["blocks"]),
                                     seed=seed)
 
 
@@ -239,15 +251,12 @@ def _min_points(name, d):
 def _metric_list(cfg, task, key, size, d):
     """Requested metric names, each checked against the [dataset] key giving
     the size of every sample it sees, and against the task."""
-    raw = cfg["metrics"]["names"].strip()
-    if not raw:
-        return []
-    names = [n.strip() for n in raw.split(",") if n.strip()]
+    names = cfg["metrics"]["names"]
     for n in names:
-        if n not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {n!r}; known: {', '.join(METRIC_NAMES)}")
         if n == "kl_mc" and task != "eval":
             raise ConfigError("metric kl_mc applies to the eval task only")
+        if task == "eval" and n not in SAMPLE_METRICS + ("kl_mc",):
+            raise ConfigError(f"metric {n!r} needs a trained chain; use a train task")
         if size < _min_points(n, d):
             raise ConfigError(f"[dataset] {key} = {size} is too small for metric {n}, "
                               f"which needs at least {_min_points(n, d)} points")
@@ -302,18 +311,18 @@ def _trajectory_plot(writer, chn, data, seed):
                              points=data.positions[:512])
 
 
-def _report(writer, cfg, task, seed, payload):
+def _report(writer, raw, task, seed, payload):
     # the output directory is provenance-neutral: it never affects values,
     # and keeping it out of report.json keeps reruns byte-comparable
-    echo = {section: dict(values) for section, values in cfg.items()}
+    echo = {section: dict(values) for section, values in raw.items()}
     echo["experiment"]["task"] = task
     echo["experiment"]["seed"] = str(seed)
     echo["experiment"]["out"] = ""
     payload = {"task": task, "seed": seed, "config": echo, **payload}
     writer.json("report.json", payload)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(echo)
-    with open(writer.path("config_echo.ini"), "w", encoding="ascii") as fh:
+    with open(writer.path("config_echo.ini"), "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -347,7 +356,7 @@ def _task_train(task, cfg, seed, writer):
         noise = ds.ParticleEnsemble(target.sample(train_pool.m,
                                                   np.random.default_rng([seed, 77])))
         result = obj.train_block("fm", chn.blocks[0], (train_pool, noise), tcfg,
-                                 time_draws=_as_positive(cfg, "train", "time_draws"))
+                                 time_draws=cfg["train"]["time_draws"])
         losses, walls = result.losses, result.wall_ms
     else:  # progressive: train-jko / train-lfm
         kind = "jko" if task == "train-jko" else "local_fm"
@@ -373,9 +382,8 @@ def _task_train(task, cfg, seed, writer):
         _scatter(writer, "samples.svg",
                  [(holdout.positions, "data"), (generated.positions, "model")])
         _trajectory_plot(writer, chn, holdout, seed)
-    payload = {"metrics": reports, "final_loss": float(losses[-1]) if len(losses) else None,
-               "blocks": block_summary, "parameters": chn.parameter_count()}
-    _report(writer, cfg, task, seed, payload)
+    return {"metrics": reports, "final_loss": float(losses[-1]) if len(losses) else None,
+            "blocks": block_summary, "parameters": chn.parameter_count()}
 
 
 def _task_ot(cfg, seed, writer):
@@ -387,7 +395,7 @@ def _task_ot(cfg, seed, writer):
     tcfg = _train_config(cfg, seed)
     p_density = source if isinstance(source, ds.Gaussian) else None
     q_density = target if isinstance(target, ds.Gaussian) else None
-    penalty = _as_positive(cfg, "ot", "penalty", _as_float)
+    penalty = cfg["ot"]["penalty"]
     res = tp.ot_train(train_pool, q_pool, chn, penalty, tcfg,
                       p_density=p_density, q_density=q_density)
     flowchain.save_checkpoint(chn, writer.path("chain.wflw"))
@@ -398,32 +406,28 @@ def _task_ot(cfg, seed, writer):
         _scatter(writer, "samples.svg",
                  [(holdout.positions, "p"), (mapped.positions, "F(p)"),
                   (q_pool.positions[: holdout.m], "q")])
-    payload = {"transport_cost": res.transport_cost, "kl_p": res.kl_p, "kl_q": res.kl_q,
-               "penalty": penalty}
-    _report(writer, cfg, "ot", seed, payload)
+    return {"transport_cost": res.transport_cost, "kl_p": res.kl_p, "kl_q": res.kl_q,
+            "penalty": penalty}
 
 
 def _task_dre(cfg, seed, writer):
     source, target, train_pool, _ = _dataset_pools(cfg, seed)
     rng = np.random.default_rng([seed, 99])
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
-    bridges = _as_positive(cfg, "dre", "bridges")
+    bridges, bridge_kind = cfg["dre"]["bridges"], cfg["dre"]["bridge_kind"]
     fit_cfg = obj.TrainConfig(learn_rate=0.006, batch_size=256,
-                              iterations=_as_positive(cfg, "dre", "classifier_iterations"),
-                              seed=seed)
-    bridge_kind = cfg["dre"]["bridge_kind"]
+                              iterations=cfg["dre"]["classifier_iterations"], seed=seed)
     if bridge_kind == "ou":
         path = ou_bridge_path(train_pool, q_pool, bridges, rng)
-    elif bridge_kind == "flow":
-        checkpoint = cfg["model"]["checkpoint"]
-        if not checkpoint:
+    else:
+        if not cfg["model"]["checkpoint"]:
             raise ConfigError("[dre] bridge_kind = flow needs [model] checkpoint")
         path = flow_bridge_path(_load_checkpoint(cfg), train_pool, q_pool, bridges)
-    else:
-        raise ConfigError(f"[dre] bridge_kind must be ou or flow, got {bridge_kind!r}")
 
-    grid = support_grid(source, target, train_pool, q_pool,
-                        _as_positive(cfg, "dre", "grid"))
+    grid = support_grid(source, target, train_pool, q_pool, cfg["dre"]["grid"])
+    if not len(grid):
+        raise ConfigError(f"[dre] grid = {cfg['dre']['grid']} keeps no point where "
+                          "either density lives")
     direct = tp.fit_logistic_ratio(train_pool, q_pool, fit_cfg).log_ratio(grid)
     tele = tp.telescopic_log_ratio(path, grid, fit_cfg)
     analytic = None
@@ -446,29 +450,24 @@ def _task_dre(cfg, seed, writer):
     if train_pool.d == 2:
         _scatter(writer, "samples.svg",
                  [(train_pool.positions, "p"), (q_pool.positions, "q")])
-    _report(writer, cfg, "dre", seed, payload)
+    return payload
 
 
 def _task_dro(cfg, seed, writer):
     source, _, train_pool, holdout = _dataset_pools(cfg, seed)
-    kind = cfg["dro"]["risk"]
-    if kind == "linear":
-        c = np.asarray(_as_floats(cfg, "dro", "risk_c"))
-        if len(c) != train_pool.d:
-            raise ConfigError(f"[dro] risk_c needs {train_pool.d} components")
-        risk = tp.RiskFunction.linear(c)
-    else:
-        raise ConfigError(f"config-driven dro supports only the linear risk, got {kind!r}")
+    c = np.asarray(cfg["dro"]["risk_c"])  # [dro] risk admits only linear
+    if len(c) != train_pool.d:
+        raise ConfigError(f"[dro] risk_c needs {train_pool.d} components")
+    risk = tp.RiskFunction.linear(c)
     tcfg = _train_config(cfg, seed)
-    gamma = _as_positive(cfg, "dro", "gamma", _as_float)
+    gamma = cfg["dro"]["gamma"]
     res = tp.dro_train(risk, train_pool, gamma, tcfg)
     _write_loss_csv(writer, res.losses, res.wall_ms)
     ds.save_particles_csv(writer.path("samples.csv"), res.ensemble)
     if train_pool.d == 2:
         _scatter(writer, "samples.svg",
                  [(train_pool.positions, "p"), (res.ensemble.positions, "worst-case")])
-    payload = {"risk": res.risk, "movement": res.movement, "gamma": gamma}
-    _report(writer, cfg, "dro", seed, payload)
+    return {"risk": res.risk, "movement": res.movement, "gamma": gamma}
 
 
 def _task_eval(cfg, seed, writer):
@@ -484,23 +483,21 @@ def _task_eval(cfg, seed, writer):
                 name, res.value, sizes, seed,
                 {"std_err": res.std_err, "n_nonfinite": res.n_nonfinite}).__dict__)
             continue
-        if name not in SAMPLE_METRICS:
-            raise ConfigError(f"metric {name!r} needs a trained chain; use a train task")
         value = _sample_metric(name, train_pool, q_pool)
         reports.append(metrics.MetricReport(name, float(value), sizes, seed).__dict__)
     if train_pool.d == 2:
         _scatter(writer, "samples.svg",
                  [(train_pool.positions, "p"), (q_pool.positions, "q")])
-    _report(writer, cfg, "eval", seed, {"metrics": reports})
+    return {"metrics": reports}
 
 
 def _task_sample(cfg, seed, writer):
     checkpoint = cfg["model"]["checkpoint"]
-    count = _as_positive(cfg, "dataset", "count")
+    count = cfg["dataset"]["count"]
     if checkpoint:
         chn = _load_checkpoint(cfg)
     else:
-        target = _preset(cfg, "target", _as_positive(cfg, "dataset", "dim"))
+        target = ds.preset_density(cfg["dataset"]["target"], cfg["dataset"]["dim"])
         if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
             raise ConfigError("sampling without a checkpoint needs an analytic target")
         chn = _build_chain(cfg, target.d, target, seed)
@@ -508,8 +505,7 @@ def _task_sample(cfg, seed, writer):
     ds.save_particles_csv(writer.path("samples.csv"), generated)
     if generated.d == 2:
         _scatter(writer, "samples.svg", [(generated.positions, "samples")])
-    _report(writer, cfg, "sample", seed, {"count": count,
-                                          "checkpoint": checkpoint or None})
+    return {"count": count, "checkpoint": checkpoint or None}
 
 
 def support_grid(source, target, p_pool, q_pool, n_grid, min_log_density=-5.5):
@@ -573,12 +569,13 @@ def flow_bridge_path(chn, p_pool, q_pool, bridges):
 def run_experiment(config_path, task=None, seed=None, out=None) -> int:
     """Run one experiment; returns the process exit code."""
     try:
-        cfg = parse_config(config_path)
-        task = task or cfg["experiment"]["task"]
-        if task not in TASKS:
-            raise ConfigError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
-        seed = seed if seed is not None else _as_int(cfg, "experiment", "seed")
-        out_dir = out or cfg["experiment"]["out"] or os.path.join("runs", task)
+        raw, cfg = parse_config(config_path)
+        experiment = cfg["experiment"]
+        task = _value("experiment", "task", task) if task else experiment["task"]
+        if task is None:
+            raise ConfigError(f"no task given; known: {', '.join(TASKS)}")
+        seed = experiment["seed"] if seed is None else _value("experiment", "seed", str(seed))
+        out_dir = out or experiment["out"] or os.path.join("runs", task)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -587,17 +584,18 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
     t0 = time.time()
     try:
         if task in ("train-cnf", "train-jko", "train-fm", "train-lfm"):
-            _task_train(task, cfg, seed, writer)
+            payload = _task_train(task, cfg, seed, writer)
         elif task == "ot":
-            _task_ot(cfg, seed, writer)
+            payload = _task_ot(cfg, seed, writer)
         elif task == "dre":
-            _task_dre(cfg, seed, writer)
+            payload = _task_dre(cfg, seed, writer)
         elif task == "dro":
-            _task_dro(cfg, seed, writer)
+            payload = _task_dro(cfg, seed, writer)
         elif task == "eval":
-            _task_eval(cfg, seed, writer)
+            payload = _task_eval(cfg, seed, writer)
         else:
-            _task_sample(cfg, seed, writer)
+            payload = _task_sample(cfg, seed, writer)
+        _report(writer, raw, task, seed, payload)
     except ConfigError as err:
         writer.rollback()
         print(f"config error: {err}", file=sys.stderr)
@@ -608,7 +606,7 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     # wall-clock and timestamps live outside the deterministic artifacts
-    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="ascii") as fh:
+    with open(writer.path("run_meta.json"), "w", encoding="ascii") as fh:
         json.dump({"started_unix": t0, "elapsed_s": time.time() - t0}, fh, indent=2)
         fh.write("\n")
     return 0

@@ -299,7 +299,7 @@ class DatasetSpec:
             raise ValueError("count must be >= 1")
 
 
-_PRESETS = ("standard-gaussian", "fig10-p", "fig10-q", "two-moons", "checkerboard", "branch-tree")
+PRESETS = ("standard-gaussian", "fig10-p", "fig10-q", "two-moons", "checkerboard", "branch-tree")
 
 
 def preset_density(name, dim=2, shift=()):
@@ -319,7 +319,7 @@ def preset_density(name, dim=2, shift=()):
         return Checkerboard()
     if name == "branch-tree":
         return branch_tree()
-    raise KeyError(f"unknown preset {name!r}; known: {', '.join(_PRESETS)}")
+    raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
 
 
 def sample_dataset(spec: DatasetSpec, rng=None) -> ParticleEnsemble:

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wflow import chain as fc
 from wflow import cli
@@ -76,6 +78,12 @@ def test_unknown_section_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", "[bogus]\nx = 1\n")
     assert cli.run_experiment(cfg, task="eval", out=str(tmp_path / "o")) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_default_section_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.ini", "[DEFAULT]\ncount = 5\n")
+    assert cli.run_experiment(cfg, task="eval", out=str(tmp_path / "o")) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):
@@ -153,6 +161,12 @@ def _tiny_config(tmp_path, task, section, key, value):
     ("train-jko", "dataset", "count", "0"),
     ("train-jko", "dataset", "holdout", "0"),
     ("train-jko", "dataset", "shift", "1,2,3"),
+    ("train-jko", "dataset", "shift", "nan,0"),
+    ("train-jko", "dataset", "shift", "inf,0"),
+    ("dro", "dro", "risk_c", "nan,0"),
+    ("train-jko", "train", "gamma", "inf"),
+    ("eval", "experiment", "seed", "-1"),
+    ("dre", "dre", "grid", "1"),  # the one grid point lies where neither density lives
     ("sample", "dataset", "count", "0"),
     ("sample", "model", "checkpoint", "{tmp}/missing.wflw"),
     # each metric's sample is below its minimum: 2 points, d+1 for a covariance
@@ -172,7 +186,7 @@ def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
     assert cli.run_experiment(cfg, task=task.partition("+")[0], out=str(out)) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, key, value", [
@@ -199,7 +213,7 @@ def test_kl_mc_on_a_train_task_rejected_before_training(tmp_path, capsys, monkey
     out = tmp_path / "out"
     assert cli.run_experiment(cfg, task="train-jko", out=str(out)) == 2
     assert "kl_mc applies to the eval task only" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_artifact_json_rejects_non_finite_values(tmp_path):
@@ -217,7 +231,57 @@ def test_diverged_training_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run_experiment(cfg, task="dro", out=str(out)) == 3
     assert "non-finite at iteration" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_rollback_keeps_directories_it_did_not_make(tmp_path):
+    out = tmp_path / "a" / "b"
+    writer = cli.ArtifactWriter(str(out))
+    (tmp_path / "keep.txt").write_text("")
+    with open(writer.path("x.csv"), "w") as fh:
+        fh.write("1\n")
+    writer.rollback()
+    assert not (tmp_path / "a").exists()
+    assert (tmp_path / "keep.txt").exists()
+
+
+_DRAWN = ("0", "1", "-1", "nan", "inf", "-inf", "", "x", "1,")
+_NON_ASCII = st.text(st.characters(min_codepoint=128, max_codepoint=0xD7FF),
+                     min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, keys
+                                          in cli.CONFIG_TABLE.items() for key in keys])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_parse_config_returns_or_raises_config_error(tmp_path, section, key, data):
+    default = cli.CONFIG_TABLE[section][key][0]
+    value = data.draw(st.sampled_from((default,) + _DRAWN) | _NON_ASCII)
+    path = tmp_path / "one.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    try:
+        raw, _ = cli.parse_config(str(path))
+    except cli.ConfigError:
+        return
+    assert raw[section][key] == value.strip()
+
+
+def test_main_negative_seed_override_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "eval.ini", EVAL_INI)
+    out = tmp_path / "o"
+    assert cli.main(["eval", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "config error: [experiment] seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(EVAL_INI.replace("3\n", "3 # caf\u00e9\n").encode("latin-1"))
+    out = tmp_path / "o"
+    assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: cannot parse" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exit_2(tmp_path):
