@@ -58,9 +58,6 @@ class FlowBlock:
     def parameter_arrays(self):
         return self.field.parameter_arrays()
 
-    def parameter_count(self):
-        return self.field.parameter_count()
-
 
 class FlowChain:
     """Ordered invertible blocks covering [0, T] plus the base density."""

@@ -151,20 +151,23 @@ def parse_config(path):
 class ArtifactWriter:
     """Tracks files written by one run so failures can clean up after themselves.
 
-    The output directory is made on the first write, and rollback removes the
-    directories this writer made, never one that existed before."""
+    An output path under a file is a config error, raised before the task
+    runs. The output directory is made on the first write, and rollback
+    removes the directories this writer made, never one that existed before."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.written = []
         self.made = []  # deepest first
+        head = os.path.abspath(out_dir)
+        while not os.path.lexists(head):
+            self.made.append(head)
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(f"output path {out_dir!r}: {head} exists and is not a directory")
 
     def path(self, name):
         if not self.written:
-            head = os.path.abspath(self.out_dir)
-            while not os.path.exists(head):
-                self.made.append(head)
-                head = os.path.dirname(head)
             os.makedirs(self.out_dir, exist_ok=True)
         p = os.path.join(self.out_dir, name)
         self.written.append(p)
@@ -575,12 +578,11 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
         if task is None:
             raise ConfigError(f"no task given; known: {', '.join(TASKS)}")
         seed = experiment["seed"] if seed is None else _value("experiment", "seed", str(seed))
-        out_dir = out or experiment["out"] or os.path.join("runs", task)
+        writer = ArtifactWriter(out or experiment["out"] or os.path.join("runs", task))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    writer = ArtifactWriter(out_dir)
     t0 = time.time()
     try:
         if task in ("train-cnf", "train-jko", "train-fm", "train-lfm"):

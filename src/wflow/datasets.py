@@ -1,13 +1,11 @@
 """Analytic densities, synthetic 2-D samplers, and particle ensembles.
 
-Gaussians and Gaussian mixtures carry exact log-pdfs, exact samplers, and
-closed-form scores; they serve simultaneously as sources, targets, and
-oracles. Name-keyed presets package the standard experiment inputs.
+Gaussians and Gaussian mixtures carry exact log-pdfs and exact samplers;
+they serve simultaneously as sources, targets, and oracles. Name-keyed
+presets package the standard experiment inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +33,16 @@ class ParticleEnsemble:
     def d(self) -> int:
         return self.positions.shape[1]
 
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(
-            self.positions.copy(), None if self.logdens is None else self.logdens.copy()
-        )
-
     def __repr__(self):
         return f"ParticleEnsemble(m={self.m}, d={self.d})"
+
+
+def as_positions(x) -> np.ndarray:
+    """An ensemble's (m, d) positions, or x as float64 with a 1-D x taken as (m, 1)."""
+    if isinstance(x, ParticleEnsemble):
+        return x.positions
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def save_particles_csv(path, ensemble: ParticleEnsemble):
@@ -61,9 +62,7 @@ def load_particles_csv(path) -> ParticleEnsemble:
 
 
 class Gaussian:
-    """Multivariate normal with exact log-pdf, sampler, and score."""
-
-    kind = "gaussian"
+    """Multivariate normal with exact log-pdf and sampler."""
 
     def __init__(self, mean, cov):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
@@ -100,12 +99,6 @@ class Gaussian:
         z = rng.standard_normal((n, self.d))
         return self.mean + z @ self._chol.T
 
-    def score(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        out = -(np.atleast_2d(x) - self.mean) @ self._prec.T
-        return out[0] if single else out
-
     def potential_expr(self, x: nc.Tensor) -> nc.Tensor:
         """V with density proportional to exp(-V): the negative log-pdf minus its constant."""
         inv_l_t = np.linalg.inv(self._chol).T
@@ -121,14 +114,9 @@ class Gaussian:
         maha = float(delta @ prec @ delta)
         return 0.5 * (trace + maha - self.d + other._logdet - self._logdet)
 
-    def spec(self):
-        return {"kind": "gaussian", "mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
 
 class GaussianMixture:
-    """Weighted Gaussian mixture; log-pdf via log-sum-exp, exact posterior score."""
-
-    kind = "mixture"
+    """Weighted Gaussian mixture; log-pdf via log-sum-exp."""
 
     def __init__(self, weights, components):
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -141,15 +129,11 @@ class GaussianMixture:
         if any(c.d != self.d for c in self.components):
             raise ValueError("mixture components must share a dimension")
 
-    def _component_logs(self, x) -> np.ndarray:
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        logs = np.stack([c.log_pdf(x2) for c in self.components], axis=1)
-        return logs + np.log(self.weights)
-
     def log_pdf(self, x):
         single = np.asarray(x).ndim == 1
-        logs = self._component_logs(x)
-        out = _logsumexp(logs, axis=1)
+        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        logs = np.stack([c.log_pdf(x2) for c in self.components], axis=1)
+        out = _logsumexp(logs + np.log(self.weights), axis=1)
         return float(out[0]) if single else out
 
     def sample(self, n, rng) -> np.ndarray:
@@ -158,22 +142,6 @@ class GaussianMixture:
         samples = np.concatenate(parts, axis=0)
         rng.shuffle(samples, axis=0)
         return samples
-
-    def score(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        logs = self._component_logs(x)
-        resp = np.exp(logs - _logsumexp(logs, axis=1)[:, None])
-        comp_scores = np.stack([c.score(np.atleast_2d(x)) for c in self.components], axis=1)
-        out = np.einsum("ik,ikj->ij", resp, comp_scores)
-        return out[0] if single else out
-
-    def spec(self):
-        return {
-            "kind": "mixture",
-            "weights": self.weights.tolist(),
-            "components": [c.spec() for c in self.components],
-        }
 
 
 def _logsumexp(a, axis):
@@ -232,7 +200,6 @@ def branch_tree(depth=4, sigma=0.12) -> GaussianMixture:
 class TwoMoons:
     """Two interleaving noisy half-circles; sampler only, no closed-form pdf."""
 
-    kind = "two-moons"
     d = 2
 
     def __init__(self, noise=0.08):
@@ -253,7 +220,6 @@ class TwoMoons:
 class Checkerboard:
     """Uniform density over the black cells of a 4x4 board on [-2, 2]^2."""
 
-    kind = "checkerboard"
     d = 2
 
     def __init__(self):
@@ -283,22 +249,6 @@ class Checkerboard:
         return float(out[0]) if single else out
 
 
-@dataclass
-class DatasetSpec:
-    """Named preset (or inline mixture) plus a sample count and seed."""
-
-    preset: str
-    count: int
-    dim: int = 2
-    seed: int = 0
-    shift: tuple = ()
-    mixture: GaussianMixture | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-
 PRESETS = ("standard-gaussian", "fig10-p", "fig10-q", "two-moons", "checkerboard", "branch-tree")
 
 
@@ -320,27 +270,3 @@ def preset_density(name, dim=2, shift=()):
     if name == "branch-tree":
         return branch_tree()
     raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
-
-
-def sample_dataset(spec: DatasetSpec, rng=None) -> ParticleEnsemble:
-    """Draw spec.count particles; deterministic given spec.seed."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    density = spec.mixture if spec.mixture is not None else preset_density(
-        spec.preset, spec.dim, spec.shift)
-    return ParticleEnsemble(density.sample(spec.count, rng))
-
-
-def log_pdf(density, x):
-    """Exact log-density of ``density`` at x (module-level convenience)."""
-    return density.log_pdf(x)
-
-
-def density_from_spec(spec: dict):
-    """Rebuild a Gaussian/mixture from its serialized spec dict."""
-    if spec["kind"] == "gaussian":
-        return Gaussian(np.asarray(spec["mean"]), np.asarray(spec["cov"]))
-    if spec["kind"] == "mixture":
-        comps = [density_from_spec(c) for c in spec["components"]]
-        return GaussianMixture(np.asarray(spec["weights"]), comps)
-    raise ValueError(f"cannot rebuild density of kind {spec['kind']!r}")

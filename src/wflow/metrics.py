@@ -16,7 +16,6 @@ matrix: its one product needs it whole.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -25,7 +24,7 @@ import numpy as np
 from wflow import _kernels
 from wflow import chain as flowchain
 from wflow import numcore as nc
-from wflow.datasets import Gaussian, ParticleEnsemble
+from wflow.datasets import Gaussian, as_positions
 
 # scipy's assignment on the eval distributions (N((1.5, 0), I) against N(0, I),
 # d=2, one BLAS thread, 2-core x86-64 host) takes about 0.15 s at 512 points,
@@ -43,13 +42,6 @@ _MEDIAN_SHIFT = 48
 _MEDIAN_BINS = 1 << (63 - _MEDIAN_SHIFT)
 
 
-def _pos(x) -> np.ndarray:
-    if isinstance(x, ParticleEnsemble):
-        return x.positions
-    x = np.asarray(x, dtype=np.float64)
-    return x[:, None] if x.ndim == 1 else x
-
-
 @dataclass
 class MetricReport:
     """A single metric value with enough context to reproduce it."""
@@ -64,16 +56,6 @@ class MetricReport:
         if not np.isfinite(self.value):
             raise nc.NumericError(f"metric {self.name} produced a non-finite value")
 
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "value": self.value,
-            "sample_sizes": self.sample_sizes,
-            "seed": self.seed,
-            "config": self.config,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def nll_eval(chain, test_set, est=None, rng=None) -> float:
     """Mean negative model log-density over held-out points.
@@ -81,7 +63,7 @@ def nll_eval(chain, test_set, est=None, rng=None) -> float:
     The caller is responsible for keeping the test set disjoint from
     training data; reports flag this assumption rather than checking it.
     """
-    x = _pos(test_set)
+    x = as_positions(test_set)
     return float(-np.mean(flowchain.log_density(chain, x, est, rng)))
 
 
@@ -92,7 +74,7 @@ def gauss_fid(ens_a, ens_b, return_details=False):
     square root taken through the symmetric product S_a^{1/2} S_b S_a^{1/2}
     and eigenvalues clamped at zero (the clamp is flagged in the details).
     """
-    a, b = _pos(ens_a), _pos(ens_b)
+    a, b = as_positions(ens_a), as_positions(ens_b)
     d = a.shape[1]
     if len(a) < d + 1 or len(b) < d + 1:
         raise ValueError(f"need at least d+1 = {d + 1} points per ensemble")
@@ -118,7 +100,7 @@ def gauss_fid(ens_a, ens_b, return_details=False):
 
 def w2_exact(ens_a, ens_b) -> float:
     """Exact Wasserstein-2 between equal-size empirical measures (m <= 512)."""
-    a, b = _pos(ens_a), _pos(ens_b)
+    a, b = as_positions(ens_a), as_positions(ens_b)
     if len(a) != len(b):
         raise ValueError(f"particle counts differ: {len(a)} vs {len(b)}")
     if len(a) > W2_MAX_PARTICLES:
@@ -232,7 +214,7 @@ def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
     The within-sample sums run over the upper triangles and the cross sum
     over a x b, each streamed in row blocks: no kernel matrix is built.
     """
-    a, b = _pos(ens_a), _pos(ens_b)
+    a, b = as_positions(ens_a), as_positions(ens_b)
     m, n = len(a), len(b)
     if m < 2 or n < 2:
         raise ValueError("mmd needs at least two points per ensemble")
@@ -254,7 +236,7 @@ def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None
     The joint kernel matrix K is filled in place a row block at a time; it is
     kept whole because every permutation's sums come out of one product with it.
     """
-    a, b = _pos(ens_a), _pos(ens_b)
+    a, b = as_positions(ens_a), as_positions(ens_b)
     if rng is None:
         rng = np.random.default_rng(0)
     if bandwidth == "median":
@@ -281,7 +263,7 @@ def kl_mc(logp, logq, samples_of_p) -> KlResult:
     Non-finite terms are dropped and counted; more than 0.1% of them
     aborts the estimate.
     """
-    x = _pos(samples_of_p)
+    x = as_positions(samples_of_p)
     terms = np.asarray(logp(x), dtype=np.float64) - np.asarray(logq(x), dtype=np.float64)
     finite = np.isfinite(terms)
     n_bad = int(np.sum(~finite))
@@ -295,6 +277,6 @@ def kl_mc(logp, logq, samples_of_p) -> KlResult:
 
 def moment_fit_kl(ensemble, target: Gaussian) -> float:
     """Closed-form KL of the ensemble's Gaussian moment fit to a Gaussian target."""
-    x = _pos(ensemble)
+    x = as_positions(ensemble)
     fit = Gaussian(x.mean(axis=0), np.atleast_2d(np.cov(x, rowvar=False)))
     return fit.kl_to(target)

@@ -54,10 +54,6 @@ def parameter_arrays(layers) -> list[np.ndarray]:
     return out
 
 
-def parameter_count(layers) -> int:
-    return sum(p.size for p in parameter_arrays(layers))
-
-
 class BoundLayers:
     """Layer parameters wrapped as Tensors, optionally watched on a tape."""
 

@@ -2,16 +2,15 @@
 
 Eager numpy evaluation with optional recording onto an explicit tape. The
 built-in primitives are small and general (add, mul, matmul, affine, tanh,
-softplus, sum, mean, square, exp, log, concat, slice); other modules
-register fused primitives through the same registry (``_primitive``):
-``velocity_divergence`` (one velocity + divergence stage) in
-``wflow.velocity`` and ``integrate_block`` (one whole Euler/RK4 block
-integration) in ``wflow.odeint``. Every primitive carries its
-own vector-Jacobian product, so one reverse sweep over a frozen tape yields
-exactly one gradient per watched parameter; ``value_and_grad`` is that
-protocol (record, mark the loss, freeze, sweep) for a scalar loss. Any
-non-finite primitive output aborts immediately -- silent NaN propagation is
-treated as a bug.
+softplus, sum, mean, square, concat, slice); other modules register fused
+primitives through the same registry (``_primitive``): ``velocity_divergence``
+(one velocity + divergence stage) in ``wflow.velocity`` and
+``integrate_block`` (one whole Euler/RK4 block integration) in
+``wflow.odeint``. Every primitive carries its own vector-Jacobian product, so
+one reverse sweep over a frozen tape yields exactly one gradient per watched
+parameter; ``value_and_grad`` is that protocol (record, mark the loss, freeze,
+sweep) for a scalar loss. Any non-finite primitive output aborts immediately
+-- silent NaN propagation is treated as a bug.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "Tape",
     "NumericError",
     "ShapeError",
-    "GradCheckReport",
     "add",
     "mul",
     "matmul",
@@ -35,15 +33,10 @@ __all__ = [
     "tsum",
     "tmean",
     "square",
-    "exp",
-    "log",
     "concat",
     "slice_",
-    "record_forward",
     "grad",
     "value_and_grad",
-    "check_gradient_fd",
-    "check_loss_gradient_fd",
 ]
 
 
@@ -217,22 +210,6 @@ class Tape:
             return tensor.node
         return self._leaf(tensor, "const")
 
-    def replay(self, param_values=None):
-        """Re-execute the recorded program, optionally with new parameter values.
-
-        Returns the output values. With identical inputs the replay is
-        bit-identical to the original run: same ops, same order, same dtypes.
-        """
-        values = [None] * len(self.nodes)
-        new = dict(zip(self.param_slots, param_values)) if param_values else {}
-        for i, node in enumerate(self.nodes):
-            if node.op in ("param", "const"):
-                values[i] = _as_c_array(new.get(i, node.value))
-            else:
-                args = [values[j] for j in node.inputs]
-                values[i] = _FORWARD[node.op](args, node.meta)
-        return [values[i] for i in self.outputs]
-
 
 _ACTIVE: Tape | None = None
 
@@ -396,28 +373,6 @@ def _square_bwd(node, inputs, g):
 _primitive("square", _square_fwd, _square_bwd)
 
 
-def _exp_fwd(args, meta):
-    return np.exp(args[0])
-
-
-def _exp_bwd(node, inputs, g):
-    return (g * node.value,)
-
-
-_primitive("exp", _exp_fwd, _exp_bwd)
-
-
-def _log_fwd(args, meta):
-    return np.log(args[0])
-
-
-def _log_bwd(node, inputs, g):
-    return (g / inputs[0],)
-
-
-_primitive("log", _log_fwd, _log_bwd)
-
-
 # reductions ------------------------------------------------------------------
 
 def _sum_fwd(args, meta):
@@ -522,14 +477,6 @@ def square(x) -> Tensor:
     return _apply("square", (as_tensor(x),))
 
 
-def exp(x) -> Tensor:
-    return _apply("exp", (as_tensor(x),))
-
-
-def log(x) -> Tensor:
-    return _apply("log", (as_tensor(x),))
-
-
 def concat(parts, axis=0) -> Tensor:
     return _apply("concat", tuple(as_tensor(p) for p in parts), (axis,))
 
@@ -539,25 +486,7 @@ def slice_(x, axis, start, stop) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# recording, reverse sweep, finite-difference check
-
-def record_forward(program, inputs):
-    """Run ``program`` on watched copies of ``inputs``, recording every primitive.
-
-    Returns ``(outputs, tape)`` where outputs equal eager evaluation of the
-    program and the frozen tape replays to bit-identical outputs.
-    """
-    tape = Tape()
-    with tape:
-        watched = [tape.watch(as_tensor(x)) for x in inputs]
-        outs = program(*watched)
-    if isinstance(outs, Tensor):
-        outs = (outs,)
-    for out in outs:
-        tape.mark_output(out)
-    tape.freeze()
-    return list(outs), tape
-
+# reverse sweep
 
 def grad(tape: Tape, seed=None):
     """One reverse sweep: returns d(output)/d(slot) for every parameter slot.
@@ -619,90 +548,3 @@ def value_and_grad(build):
     tape.freeze()
     grads = [g.data for g in grad(tape)]
     return (float(loss.data), grads, *(float(e.data) for e in extras))
-
-
-@dataclass
-class GradCheckReport:
-    passed: bool
-    max_rel_err: float
-    worst_param: int
-    worst_coord: int
-    rel_tol: float
-
-    def __str__(self):
-        state = "pass" if self.passed else "FAIL"
-        return (
-            f"gradcheck {state}: max rel err {self.max_rel_err:.3e} "
-            f"(param {self.worst_param}, coord {self.worst_coord}, tol {self.rel_tol:.1e})"
-        )
-
-
-def check_gradient_fd(loss, params, rel_tol=1e-4) -> GradCheckReport:
-    """Compare the tape gradient of a scalar loss against central differences.
-
-    ``loss`` maps a list of Tensors to a scalar Tensor and must be evaluable
-    at perturbed parameters. Central step is h = 1e-5 * (1 + |p|) per
-    coordinate. Relative error uses a small floor so exactly-zero analytic
-    and FD gradients agree instead of dividing by zero.
-    """
-    params = [as_tensor(p) for p in params]
-    _, analytic = value_and_grad(
-        lambda tape: loss(*[tape.watch(Tensor(p.data.copy())) for p in params]))
-
-    work = [p.data.copy() for p in params]
-
-    def eval_loss():
-        value = loss(*[Tensor(w) for w in work])
-        if not np.isfinite(value.data):
-            raise NumericError("non-finite loss at perturbed point")
-        return float(value.data)
-
-    max_err, worst = 0.0, (0, 0)
-    for pi, p in enumerate(work):
-        flat = p.reshape(-1)
-        for ci in range(flat.size):
-            orig = flat[ci]
-            h = 1e-5 * (1.0 + abs(orig))
-            flat[ci] = orig + h
-            up = eval_loss()
-            flat[ci] = orig - h
-            down = eval_loss()
-            flat[ci] = orig
-            fd = (up - down) / (2.0 * h)
-            a = analytic[pi].reshape(-1)[ci]
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-2)
-            if err > max_err:
-                max_err, worst = err, (pi, ci)
-    return GradCheckReport(max_err <= rel_tol, max_err, worst[0], worst[1], rel_tol)
-
-
-def check_loss_gradient_fd(loss_fn, params, rel_tol=1e-4) -> GradCheckReport:
-    """FD-check a loss that reports its own gradients.
-
-    ``loss_fn() -> (value, grads)`` reads the current contents of the
-    ``params`` arrays (e.g. a model's live parameter arrays), which are
-    perturbed in place, coordinate by coordinate, with the same central
-    scheme as check_gradient_fd.
-    """
-    value, analytic = loss_fn()
-    if not np.isfinite(value):
-        raise NumericError("non-finite loss at the base point")
-    max_err, worst = 0.0, (0, 0)
-    for pi, p in enumerate(params):
-        flat = p.reshape(-1)
-        for ci in range(flat.size):
-            orig = flat[ci]
-            h = 1e-5 * (1.0 + abs(orig))
-            flat[ci] = orig + h
-            up, _ = loss_fn()
-            flat[ci] = orig - h
-            down, _ = loss_fn()
-            flat[ci] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError("non-finite loss at perturbed point")
-            fd = (up - down) / (2.0 * h)
-            a = analytic[pi].reshape(-1)[ci]
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-2)
-            if err > max_err:
-                max_err, worst = err, (pi, ci)
-    return GradCheckReport(max_err <= rel_tol, max_err, worst[0], worst[1], rel_tol)

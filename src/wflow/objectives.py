@@ -18,6 +18,7 @@ of blocks before it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,10 +27,16 @@ import numpy as np
 from wflow import numcore as nc
 from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain, push_forward_logdet
-from wflow.datasets import ParticleEnsemble
+from wflow.datasets import ParticleEnsemble, as_positions
 from wflow.velocity import DivergenceEstimator, default_estimator
 
 FM_STRATA = 8
+
+
+def check_positive(name, value):
+    """Raise ValueError unless ``value`` is a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -50,8 +57,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_positive("learn_rate", self.learn_rate)
+        check_positive("gamma", self.gamma)
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -160,12 +167,6 @@ class Interpolant:
         return c, sn, -half_pi * sn, half_pi * c
 
 
-def _positions(data) -> np.ndarray:
-    if isinstance(data, ParticleEnsemble):
-        return data.positions
-    return np.asarray(data, dtype=np.float64)
-
-
 def _resolve_potential(potential):
     """Normalize the target-potential argument to a Tensor -> Tensor callable."""
     if potential is None:
@@ -181,7 +182,7 @@ def nll_loss(chain: FlowChain, batch, est: DivergenceEstimator | None = None, rn
     Returns (loss value, gradients) with gradients ordered like
     ``chain.parameter_arrays()``.
     """
-    x = _positions(batch)
+    x = as_positions(batch)
     if est is None:
         est = default_estimator(chain.d)
     if not hasattr(chain.base, "log_pdf_expr"):
@@ -204,9 +205,8 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
     The first part is the target KL up to an additive constant; the second
     regularizes the amount of particle movement.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    x = _positions(batch_prev)
+    check_positive("gamma", gamma)
+    x = as_positions(batch_prev)
     if est is None:
         est = default_estimator(block.field.d)
     v_of = _resolve_potential(potential)
@@ -231,8 +231,8 @@ def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
     are used, which keeps tiny fixed examples deterministic.
     """
     field = field.field if isinstance(field, FlowBlock) else field
-    x0 = _positions(batch0)
-    x1 = _positions(batch1)
+    x0 = as_positions(batch0)
+    x1 = as_positions(batch1)
     if len(x0) == 0 or len(x1) == 0:
         raise ValueError("empty batch")
     if x0.shape != x1.shape:
@@ -270,7 +270,7 @@ def make_local_fm_targets(batch_prev, gamma_n, rng):
     """
     if gamma_n < 0:
         raise ValueError("gamma_n must be nonnegative")
-    x_l = _positions(batch_prev)
+    x_l = as_positions(batch_prev)
     decay = np.exp(-gamma_n)
     spread = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * gamma_n)))
     x_r = decay * x_l + spread * rng.standard_normal(x_l.shape)
@@ -300,12 +300,12 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
         # sources, so the local kind defaults to the paired coupling
         interp = Interpolant(coupling="paired" if loss_kind == "local_fm" else "independent")
     if loss_kind == "fm":
-        pool0, pool1 = _positions(data[0]), _positions(data[1])
+        pool0, pool1 = as_positions(data[0]), as_positions(data[1])
         if len(pool0) != len(pool1):
             raise nc.ShapeError("fm training expects equal-size sample pools")
         pool_size = len(pool0)
     else:
-        pool = _positions(data)
+        pool = as_positions(data)
         pool_size = len(pool)
     take = min(cfg.batch_size, pool_size)
 

@@ -12,8 +12,8 @@ adjoint of that loop (discretize-then-optimize, as opposed to the continuous
 adjoint of Chen et al. 2018, "Neural Ordinary Differential Equations"),
 walking steps and stages in reverse through the stage kernel's VJP. The
 output keeps every stage input x next to the end state, (m, d + 1 + S d)
-for S stages, so the reverse sweep never re-integrates and a replay never
-leaves them stale; the stage times are not stored, because the adjoint
+for S stages, so the reverse sweep never re-integrates and a tape re-run
+never leaves them stale; the stage times are not stored, because the adjoint
 recomputes them from the grid bit for bit. The end state and the divergence
 integral are differentiable in the field parameters and in x0. The block
 meta carries the stage kernel's mode (velocity, tangent or closed);

@@ -19,8 +19,8 @@ from wflow import mlp
 from wflow import numcore as nc
 from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain
-from wflow.datasets import Gaussian, ParticleEnsemble
-from wflow.objectives import TrainConfig, cosine_lr, fit
+from wflow.datasets import Gaussian, ParticleEnsemble, as_positions
+from wflow.objectives import TrainConfig, check_positive, cosine_lr, fit
 from wflow.velocity import DivergenceEstimator, default_estimator, init_near_identity
 
 RATIO_WIDTHS = (64, 64)
@@ -34,13 +34,6 @@ class UnboundedRiskError(RuntimeError):
         self.trace = trace
 
 
-def _pos(x) -> np.ndarray:
-    if isinstance(x, ParticleEnsemble):
-        return x.positions
-    x = np.asarray(x, dtype=np.float64)
-    return x[:, None] if x.ndim == 1 else x
-
-
 @dataclass
 class RatioModel:
     """Classifier logit phi(x) estimating a log density ratio log(f1/f0)."""
@@ -48,11 +41,8 @@ class RatioModel:
     layers: list
     trained_on: tuple  # (bridge step index or None, (n0, n1) sample counts)
 
-    def parameter_arrays(self):
-        return mlp.parameter_arrays(self.layers)
-
     def log_ratio(self, x) -> np.ndarray:
-        out = mlp.BoundLayers(self.layers).forward(nc.Tensor(_pos(x)))
+        out = mlp.BoundLayers(self.layers).forward(nc.Tensor(as_positions(x)))
         return out.data[:, 0]
 
     def log_ratio_expr(self, x: nc.Tensor) -> nc.Tensor:
@@ -66,7 +56,7 @@ def logistic_ratio_loss(layers, samples0, samples1):
 
     Its population minimizer is phi = log(f1/f0). Returns (loss, grads).
     """
-    x0, x1 = _pos(samples0), _pos(samples1)
+    x0, x1 = as_positions(samples0), as_positions(samples1)
 
     def build(tape):
         bound = mlp.BoundLayers(layers, tape)
@@ -83,7 +73,7 @@ def logistic_ratio_loss(layers, samples0, samples1):
 def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
                        widths=RATIO_WIDTHS, step=None) -> RatioModel:
     """Train phi ~ log(f1/f0) from two sample sets by minibatch logistic loss."""
-    x0, x1 = _pos(samples0), _pos(samples1)
+    x0, x1 = as_positions(samples0), as_positions(samples1)
     if len(x0) == 0 or len(x1) == 0:
         raise ValueError("both sample sets must be nonempty")
     if x0.shape[1] != x1.shape[1]:
@@ -113,7 +103,7 @@ def telescopic_log_ratio(path, x, cfg: TrainConfig, return_models=False):
     """
     if len(path) < 2:
         raise ValueError("telescoping needs at least two ensembles")
-    xq = _pos(x)
+    xq = as_positions(x)
     total = np.zeros(len(xq))
     models = []
     for n in range(len(path) - 1):
@@ -180,7 +170,7 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
 
 def transport_cost(chain: FlowChain, p_samples) -> float:
     """Time-normalized mean squared particle movement, summed over blocks."""
-    x = _pos(p_samples)
+    x = as_positions(p_samples)
     total = 0.0
     for block in chain.blocks:
         x_next = odeint.integrate(block.field, x, block.integrator)
@@ -199,9 +189,8 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
     supplied, Gaussian moment fits of the sample pools stand in for them
     (exact whenever p and q really are Gaussian).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    xp_pool, xq_pool = _pos(p_samples), _pos(q_samples)
+    check_positive("gamma", gamma)
+    xp_pool, xq_pool = as_positions(p_samples), as_positions(q_samples)
     base_p = p_density if p_density is not None else _moment_gaussian(xp_pool)
     base_q = q_density if q_density is not None else _moment_gaussian(xq_pool)
     for name, dens in (("p", base_p), ("q", base_q)):
@@ -251,10 +240,6 @@ class RiskFunction:
         return cls(expr, kind="linear")
 
     @classmethod
-    def from_callable(cls, fn) -> "RiskFunction":
-        return cls(fn, kind="custom")
-
-    @classmethod
     def classifier_loss(cls, model: RatioModel, label=1) -> "RiskFunction":
         """Logistic loss of a fixed classifier at x, under the given label.
 
@@ -274,7 +259,7 @@ class RiskFunction:
         return self.expr(x)
 
     def eval(self, x) -> np.ndarray:
-        return self.expr(nc.Tensor(_pos(x))).data
+        return self.expr(nc.Tensor(as_positions(x))).data
 
 
 @dataclass
@@ -323,18 +308,17 @@ def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
     loss descent (no deceleration over 500 iterations) aborts with a
     diagnosis: the risk is unbounded below at this gamma.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_positive("gamma", gamma)
     draw, pool = _resolve_sampler(p_sampler)
     if d is None:
         probe = draw(1, np.random.default_rng(cfg.seed))
-        d = _pos(probe).shape[1]
+        d = as_positions(probe).shape[1]
     field = init_near_identity(d, widths=widths, seed=cfg.seed + seed_offset,
                                interval=(0.0, 1.0))
     block = FlowBlock(field, odeint.IntegratorConfig("rk4", steps, (0.0, 1.0)))
 
     def minibatch(rng):
-        x = _pos(draw(cfg.batch_size, rng))
+        x = as_positions(draw(cfg.batch_size, rng))
 
         def build(tape):
             y = odeint.integrate_tensor(field.bind(tape), nc.Tensor(x), block.integrator)
@@ -354,7 +338,7 @@ def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
     losses, wall = fit(minibatch, block.parameter_arrays(), cfg, check=check)
     block.trained = True
     eval_rng = np.random.default_rng([cfg.seed, cfg.iterations])
-    x_eval = _pos(pool if pool is not None else draw(4096, eval_rng))
+    x_eval = as_positions(pool if pool is not None else draw(4096, eval_rng))
     y_eval = odeint.integrate(field, x_eval, block.integrator)
     risk_value = float(np.mean(risk.eval(y_eval)))
     movement = float(np.mean(np.sum((y_eval - x_eval) ** 2, axis=1)))

@@ -92,9 +92,6 @@ class VelocityField:
     def parameter_arrays(self):
         return mlp.parameter_arrays(self.layers)
 
-    def parameter_count(self):
-        return mlp.parameter_count(self.layers)
-
     def bind(self, tape=None) -> "BoundVelocity":
         return BoundVelocity(self, tape)
 
@@ -186,11 +183,11 @@ def draw_probes(est: DivergenceEstimator, acts, m, d, rng):
 # Each layer works in place on the fresh output of its GEMM: bias add,
 # activation and slope, and in the VJP the cotangent updates. The
 # ``velocity_divergence`` primitive packs [v | div] as (m, d+1) and keeps
-# nothing beyond its output, so eager callers hold no residuals and a replay
-# leaves none stale; its VJP recomputes the sweep, the primal alone in the
-# velocity and closed modes. Both divergence modes reach z through act'' (see
-# stage_vjp). ``wflow.odeint`` calls the same kernel and VJP once per stage of
-# a block.
+# nothing beyond its output, so eager callers hold no residuals and a tape
+# re-run leaves none stale; its VJP recomputes the sweep, the primal alone in
+# the velocity and closed modes. Both divergence modes reach z through act''
+# (see stage_vjp). ``wflow.odeint`` calls the same kernel and VJP once per
+# stage of a block.
 
 def _activate(act, z, want_slope):
     """act(z), in place on z but for softplus, and the slope act'(z).
@@ -398,40 +395,3 @@ def init_near_identity(d, widths=(64, 64), seed=0, interval=(0.0, 1.0), t_total=
     if t_total is None:
         t_total = max(interval[1], 1.0)
     return VelocityField(layers, interval, t_total, d)
-
-
-def affine_field(a, c=None, interval=(0.0, 1.0), t_total=None) -> VelocityField:
-    """Single identity-activation layer realizing v(x) = A x + c, time-independent."""
-    a = np.asarray(a, dtype=np.float64)
-    d = a.shape[0]
-    c = np.zeros(d) if c is None else np.asarray(c, dtype=np.float64)
-    w = np.zeros((d + 1, d))
-    w[:d, :] = a.T  # affine computes x @ w, so rows index input coords
-    layers = [mlp.Layer(w, c.copy(), "identity")]
-    if t_total is None:
-        t_total = max(interval[1], 1.0)
-    return VelocityField(layers, interval, t_total, d)
-
-
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    return (x[None, :] if single else x), single
-
-
-def eval_velocity(field: VelocityField, x, t) -> np.ndarray:
-    """Eager forward pass; accepts a single point (d,) or a batch (m, d)."""
-    xb, single = _as_batch(x)
-    if xb.shape[1] != field.d:
-        raise nc.ShapeError(f"point dimension {xb.shape[1]} != field dimension {field.d}")
-    v = field.bind().velocity(nc.Tensor(xb), t)
-    return v.data[0] if single else v.data
-
-
-def divergence(field: VelocityField, x, t, est: DivergenceEstimator | None = None, rng=None):
-    """Eager divergence at (x, t); scalar for a single point, (m,) for a batch."""
-    if est is None:
-        est = default_estimator(field.d)
-    xb, single = _as_batch(x)
-    _, div = field.bind().velocity_and_divergence(nc.Tensor(xb), t, est, rng)
-    return float(div.data[0]) if single else div.data

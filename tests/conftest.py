@@ -2,11 +2,54 @@
 
 The affine-velocity helpers give exact flow maps (matrix exponentials) and
 exact Gaussian pushforwards, independent of the numerical integrators they
-are used to check.
+are used to check. ``affine_field`` builds the velocity field those maps
+solve, and ``eval_velocity``/``divergence`` evaluate any field eagerly at a
+single point or a batch.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from wflow import mlp
+from wflow import numcore as nc
+from wflow.velocity import DivergenceEstimator, VelocityField, default_estimator
+
+
+def affine_field(a, c=None, interval=(0.0, 1.0), t_total=None) -> VelocityField:
+    """Single identity-activation layer realizing v(x) = A x + c, time-independent."""
+    a = np.asarray(a, dtype=np.float64)
+    d = a.shape[0]
+    c = np.zeros(d) if c is None else np.asarray(c, dtype=np.float64)
+    w = np.zeros((d + 1, d))
+    w[:d, :] = a.T  # affine computes x @ w, so rows index input coords
+    layers = [mlp.Layer(w, c.copy(), "identity")]
+    if t_total is None:
+        t_total = max(interval[1], 1.0)
+    return VelocityField(layers, interval, t_total, d)
+
+
+def _as_batch(x):
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    return (x[None, :] if single else x), single
+
+
+def eval_velocity(field: VelocityField, x, t) -> np.ndarray:
+    """Eager forward pass; accepts a single point (d,) or a batch (m, d)."""
+    xb, single = _as_batch(x)
+    if xb.shape[1] != field.d:
+        raise nc.ShapeError(f"point dimension {xb.shape[1]} != field dimension {field.d}")
+    v = field.bind().velocity(nc.Tensor(xb), t)
+    return v.data[0] if single else v.data
+
+
+def divergence(field: VelocityField, x, t, est: DivergenceEstimator | None = None, rng=None):
+    """Eager divergence at (x, t); scalar for a single point, (m,) for a batch."""
+    if est is None:
+        est = default_estimator(field.d)
+    xb, single = _as_batch(x)
+    _, div = field.bind().velocity_and_divergence(nc.Tensor(xb), t, est, rng)
+    return float(div.data[0]) if single else div.data
 
 
 def affine_flow_map(a, c, dt):

@@ -8,8 +8,10 @@ module-scoped and shared between criteria.
 import time
 
 import numpy as np
+import gradcheck
 import pytest
-from conftest import affine_flow_map, compose_affine, gaussian_kl, gaussian_logpdf, push_gaussian
+from conftest import (affine_field, affine_flow_map, compose_affine, eval_velocity,
+                      gaussian_kl, gaussian_logpdf, push_gaussian)
 
 from wflow import chain as fc
 from wflow import cli
@@ -138,21 +140,21 @@ def test_criterion_01_gradient_suite():
         chain = fc.identity_chain(1, 2, steps=3, widths=(4,), seed=seed, t_total=2.0)
         _perturb(chain.parameter_arrays(), seed)
         batch = rng.normal(size=(5, 1))
-        reports = [nc.check_loss_gradient_fd(
+        reports = [gradcheck.check_loss_gradient_fd(
             lambda: obj.nll_loss(chain, batch), chain.parameter_arrays())]
 
         # jko block objective
         block = fc.identity_chain(2, 1, steps=3, widths=(4,), seed=seed).blocks[0]
         _perturb(block.parameter_arrays(), seed + 50)
         xj = rng.normal(size=(4, 2))
-        reports.append(nc.check_loss_gradient_fd(
+        reports.append(gradcheck.check_loss_gradient_fd(
             lambda: obj.jko_block_loss(block, xj, gamma=0.7), block.parameter_arrays()))
 
         # fm velocity matching
         fmf = vel.init_near_identity(2, widths=(4,), seed=seed, interval=(0.0, 1.0))
         _perturb(fmf.parameter_arrays(), seed + 100)
         x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        reports.append(nc.check_loss_gradient_fd(
+        reports.append(gradcheck.check_loss_gradient_fd(
             lambda: obj.fm_loss(fmf, obj.Interpolant(), x0, x1), fmf.parameter_arrays()))
 
         # ot objective (cost plus both endpoint penalties)
@@ -167,7 +169,7 @@ def test_criterion_01_gradient_suite():
             value, grads, *_ = tp._ot_loss(otc.blocks, p1, q1, xp, xq, 2.0, est, None)
             return value, grads
 
-        reports.append(nc.check_loss_gradient_fd(ot_loss, otc.parameter_arrays()))
+        reports.append(gradcheck.check_loss_gradient_fd(ot_loss, otc.parameter_arrays()))
 
         # dro objective with a linear risk
         drf = vel.init_near_identity(2, widths=(4,), seed=seed, interval=(0.0, 1.0))
@@ -187,12 +189,12 @@ def test_criterion_01_gradient_suite():
             tape.freeze()
             return float(out.data), [g.data for g in nc.grad(tape)]
 
-        reports.append(nc.check_loss_gradient_fd(dro_loss, drf.parameter_arrays()))
+        reports.append(gradcheck.check_loss_gradient_fd(dro_loss, drf.parameter_arrays()))
 
         # logistic ratio loss
         layers = mlp.init_layers([1, 6, 1], rng)
         s0, s1 = rng.normal(size=(8, 1)), rng.normal(size=(8, 1)) + 1
-        reports.append(nc.check_loss_gradient_fd(
+        reports.append(gradcheck.check_loss_gradient_fd(
             lambda: tp.logistic_ratio_loss(layers, s0, s1), mlp.parameter_arrays(layers)))
 
         for name, rep in zip(("nll", "jko", "fm", "ot", "dro", "logistic"), reports):
@@ -228,7 +230,7 @@ def test_criterion_02_invertibility_and_likelihood(jko_run, cnf_run):
     blocks = []
     for i, (a, c) in enumerate(specs):
         interval = (float(i), float(i + 1))
-        field = vel.affine_field(a, c, interval=interval, t_total=2.0)
+        field = affine_field(a, c, interval=interval, t_total=2.0)
         blocks.append(fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 64, interval)))
     affine_chain = fc.FlowChain(blocks, base)
     m_tot, b_tot = compose_affine([affine_flow_map(a, c, 1.0) for a, c in specs])
@@ -315,7 +317,7 @@ def _mc_conditional_velocity_gap(field, n_pairs=400_000, n_times=20, n_bins=45, 
         var = (1 - t) ** 2 + t**2
         oracle_err = max(oracle_err,
                          float(np.abs(vbar - centers[keep] * (2 * t - 1) / var).max()))
-        vhat = vel.eval_velocity(field, centers[keep][:, None], t)[:, 0]
+        vhat = eval_velocity(field, centers[keep][:, None], t)[:, 0]
         total_gap += float(np.sum(counts[keep] / n_pairs * (vhat - vbar) ** 2))
     return total_gap / n_times, oracle_err
 

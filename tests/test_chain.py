@@ -5,7 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import affine_flow_map, compose_affine, gaussian_kl, gaussian_logpdf, push_gaussian
+from conftest import (affine_field, affine_flow_map, compose_affine, gaussian_kl,
+                      gaussian_logpdf, push_gaussian)
 
 from wflow import chain as fc
 from wflow import datasets as ds
@@ -30,7 +31,7 @@ def _affine_chain(specs, base, steps=64):
     t = 0.0
     for a, c in specs:
         interval = (t, t + 1.0)
-        field = vel.affine_field(a, c, interval=interval, t_total=float(len(specs)))
+        field = affine_field(a, c, interval=interval, t_total=float(len(specs)))
         blocks.append(fc.FlowBlock(field, odeint.IntegratorConfig("rk4", steps, interval)))
         t += 1.0
     return fc.FlowChain(blocks, base)

@@ -226,6 +226,25 @@ def test_artifact_json_rejects_non_finite_values(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text()) == {"value": 1.5}
 
 
+@pytest.mark.parametrize("via", ["--out", "[experiment] out"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_output_path_under_a_file_exit_2_before_the_task(tmp_path, capsys, monkeypatch,
+                                                          via, out):
+    monkeypatch.setattr(cli, "_task_eval", lambda *args: pytest.fail("task started"))
+    (tmp_path / "afile").write_text("keep\n")
+    path = str(tmp_path / out)
+    if via == "--out":
+        cfg = _tiny_config(tmp_path, "eval", "experiment", "seed", "3")
+        code = cli.run_experiment(cfg, task="eval", out=path)
+    else:
+        cfg = _tiny_config(tmp_path, "eval", "experiment", "out", path)
+        code = cli.run_experiment(cfg, task="eval")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "not a directory" in err
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 def test_diverged_training_exit_3(tmp_path, capsys):
     cfg = _tiny_config(tmp_path, "dro", "train", "learn_rate", "1e200")
     out = tmp_path / "out"

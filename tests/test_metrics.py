@@ -373,17 +373,6 @@ def test_kl_aborts_on_many_nonfinite():
 
 # --- report -------------------------------------------------------------------
 
-def test_metric_report_json_round_trip():
-    import json
-
-    report = metrics.MetricReport("w2", 1.25, {"a": 10, "b": 10}, seed=3,
-                                  config={"cap": 512})
-    payload = json.loads(report.to_json())
-    assert payload["name"] == "w2"
-    assert payload["value"] == 1.25
-    assert payload["seed"] == 3
-
-
 def test_metric_report_rejects_nonfinite():
     with pytest.raises(nc.NumericError):
         metrics.MetricReport("bad", float("nan"))

@@ -1,7 +1,9 @@
 """Training objectives: values against hand computations, gradients, descent."""
 
+import gradcheck
 import numpy as np
 import pytest
+from conftest import affine_field, eval_velocity
 
 from wflow import chain as fc
 from wflow import datasets as ds
@@ -40,7 +42,7 @@ def test_nll_identity_chain_unit_points():
 def test_nll_gradient_fd():
     chn = _perturb(_tiny_chain(1, 2, steps=4, widths=(4,)), seed=1)
     batch = np.random.default_rng(2).normal(size=(6, 1))
-    report = nc.check_loss_gradient_fd(
+    report = gradcheck.check_loss_gradient_fd(
         lambda: obj.nll_loss(chn, batch), chn.parameter_arrays())
     assert report.passed, str(report)
 
@@ -76,10 +78,37 @@ def test_jko_rejects_nonpositive_gamma():
         obj.jko_block_loss(block, np.zeros((2, 2)), gamma=0.0)
 
 
+_NOT_POSITIVE_FINITE = [0.0, -1.0, float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("key", ["gamma", "learn_rate"])
+@pytest.mark.parametrize("value", _NOT_POSITIVE_FINITE)
+def test_train_config_rejects_non_positive_or_non_finite(key, value):
+    # a negative learning rate would run gradient ascent, a NaN gamma diverge
+    with pytest.raises(ValueError, match=key):
+        obj.TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("gamma", _NOT_POSITIVE_FINITE)
+def test_jko_rejects_non_positive_or_non_finite_gamma(gamma):
+    block = _tiny_chain(2, 1).blocks[0]
+    with pytest.raises(ValueError, match="gamma"):
+        obj.jko_block_loss(block, np.zeros((2, 2)), gamma=gamma)
+
+
+def test_one_dimensional_batch_reads_as_one_column():
+    # a 1-D array is m points in d=1, as the metrics and transport read it
+    chn = _perturb(_tiny_chain(1, 1, steps=2, widths=(4,)), seed=3)
+    x = np.linspace(-1.0, 1.0, 8)
+    assert obj.nll_loss(chn, x)[0] == obj.nll_loss(chn, x[:, None])[0]
+    block = chn.blocks[0]
+    assert obj.jko_block_loss(block, x, 1.0)[0] == obj.jko_block_loss(block, x[:, None], 1.0)[0]
+
+
 def test_jko_gradient_fd():
     block = _perturb(_tiny_chain(2, 1, steps=4, widths=(4,)).blocks[0], seed=5)
     x = np.random.default_rng(6).normal(size=(5, 2))
-    report = nc.check_loss_gradient_fd(
+    report = gradcheck.check_loss_gradient_fd(
         lambda: obj.jko_block_loss(block, x, gamma=0.7), block.parameter_arrays())
     assert report.passed, str(report)
 
@@ -104,7 +133,7 @@ def test_jko_single_block_reduces_gaussian_kl():
 # --- fm ----------------------------------------------------------------
 
 def test_fm_exact_match_is_zero():
-    field = vel.affine_field(np.zeros((2, 2)), c=np.array([1.0, -2.0]))
+    field = affine_field(np.zeros((2, 2)), c=np.array([1.0, -2.0]))
     x0 = np.array([[0.0, 0.0]])
     x1 = np.array([[1.0, -2.0]])
     value, _ = obj.fm_loss(field, obj.Interpolant(), x0, x1)
@@ -131,7 +160,7 @@ def test_fm_gradient_fd():
     field = _perturb(_tiny_chain(2, 1, widths=(4,)).blocks[0], seed=7).field
     rng = np.random.default_rng(8)
     x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-    report = nc.check_loss_gradient_fd(
+    report = gradcheck.check_loss_gradient_fd(
         lambda: obj.fm_loss(field, obj.Interpolant(), x0, x1),
         field.parameter_arrays())
     assert report.passed, str(report)
@@ -316,8 +345,8 @@ def test_fm_loss_shift_identity():
     m = 60_000
     x0 = rng.normal(size=(m, 1))
     x1 = rng.normal(size=(m, 1))
-    cand1 = vel.affine_field(np.array([[0.3]]))
-    cand2 = vel.affine_field(np.array([[-0.5]]), c=np.array([0.2]))
+    cand1 = affine_field(np.array([[0.3]]))
+    cand2 = affine_field(np.array([[-0.5]]), c=np.array([0.2]))
     l1, _ = obj.fm_loss(cand1, obj.Interpolant(), x0, x1, rng=np.random.default_rng(0))
     l2, _ = obj.fm_loss(cand2, obj.Interpolant(), x0, x1, rng=np.random.default_rng(0))
 
@@ -333,7 +362,7 @@ def test_fm_loss_shift_identity():
             rho = np.exp(-xs**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
             v_exact = xs * (2 * t - 1) / var
             v_cand = np.stack(
-                [vel.eval_velocity(candidate, np.array([x]), t) for x in xs]).ravel()
+                [eval_velocity(candidate, np.array([x]), t) for x in xs]).ravel()
             total += np.trapezoid((v_cand - v_exact) ** 2 * rho, xs)
         return total * (ts[1] - ts[0])
 

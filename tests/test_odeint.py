@@ -1,8 +1,10 @@
 """Fixed-step integration: accuracy, invertibility, augmented divergence state."""
 
+import gradcheck
 import numpy as np
 import pytest
-from conftest import affine_flow_map
+from conftest import affine_field, affine_flow_map
+from gradcheck import replay
 from stage_oracle import time_column
 
 from wflow import chain as fc
@@ -20,7 +22,7 @@ def _noisy_field(d, seed, scale=0.35, interval=(0.0, 1.0)):
 
 
 def test_exponential_growth():
-    field = vel.affine_field(np.array([[1.0]]))
+    field = affine_field(np.array([[1.0]]))
     cfg = odeint.IntegratorConfig("rk4", 100, (0.0, 1.0))
     out = odeint.integrate(field, np.array([1.0]), cfg)
     assert out[0] == pytest.approx(np.e, abs=1e-6)
@@ -75,7 +77,7 @@ def test_composition_matches_full_interval():
 
 
 def test_logdet_constant_divergence():
-    field = vel.affine_field(np.diag([1.0, 2.0]))
+    field = affine_field(np.diag([1.0, 2.0]))
     cfg = odeint.IntegratorConfig("rk4", 32, (0.0, 1.0))
     aug = odeint.integrate_augmented(field, np.array([[1.0, 1.0]]), cfg)
     assert aug.logdet.data[0] == pytest.approx(3.0, abs=1e-6)
@@ -119,7 +121,7 @@ def test_logdet_matches_fd_jacobian_determinant():
 
 def test_logdet_matches_matrix_exponential_oracle():
     a = np.array([[0.2, -0.7], [0.4, -0.1]])
-    field = vel.affine_field(a, c=np.array([0.3, 0.1]))
+    field = affine_field(a, c=np.array([0.3, 0.1]))
     cfg = odeint.IntegratorConfig("rk4", 64, (0.0, 1.0))
     x0 = np.array([[0.5, 1.0]])
     aug = odeint.integrate_augmented(field, x0, cfg)
@@ -145,7 +147,7 @@ def test_interval_outside_field_rejected():
 
 def test_nonfinite_state_reports_step():
     # a stiff expanding field overflows float64 partway through the interval
-    field = vel.affine_field(np.array([[10_000.0]]))
+    field = affine_field(np.array([[10_000.0]]))
     cfg = odeint.IntegratorConfig("rk4", 40, (0.0, 1.0))
     with pytest.raises(odeint.IntegrationError) as err:
         odeint.integrate(field, np.array([1.0]), cfg)
@@ -294,7 +296,7 @@ def test_block_adjoint_matches_finite_differences(scheme, direction, est, blocks
         _, _, value, grads = _chain_program(fields, cfgs, x, direction, est, _block)
         return value, grads
 
-    report = nc.check_loss_gradient_fd(loss_fn, params)
+    report = gradcheck.check_loss_gradient_fd(loss_fn, params)
     assert report.passed, str(report)
 
 
@@ -318,7 +320,7 @@ def test_block_output_columns_all_differentiable(scheme):
         tape.freeze()
         return float(loss.data), [g.data for g in nc.grad(tape)]
 
-    report = nc.check_loss_gradient_fd(loss_fn, [*fields[0].parameter_arrays(), x])
+    report = gradcheck.check_loss_gradient_fd(loss_fn, [*fields[0].parameter_arrays(), x])
     assert report.passed, str(report)
 
 
@@ -370,7 +372,7 @@ def test_block_replay_matches_fresh_recording(est):
     _, tape = _record_block_program(fields, cfgs, x, est)
     before = [g.data for g in nc.grad(tape)]
     perturbed = [p + 0.125 for p in fields[0].parameter_arrays()]
-    replayed = tape.replay(perturbed)
+    replayed = replay(tape, perturbed)
     for layer, (w, b) in zip(fields[0].layers, zip(perturbed[::2], perturbed[1::2])):
         layer.w, layer.b = w, b
     fresh, _ = _record_block_program(fields, cfgs, x, est)
@@ -418,5 +420,5 @@ def test_closed_form_block_adjoint_matches_finite_differences(scheme, act, width
         _, _, value, grads = _chain_program([field], [cfg], x, "forward", est, _block)
         return value, grads
 
-    report = nc.check_loss_gradient_fd(loss_fn, [*field.parameter_arrays(), x])
+    report = gradcheck.check_loss_gradient_fd(loss_fn, [*field.parameter_arrays(), x])
     assert report.passed, str(report)

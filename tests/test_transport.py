@@ -1,5 +1,6 @@
 """Density-ratio fitting, telescoping, flow OT, and worst-case training."""
 
+import gradcheck
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ def test_logistic_loss_values_and_gradient():
     s0, s1 = rng.normal(size=(12, 1)), rng.normal(size=(12, 1)) + 1
     value, grads = tp.logistic_ratio_loss(layers, s0, s1)
     assert np.isfinite(value) and len(grads) == 4
-    report = nc.check_loss_gradient_fd(
+    report = gradcheck.check_loss_gradient_fd(
         lambda: tp.logistic_ratio_loss(layers, s0, s1),
         __import__("wflow.mlp", fromlist=["mlp"]).parameter_arrays(layers))
     assert report.passed, str(report)
@@ -152,6 +153,16 @@ def test_ot_rejects_bad_gamma():
                     cfg=obj.TrainConfig(iterations=1))
 
 
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+def test_ot_and_dro_reject_non_positive_or_non_finite_gamma(gamma):
+    chn = fc.identity_chain(1, 1, steps=4, widths=(4,))
+    cfg = obj.TrainConfig(iterations=1)
+    with pytest.raises(ValueError, match="gamma"):
+        tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn, gamma=gamma, cfg=cfg)
+    with pytest.raises(ValueError, match="gamma"):
+        tp.dro_train(tp.RiskFunction.linear([1.0]), ds.standard_gaussian(1), gamma, cfg)
+
+
 def test_ot_divergence_raises_training_diverged():
     # an absurd learning rate overflows the flow after the first update
     p, q = ds.standard_gaussian(1), ds.Gaussian([1.0], [[1.0]])
@@ -179,14 +190,14 @@ def test_ot_loss_gradient_fd():
         value, grads, *_ = tp._ot_loss(chn.blocks, p, q, xp, xq, 2.0, est, None)
         return value, grads
 
-    report = nc.check_loss_gradient_fd(loss_fn, chn.parameter_arrays())
+    report = gradcheck.check_loss_gradient_fd(loss_fn, chn.parameter_arrays())
     assert report.passed, str(report)
 
 
 # --- dro ------------------------------------------------------------------------
 
 def test_dro_constant_risk_keeps_identity():
-    risk = tp.RiskFunction.from_callable(lambda x: nc.mul(nc.tsum(nc.mul(x, 0.0), axis=1), 0.0))
+    risk = tp.RiskFunction(lambda x: nc.mul(nc.tsum(nc.mul(x, 0.0), axis=1), 0.0))
     cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=40, seed=0)
     res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=1.0, cfg=cfg)
     x = ds.standard_gaussian(2).sample(200, np.random.default_rng(1))
@@ -226,7 +237,7 @@ def test_dro_quadratic_well_closed_form():
             best.append(ys[np.argmin(vals)])
         return np.asarray(best)
 
-    risk = tp.RiskFunction.from_callable(risk_expr)
+    risk = tp.RiskFunction(risk_expr)
     cfg = obj.TrainConfig(learn_rate=0.015, batch_size=256, iterations=500, seed=3)
     res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=gamma, cfg=cfg)
     pts = ds.standard_gaussian(2).sample(400, np.random.default_rng(4))
@@ -243,7 +254,7 @@ def test_dro_unbounded_risk_detected():
     def risk_expr(x):
         return nc.mul(nc.tsum(nc.square(x), axis=1), -1.0)
 
-    risk = tp.RiskFunction.from_callable(risk_expr)
+    risk = tp.RiskFunction(risk_expr)
     cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=1500, seed=5)
     with pytest.raises(tp.UnboundedRiskError):
         tp.dro_train(risk, ds.standard_gaussian(2), gamma=2.0, cfg=cfg)
@@ -298,7 +309,7 @@ def test_dro_gradient_fd():
         tape.freeze()
         return float(out.data), [g.data for g in nc.grad(tape)]
 
-    report = nc.check_loss_gradient_fd(loss_fn, field.parameter_arrays())
+    report = gradcheck.check_loss_gradient_fd(loss_fn, field.parameter_arrays())
     assert report.passed, str(report)
 
 

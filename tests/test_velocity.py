@@ -1,8 +1,11 @@
 """Velocity fields: initialization, evaluation, divergence estimators."""
 
+import gradcheck
 import numpy as np
 import pytest
 import stage_oracle
+from conftest import affine_field, divergence, eval_velocity
+from gradcheck import replay
 from stage_oracle import lean_forward, lean_vjp, time_column
 
 from wflow import numcore as nc
@@ -14,7 +17,7 @@ def test_near_identity_init_outputs_zero():
     field = vel.init_near_identity(3, widths=(16, 16), seed=0)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 3))
-    assert np.all(vel.eval_velocity(field, x, 0.3) == 0.0)
+    assert np.all(eval_velocity(field, x, 0.3) == 0.0)
 
 
 def test_init_determinism():
@@ -34,13 +37,13 @@ def test_init_rejects_bad_dim():
 def test_affine_single_layer_evaluation():
     # single identity layer acting on (x, t~): A x + c * t~
     a = np.array([[0.5, -1.0], [2.0, 0.25]])
-    field = vel.affine_field(a, interval=(0.0, 2.0), t_total=2.0)
+    field = affine_field(a, interval=(0.0, 2.0), t_total=2.0)
     # wire the time column by hand to check the embedding scale
     field.layers[0].w[2, :] = np.array([3.0, -3.0])
     x = np.array([1.0, 2.0])
     t = 1.0  # scaled embedding is t / t_total = 0.5
     expected = a @ x + 0.5 * np.array([3.0, -3.0])
-    assert np.allclose(vel.eval_velocity(field, x, t), expected)
+    assert np.allclose(eval_velocity(field, x, t), expected)
 
 
 def test_batch_matches_per_point():
@@ -48,21 +51,21 @@ def test_batch_matches_per_point():
     for layer in field.layers:
         layer.w += 0.3 * np.random.default_rng(4).normal(size=layer.w.shape)
     pts = np.random.default_rng(5).normal(size=(7, 2))
-    batch = vel.eval_velocity(field, pts, 0.4)
-    single = np.stack([vel.eval_velocity(field, p, 0.4) for p in pts])
+    batch = eval_velocity(field, pts, 0.4)
+    single = np.stack([eval_velocity(field, p, 0.4) for p in pts])
     assert np.allclose(batch, single)
 
 
 def test_dimension_mismatch():
     field = vel.init_near_identity(2, widths=(4,), seed=0)
     with pytest.raises(nc.ShapeError):
-        vel.eval_velocity(field, np.ones(3), 0.0)
+        eval_velocity(field, np.ones(3), 0.0)
 
 
 def test_divergence_linear_trace():
-    assert vel.divergence(vel.affine_field(3.0 * np.eye(2)), np.ones(2), 0.0) == pytest.approx(6.0)
+    assert divergence(affine_field(3.0 * np.eye(2)), np.ones(2), 0.0) == pytest.approx(6.0)
     a = np.array([[0.5, 0.0], [0.0, -0.5]])
-    assert vel.divergence(vel.affine_field(a), np.ones(2), 0.0) == pytest.approx(0.0)
+    assert divergence(affine_field(a), np.ones(2), 0.0) == pytest.approx(0.0)
 
 
 def test_divergence_estimator_validation():
@@ -92,10 +95,10 @@ def test_exact_divergence_matches_fd_jacobian_trace(d):
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        vp = vel.eval_velocity(field, x + e, t)
-        vm = vel.eval_velocity(field, x - e, t)
+        vp = eval_velocity(field, x + e, t)
+        vm = eval_velocity(field, x - e, t)
         trace += (vp[j] - vm[j]) / (2 * h)
-    exact = vel.divergence(field, x, t)
+    exact = divergence(field, x, t)
     assert exact == pytest.approx(trace, rel=1e-5, abs=1e-8)
 
 
@@ -105,10 +108,10 @@ def test_hutchinson_within_three_sigma():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 3))
     a[np.diag_indices(3)] = np.array([1.0, 2.0, 3.0])
-    field = vel.affine_field(a)
+    field = affine_field(a)
     probes = 10_000
     est = vel.DivergenceEstimator("hutchinson", probes=probes)
-    got = vel.divergence(field, np.ones(3), 0.0, est, np.random.default_rng(0))
+    got = divergence(field, np.ones(3), 0.0, est, np.random.default_rng(0))
     off = a + a.T
     var_one = np.sum((off - np.diag(np.diag(off))) ** 2) / 2.0
     sigma = np.sqrt(var_one / probes)
@@ -118,9 +121,9 @@ def test_hutchinson_within_three_sigma():
 def test_hutchinson_mean_matches_exact_on_mlp():
     field = _random_field(2, seed=21)
     x = np.array([0.3, -0.8])
-    exact = vel.divergence(field, x, 0.5)
+    exact = divergence(field, x, 0.5)
     est = vel.DivergenceEstimator("hutchinson", probes=4000)
-    approx = vel.divergence(field, x, 0.5, est, np.random.default_rng(7))
+    approx = divergence(field, x, 0.5, est, np.random.default_rng(7))
     assert approx == pytest.approx(exact, abs=0.05 * max(1.0, abs(exact)))
 
 
@@ -129,7 +132,7 @@ def test_velocity_continuous_in_time():
     field = _random_field(2, seed=33)
     x = np.array([0.5, 0.5])
     ts = np.linspace(0.0, 1.0, 101)
-    vals = np.stack([vel.eval_velocity(field, x, t) for t in ts])
+    vals = np.stack([eval_velocity(field, x, t) for t in ts])
     steps = np.linalg.norm(np.diff(vals, axis=0), axis=1)
     assert steps.max() < 0.1  # ~ Lipschitz * dt for a smooth tanh field
 
@@ -150,13 +153,25 @@ def test_divergence_differentiable_in_parameters():
         tape.freeze()
         return float(out.data), [g.data for g in nc.grad(tape)]
 
-    report = nc.check_loss_gradient_fd(loss_fn, params)
+    report = gradcheck.check_loss_gradient_fd(loss_fn, params)
     assert report.passed, str(report)
 
 
 # ---------------------------------------------------------------------------
 # the fused velocity_divergence primitive against the per-basis and per-probe
-# directional-derivative chains it replaced, written out here as the oracle
+# directional-derivative chains it replaced, written out here as the oracle;
+# its sigmoid slope takes an exp primitive that the library does not need
+
+def _exp_fwd(args, meta):
+    return np.exp(args[0])
+
+
+def _exp_bwd(node, inputs, g):
+    return (g * node.value,)
+
+
+nc._primitive("exp", _exp_fwd, _exp_bwd)
+
 
 def _chain_velocity_and_divergence(bound, x, t, est, rng):
     m, d = x.shape
@@ -169,7 +184,8 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
             derivs.append(nc.add(1.0, nc.mul(nc.square(h), -1.0)))
         elif act == "softplus":
             h = nc.softplus(z)
-            derivs.append(nc.exp(nc.mul(nc.softplus(nc.mul(z, -1.0)), -1.0)))  # sigmoid
+            log_sigmoid = nc.mul(nc.softplus(nc.mul(z, -1.0)), -1.0)
+            derivs.append(nc._apply("exp", (log_sigmoid,)))
         else:
             h = z
             derivs.append(None)
@@ -264,7 +280,7 @@ def test_fused_matches_chain_oracle(d, widths, act, m, est):
 @pytest.mark.parametrize("m", [1, 4])
 def test_fused_matches_chain_oracle_affine_field(m, est):
     rng = np.random.default_rng(31)
-    field = vel.affine_field(rng.normal(size=(3, 3)), rng.normal(size=3))
+    field = affine_field(rng.normal(size=(3, 3)), rng.normal(size=3))
     field.layers[0].w[3] = rng.normal(size=3)  # time column
     x = rng.normal(size=(m, 3))
     want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
@@ -291,7 +307,7 @@ def test_fused_gradient_matches_finite_differences(act, est):
         tape.freeze()
         return float(out.data), [g.data for g in nc.grad(tape)]
 
-    report = nc.check_loss_gradient_fd(loss_fn, params)
+    report = gradcheck.check_loss_gradient_fd(loss_fn, params)
     assert report.passed, str(report)
 
 
@@ -323,7 +339,7 @@ def test_fused_replay_matches_fresh_recording(est):
     _, tape = _record_fused_program(field, x, est)
     before = [g.data for g in nc.grad(tape)]
     perturbed = [p + 0.125 for p in field.parameter_arrays()]
-    replayed = tape.replay(perturbed)
+    replayed = replay(tape, perturbed)
     for layer, (w, b) in zip(field.layers, zip(perturbed[::2], perturbed[1::2])):
         layer.w, layer.b = w, b
     fresh, _ = _record_fused_program(field, x, est)
@@ -361,7 +377,7 @@ def test_fused_nonfinite_weight_through_odeint_reports_step():
 def test_augmented_overflow_reports_same_step_as_plain():
     # a stiff expanding field overflows partway; the fused stage and the plain
     # velocity stage run the same arithmetic on x, so they fail at the same step
-    field = vel.affine_field(np.array([[10_000.0]]))
+    field = affine_field(np.array([[10_000.0]]))
     cfg = odeint.IntegratorConfig("rk4", 40, (0.0, 1.0))
     with pytest.raises(odeint.IntegrationError) as plain:
         odeint.integrate(field, np.array([1.0]), cfg)
@@ -420,7 +436,7 @@ def _tanh_output_field(d, seed):
 @pytest.mark.parametrize("make", [
     lambda: _mlp_field(3, (6, 5, 4), "tanh", seed=5),
     lambda: _tanh_output_field(3, seed=6),
-    lambda: vel.affine_field(np.random.default_rng(7).normal(size=(3, 3))),
+    lambda: affine_field(np.random.default_rng(7).normal(size=(3, 3))),
 ], ids=["depth3", "tanh_output", "affine"])
 def test_exact_trace_outside_closed_form_keeps_tangents(make):
     field = make()
@@ -462,7 +478,7 @@ def test_hutchinson_keeps_tangents_on_closed_form_stacks():
     assert mode == "tangent" and scale == 1.0 / 3
     assert np.array_equal(probes, want)
     x = np.random.default_rng(11).normal(size=(5, 4))
-    got = vel.divergence(field, x, 0.2, est, np.random.default_rng(10))
+    got = divergence(field, x, 0.2, est, np.random.default_rng(10))
     _, want_div = lean_forward(x, 0.2, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
     assert np.array_equal(got, want_div)
 
