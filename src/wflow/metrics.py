@@ -5,13 +5,16 @@ exact Wasserstein-2 on small particle sets (assignment solver), unbiased
 RBF-kernel MMD with a permutation null, and Monte-Carlo KL. Everything is
 a pure function of its inputs and an explicit seed/rng.
 
-The pairwise kernels (median bandwidth, MMD, the null's joint kernel matrix)
-stream the squared distances in blocks of 64 rows and keep only what they
-reduce to: none holds an (m, n) or (N, N) temporary that it only sums over.
-On 2048 + 2048 points in d=2 the tracemalloc peak of `mmd_rbf` is 8.6 MiB
-(160 MiB with full matrices) and that of `median_bandwidth` 8.6 MiB (96 MiB
-with the triangle buffer). Only the permutation null keeps an (N, N)
-matrix: its one product needs it whole.
+The pairwise kernels (median bandwidth, MMD, W2's cost, the null's joint
+kernel matrix) build the squared distances in blocks of 32 rows and keep
+only what they reduce to: none holds an (m, n) or (N, N) temporary that it
+only sums over, and none a whole a @ b.T. On 2048 + 2048 points in d=2 the
+tracemalloc peak of `mmd_rbf` and of `median_bandwidth` is 4.5 MiB (160 and
+96 MiB with full matrices). W2 keeps its (m, m) cost, which the assignment
+reads whole (2.1 MiB peak at m = 512). The permutation null keeps its
+(N, N) kernel matrix and its (perms, N) permutations, and scores them in
+blocks of permutations: at 400 + 400 points and 200 permutations its peak
+is the 4.9 MiB matrix plus 2.1 MiB.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from wflow.datasets import Gaussian, as_positions
 # 1.3 s at 1024 and 9 s at 2048: the cubic solve, not memory, sets the cap
 W2_MAX_PARTICLES = 512
 # rows of sq_dists a pairwise kernel holds at once
-_ROW_BLOCK = 64
+_ROW_BLOCK = 32
 _LOWER = np.tril(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
 # median_bandwidth bins a squared distance by the top bits of its float64
 # pattern (exponent and 4 mantissa bits): for non-negative doubles the bins
@@ -99,13 +102,18 @@ def gauss_fid(ens_a, ens_b, return_details=False):
 
 
 def w2_exact(ens_a, ens_b) -> float:
-    """Exact Wasserstein-2 between equal-size empirical measures (m <= 512)."""
+    """Exact Wasserstein-2 between equal-size empirical measures (1 <= m <= 512).
+
+    The (m, m) cost is filled in place a row block at a time.
+    """
     a, b = as_positions(ens_a), as_positions(ens_b)
     if len(a) != len(b):
         raise ValueError(f"particle counts differ: {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        raise ValueError("w2_exact needs at least one particle per ensemble")
     if len(a) > W2_MAX_PARTICLES:
         raise ValueError(f"w2_exact capped at {W2_MAX_PARTICLES} particles, got {len(a)}")
-    cost = sq_dists(a, b)
+    cost = _pairwise_matrix(a, b)
     cols = _kernels.solve_assignment(cost)
     total = float(cost[np.arange(len(a)), cols].sum())
     return float(np.sqrt(total / len(a)))
@@ -122,6 +130,19 @@ def sq_dists(a, b, out=None) -> np.ndarray:
     ab *= 2.0
     t -= ab
     return np.maximum(t, 0.0, out=t)
+
+
+def _pairwise_matrix(a, b, bandwidth=None):
+    """sq_dists(a, b), or its RBF kernel at a bandwidth, filled _ROW_BLOCK rows at a time.
+
+    The only temporary is one row block of a @ b.T, not the whole product.
+    """
+    out = np.empty((len(a), len(b)))
+    for r0 in range(0, len(a), _ROW_BLOCK):
+        sq = sq_dists(a[r0:r0 + _ROW_BLOCK], b, out=out[r0:r0 + _ROW_BLOCK])
+        if bandwidth is not None:
+            _rbf(sq, bandwidth)
+    return out
 
 
 def _row_blocks(a, b=None):
@@ -152,8 +173,10 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
 
     Exact, without the N(N-1)/2 buffer of the strict upper triangle: two
     passes over its row blocks. The first counts the squared distances per
-    bin (see _MEDIAN_SHIFT), the second keeps only the values in the bins
-    that hold ranks (n-1)//2 and n//2 and selects those two ranks. sqrt is
+    bin (see _MEDIAN_SHIFT), shifting each block's bit pattern in place. The
+    second copies out only the values in the bins that hold ranks (n-1)//2
+    and n//2, found by comparing against the bins' float bounds, into one
+    array sized from the counts, and selects those two ranks. sqrt is
     monotone, so the mean of their square roots is np.median of the
     distances, bit for bit. Non-finite input, or squared distances that
     overflow, give a NaN bandwidth.
@@ -163,25 +186,31 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
     if n_pairs == 0:
         return float("nan"), False
 
-    def bins(sq):
-        idx = sq.view(np.int64) >> _MEDIAN_SHIFT
-        _drop_lower(idx, _MEDIAN_BINS - 1)
-        return idx
-
     counts = np.zeros(_MEDIAN_BINS, dtype=np.int64)
     for _, sq in _row_blocks(joint):
         if not np.isfinite(sq.max()):
             return float("nan"), False
-        counts += np.bincount(bins(sq).ravel(), minlength=_MEDIAN_BINS)
+        bins = sq.view(np.int64)
+        bins >>= _MEDIAN_SHIFT
+        _drop_lower(bins, _MEDIAN_BINS - 1)
+        counts += np.bincount(bins.ravel(), minlength=_MEDIAN_BINS)
     lo, hi = (n_pairs - 1) // 2, n_pairs // 2
     cum = np.cumsum(counts)
     b_lo, b_hi = np.searchsorted(cum, [lo, hi], side="right")
     below = cum[b_lo] - counts[b_lo]
-    kept = []
+    # non-negative doubles order like their bit patterns, so bins b_lo..b_hi
+    # hold exactly the values in [floor, ceil); ceil is inf when b_hi is the
+    # last finite bin
+    floor, ceil = (np.array([b_lo, b_hi + 1], dtype=np.int64) << _MEDIAN_SHIFT).view(np.float64)
+    kept = np.empty(cum[b_hi] - below)
+    start = 0
     for _, sq in _row_blocks(joint):
-        idx = bins(sq)
-        kept.append(sq[(idx >= b_lo) & (idx <= b_hi)])
-    kept = np.concatenate(kept)
+        _drop_lower(sq, -1.0)
+        inside = sq >= floor
+        inside &= sq < ceil
+        values = sq[inside]
+        kept[start:start + len(values)] = values
+        start += len(values)
     ranks = [lo - below, hi - below]
     kept.partition(ranks)
     med = float(np.mean(np.sqrt(kept[ranks])))
@@ -208,20 +237,32 @@ def _kernel_sum(a, b, bandwidth) -> float:
     return total if b is not None else 2.0 * total
 
 
+def _two_samples(ens_a, ens_b):
+    a, b = as_positions(ens_a), as_positions(ens_b)
+    if len(a) < 2 or len(b) < 2:
+        raise ValueError("mmd needs at least two points per ensemble")
+    return a, b
+
+
+def _bandwidth(a, b, bandwidth) -> tuple[float, bool]:
+    """The median heuristic's (bandwidth, fell back), or a given positive finite one."""
+    if bandwidth == "median":
+        return median_bandwidth(a, b)
+    bw = float(bandwidth)
+    if not (np.isfinite(bw) and bw > 0.0):
+        raise ValueError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
+    return bw, False
+
+
 def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
     """Unbiased U-statistic estimate of squared MMD with an RBF kernel.
 
     The within-sample sums run over the upper triangles and the cross sum
     over a x b, each streamed in row blocks: no kernel matrix is built.
     """
-    a, b = as_positions(ens_a), as_positions(ens_b)
+    a, b = _two_samples(ens_a, ens_b)
     m, n = len(a), len(b)
-    if m < 2 or n < 2:
-        raise ValueError("mmd needs at least two points per ensemble")
-    if bandwidth == "median":
-        bw, fellback = median_bandwidth(a, b)
-    else:
-        bw, fellback = float(bandwidth), False
+    bw, fellback = _bandwidth(a, b, bandwidth)
     value = (
         _kernel_sum(a, None, bw) / (m * (m - 1))
         + _kernel_sum(b, None, bw) / (n * (n - 1))
@@ -233,21 +274,23 @@ def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
 def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None) -> np.ndarray:
     """MMD^2 values under random relabelings of the joint sample.
 
-    The joint kernel matrix K is filled in place a row block at a time; it is
-    kept whole because every permutation's sums come out of one product with it.
+    The joint kernel matrix K is filled in place a row block at a time and
+    kept whole; the permutations, drawn into one (n_perms, N) array, are
+    scored against it a block of permutations at a time.
     """
-    a, b = as_positions(ens_a), as_positions(ens_b)
+    a, b = _two_samples(ens_a, ens_b)
+    if n_perms < 1:
+        raise ValueError(f"n_perms must be at least 1, got {n_perms}")
     if rng is None:
         rng = np.random.default_rng(0)
-    if bandwidth == "median":
-        bw, _ = median_bandwidth(a, b)
-    else:
-        bw = float(bandwidth)
+    bw, _ = _bandwidth(a, b, bandwidth)
     joint = np.concatenate([a, b], axis=0)
-    K = np.empty((len(joint), len(joint)))
-    for r0 in range(0, len(joint), _ROW_BLOCK):
-        _rbf(sq_dists(joint[r0:r0 + _ROW_BLOCK], joint, out=K[r0:r0 + _ROW_BLOCK]), bw)
-    perms = np.stack([rng.permutation(len(joint)) for _ in range(n_perms)])
+    K = _pairwise_matrix(joint, joint, bw)
+    # rng.permutation(N) shuffles arange(N): the same draws, made in place
+    perms = np.empty((n_perms, len(joint)), dtype=np.int64)
+    perms[:] = np.arange(len(joint))
+    for row in perms:
+        rng.shuffle(row)
     return _kernels.mmd2_permutations(K, len(a), perms)
 
 

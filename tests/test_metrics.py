@@ -144,6 +144,8 @@ def test_w2_validation():
         metrics.w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         metrics.w2_exact(np.zeros((600, 2)), np.zeros((600, 2)))
+    with pytest.raises(ValueError, match="at least one particle"):
+        metrics.w2_exact(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 # --- mmd ----------------------------------------------------------------------
@@ -256,6 +258,14 @@ def test_sq_dists_in_place_bit_identical_to_formula(kind, scale):
     assert out.tobytes() == want.tobytes()
 
 
+def test_median_bandwidth_stops_below_the_next_bins_first_value():
+    # squared distances 1, 16 and 17: the median 16 opens its bin and 17,
+    # 16 (1 + 1/16), opens the next one, so 17 is the bound the second pass
+    # must exclude
+    joint = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0]])
+    assert metrics.median_bandwidth(joint[:1], joint[1:]) == (4.0, False)
+
+
 def test_median_bandwidth_all_equal_points_fall_back():
     assert metrics.median_bandwidth(np.full((70, 2), 0.5), np.full((3, 2), 0.5)) == (1.0, True)
 
@@ -306,6 +316,31 @@ def test_nan_input_gives_nan_bandwidth_and_values():
     assert np.isnan(metrics.mmd_permutation_null(a, b, 5)).all()
 
 
+@pytest.mark.parametrize("sizes", [(1, 6), (5, 1)])
+@pytest.mark.parametrize("kernel", ["mmd_rbf", "mmd_permutation_null"])
+def test_mmd_needs_two_points_per_side(kernel, sizes):
+    rng = np.random.default_rng(19)
+    a, b = rng.normal(size=(sizes[0], 2)), rng.normal(size=(sizes[1], 2))
+    with pytest.raises(ValueError, match="at least two points per ensemble"):
+        getattr(metrics, kernel)(a, b)
+
+
+@pytest.mark.parametrize("n_perms", [0, -3])
+def test_null_needs_a_permutation(n_perms):
+    rng = np.random.default_rng(20)
+    with pytest.raises(ValueError, match="n_perms"):
+        metrics.mmd_permutation_null(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)), n_perms)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("kernel", ["mmd_rbf", "mmd_permutation_null"])
+def test_mmd_rejects_bandwidth_not_positive_and_finite(kernel, bandwidth):
+    rng = np.random.default_rng(21)
+    a, b = rng.normal(size=(8, 2)), rng.normal(size=(7, 2))
+    with pytest.raises(ValueError, match="bandwidth"):
+        getattr(metrics, kernel)(a, b, bandwidth=bandwidth)
+
+
 @pytest.mark.parametrize("outliers", [False, True])
 @pytest.mark.parametrize("kernel", ["mmd_rbf", "median_bandwidth"])
 def test_pairwise_kernels_hold_no_quadratic_buffer(kernel, outliers):
@@ -321,6 +356,38 @@ def test_pairwise_kernels_hold_no_quadratic_buffer(kernel, outliers):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _budget_case(kernel):
+    """(call, budget in bytes) at the sizes the CLI eval and the benchmark use."""
+    rng = np.random.default_rng(22)
+    if kernel in ("median_bandwidth", "mmd_rbf"):
+        a, b = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2)) + 1.0
+        return lambda: getattr(metrics, kernel)(a, b), 5 * 2**20
+    if kernel == "w2_exact":
+        a, b = rng.normal(size=(512, 2)), rng.normal(size=(512, 2)) + 1.0
+        metrics.w2_exact(a[:4], b[:4])  # loads the solver outside the traced call
+        return lambda: metrics.w2_exact(a, b), 2.5 * 2**20
+    a, b = rng.normal(size=(400, 2)) + 0.3, rng.normal(size=(400, 2))
+    kernel_matrix = 800 * 800 * 8
+    return (lambda: metrics.mmd_permutation_null(a, b, 200, rng=np.random.default_rng(1)),
+            kernel_matrix + 2.5 * 2**20)
+
+
+# Each budget is the tracemalloc peak measured with numpy 2.4 (4.47 MiB for the
+# median and mmd_rbf, 2.13 MiB for W2, the 4.88 MiB kernel matrix + 2.12 MiB for
+# the null) rounded up to the next half MiB.
+@pytest.mark.parametrize("kernel", ["median_bandwidth", "mmd_rbf", "w2_exact",
+                                    "mmd_permutation_null"])
+def test_pairwise_kernels_stay_within_budget(kernel):
+    call, budget = _budget_case(kernel)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 # --- kl_mc ----------------------------------------------------------------------
