@@ -10,7 +10,7 @@ from wflow._alloc import tune_allocator
 
 # Raising glibc's mmap and trim thresholds keeps large short-lived arrays
 # on the heap instead of returning them to the system and faulting them in
-# again; a JKO training step ran ~1.9x slower without it (see README).
+# again; a JKO training step ran ~1.3x slower without it (see README).
 # Opt out with WFLOW_MALLOC_TUNE=0.
 tune_allocator()
 

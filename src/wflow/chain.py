@@ -160,20 +160,12 @@ def log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng
     return float(out[0]) if single else out
 
 
-def sample(chain: FlowChain, n, rng, with_logdens=False) -> ParticleEnsemble:
-    """Draw base samples and pull them back through the inverse map.
-
-    ``with_logdens`` fills the per-particle log-density accumulator (one
-    extra augmented forward pass over the generated points; a Hutchinson
-    trace draws its probes from ``rng`` after the base draw).
-    """
+def sample(chain: FlowChain, n, rng) -> ParticleEnsemble:
+    """Draw base samples and pull them back through the inverse map."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     z = chain.base.sample(n, rng)
-    out = inverse_map(chain, ParticleEnsemble(z))
-    if with_logdens:
-        out.logdens = np.asarray(log_density(chain, out.positions, rng=rng))
-    return out
+    return inverse_map(chain, ParticleEnsemble(z))
 
 
 def _check_dim(chain, ensemble):

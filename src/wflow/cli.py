@@ -46,6 +46,8 @@ SAMPLE_METRICS = ("gauss_fid", "mmd", "w2")  # two-sample, shared by eval and tr
 # mmd streams its kernel sums in row blocks, so memory stays flat; the cap
 # bounds its quadratic time in the sample count
 MMD_MAX_SAMPLES = 2048
+# the DRE support grid keeps a point where p or q has at least this log-density
+MIN_LOG_DENSITY = -5.5
 
 
 class ConfigError(Exception):
@@ -338,6 +340,14 @@ def _task_train(task, cfg, seed, writer):
     if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
         raise ConfigError("training targets must be analytic densities")
     names = _metric_list(cfg, task, "holdout", holdout.m, d)  # generated has holdout.m too
+    # nll training needs the base's tape log-pdf, jko the target's tape potential
+    # and the kl_moment metric its closed-form KL: only a Gaussian target has them
+    if not isinstance(target, ds.Gaussian):
+        needs = (task if task in ("train-cnf", "train-jko")
+                 else "metric kl_moment" if "kl_moment" in names else None)
+        if needs:
+            raise ConfigError(f"{needs} needs a Gaussian [dataset] target, got "
+                              f"{cfg['dataset']['target']}")
     # progressive tasks report each block's kl_moment on the pushed training particles
     need = _min_points("kl_moment", d)
     progressive = task in ("train-jko", "train-lfm")
@@ -425,7 +435,11 @@ def _task_dre(cfg, seed, writer):
     else:
         if not cfg["model"]["checkpoint"]:
             raise ConfigError("[dre] bridge_kind = flow needs [model] checkpoint")
-        path = flow_bridge_path(_load_checkpoint(cfg), train_pool, q_pool, bridges)
+        chn = _load_checkpoint(cfg)
+        if chn.d != train_pool.d:
+            raise ConfigError(f"[model] checkpoint is {chn.d}-D but the dataset is "
+                              f"{train_pool.d}-D")
+        path = flow_bridge_path(chn, train_pool, q_pool, bridges)
 
     grid = support_grid(source, target, train_pool, q_pool, cfg["dre"]["grid"])
     if not len(grid):
@@ -479,7 +493,12 @@ def _task_eval(cfg, seed, writer):
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
     reports = []
     sizes = {"p": train_pool.m, "q": q_pool.m}
-    for name in _metric_list(cfg, "eval", "count", train_pool.m, train_pool.d):
+    names = _metric_list(cfg, "eval", "count", train_pool.m, train_pool.d)
+    for key, density in (("source", source), ("target", target)):
+        if "kl_mc" in names and isinstance(density, ds.TwoMoons):
+            raise ConfigError(f"metric kl_mc needs a log-density, and [dataset] {key} = "
+                              "two-moons has none")
+    for name in names:
         if name == "kl_mc":
             res = metrics.kl_mc(source.log_pdf, target.log_pdf, train_pool)
             reports.append(metrics.MetricReport(
@@ -511,11 +530,11 @@ def _task_sample(cfg, seed, writer):
     return {"count": count, "checkpoint": checkpoint or None}
 
 
-def support_grid(source, target, p_pool, q_pool, n_grid, min_log_density=-5.5):
+def support_grid(source, target, p_pool, q_pool, n_grid):
     """Product grid over the joint bounding box, kept where either density lives.
 
     Log-ratio targets are meaningless where both densities vanish, so grid
-    points below the density floor under both p and q are dropped.
+    points below MIN_LOG_DENSITY under both p and q are dropped.
     """
     joint = np.concatenate([p_pool.positions, q_pool.positions])
     lo, hi = joint.min(axis=0), joint.max(axis=0)
@@ -523,7 +542,7 @@ def support_grid(source, target, p_pool, q_pool, n_grid, min_log_density=-5.5):
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     try:
-        keep = np.maximum(source.log_pdf(grid), target.log_pdf(grid)) >= min_log_density
+        keep = np.maximum(source.log_pdf(grid), target.log_pdf(grid)) >= MIN_LOG_DENSITY
         grid = grid[keep]
     except NotImplementedError:
         pass

@@ -15,15 +15,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ParticleEnsemble:
-    """m x d particle positions plus an optional per-particle log-density."""
+    """m x d particle positions."""
 
-    def __init__(self, positions, logdens=None):
+    def __init__(self, positions):
         self.positions = np.asarray(positions, dtype=np.float64)
         if self.positions.ndim != 2:
             raise ValueError(f"positions must be (m, d), got {self.positions.shape}")
-        self.logdens = None if logdens is None else np.asarray(logdens, dtype=np.float64)
-        if self.logdens is not None and self.logdens.shape != (self.m,):
-            raise ValueError("logdens must be one value per particle")
 
     @property
     def m(self) -> int:

@@ -488,25 +488,18 @@ def slice_(x, axis, start, stop) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse sweep
 
-def grad(tape: Tape, seed=None):
+def grad(tape: Tape):
     """One reverse sweep: returns d(output)/d(slot) for every parameter slot.
 
-    ``seed`` is the adjoint of the tape's single marked output and must match
-    its shape (defaults to all-ones). Deterministic: accumulation follows
-    fixed tape order.
+    The adjoint of the tape's single marked output is all-ones.
+    Deterministic: accumulation follows fixed tape order.
     """
     if len(tape.outputs) != 1:
         raise NumericError(f"grad expects exactly one marked output, tape has {len(tape.outputs)}")
     out_id = tape.outputs[0]
     out_shape = tape.nodes[out_id].value.shape
-    if seed is None:
-        seed_val = np.ones(out_shape)
-    else:
-        seed_val = as_tensor(seed).data
-        if seed_val.shape != out_shape:
-            raise ShapeError(f"seed shape {seed_val.shape} != output shape {out_shape}")
     adjoints: list = [None] * len(tape.nodes)
-    adjoints[out_id] = seed_val
+    adjoints[out_id] = np.ones(out_shape)
     for i in range(out_id, -1, -1):
         node = tape.nodes[i]
         g = adjoints[i]

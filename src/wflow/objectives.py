@@ -63,20 +63,22 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction, at ADAM_BETA1, ADAM_BETA2 and ADAM_EPS."""
+
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g
@@ -84,7 +86,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Sgd:
@@ -140,31 +142,24 @@ def fit(step, params, cfg: TrainConfig, *, schedule=None, check=None):
 
 @dataclass
 class Interpolant:
-    """Two-endpoint interpolation I_s with I_0 = x0 and I_1 = x1.
+    """Linear interpolation I_s = (1 - s) x0 + s x1, so I_0 = x0 and I_1 = x1.
 
     ``coupling`` fixes how endpoint batches are paired: "independent"
     shuffles one side, "paired" keeps the given order (for endpoint pairs
     that are constructed jointly, like mean-reverting step targets).
     """
 
-    kind: str = "linear"  # linear | trig
     coupling: str = "independent"
 
     def __post_init__(self):
-        if self.kind not in ("linear", "trig"):
-            raise ValueError(f"unknown interpolant {self.kind!r}")
         if self.coupling not in ("independent", "paired"):
             raise ValueError(f"unknown coupling {self.coupling!r}")
 
     def coeffs(self, s: np.ndarray):
         """(a0, a1, da0, da1) such that I_s = a0 x0 + a1 x1, each (n, 1)."""
         s = s.reshape(-1, 1)
-        if self.kind == "linear":
-            one = np.ones_like(s)
-            return 1.0 - s, s, -one, one
-        half_pi = 0.5 * np.pi
-        c, sn = np.cos(half_pi * s), np.sin(half_pi * s)
-        return c, sn, -half_pi * sn, half_pi * c
+        one = np.ones_like(s)
+        return 1.0 - s, s, -one, one
 
 
 def _resolve_potential(potential):
@@ -279,14 +274,13 @@ def make_local_fm_targets(batch_prev, gamma_n, rng):
 
 @dataclass
 class TrainResult:
-    subject: object
     losses: np.ndarray
     wall_ms: np.ndarray
 
 
 def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
                 est: DivergenceEstimator | None = None, potential=None,
-                interp: Interpolant | None = None, time_draws=1) -> TrainResult:
+                time_draws=1) -> TrainResult:
     """Minimize one objective with minibatch Adam/SGD; deterministic per seed.
 
     loss_kind selects the objective and the expected (subject, data) pair:
@@ -295,10 +289,9 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
     """
     if loss_kind not in ("nll", "jko", "fm", "local_fm"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if interp is None:
-        # mean-reverting step targets are constructed jointly with their
-        # sources, so the local kind defaults to the paired coupling
-        interp = Interpolant(coupling="paired" if loss_kind == "local_fm" else "independent")
+    # mean-reverting step targets are constructed jointly with their
+    # sources, so the local kind pairs them
+    interp = Interpolant(coupling="paired" if loss_kind == "local_fm" else "independent")
     if loss_kind == "fm":
         pool0, pool1 = as_positions(data[0]), as_positions(data[1])
         if len(pool0) != len(pool1):
@@ -327,7 +320,7 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
     elif isinstance(subject, FlowChain):
         for block in subject.blocks:
             block.trained = True
-    return TrainResult(subject, losses, wall)
+    return TrainResult(losses, wall)
 
 
 def push_particles(block: FlowBlock, ensemble: ParticleEnsemble) -> ParticleEnsemble:

@@ -39,7 +39,6 @@ class RatioModel:
     """Classifier logit phi(x) estimating a log density ratio log(f1/f0)."""
 
     layers: list
-    trained_on: tuple  # (bridge step index or None, (n0, n1) sample counts)
 
     def log_ratio(self, x) -> np.ndarray:
         out = mlp.BoundLayers(self.layers).forward(nc.Tensor(as_positions(x)))
@@ -71,7 +70,7 @@ def logistic_ratio_loss(layers, samples0, samples1):
 
 
 def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
-                       widths=RATIO_WIDTHS, step=None) -> RatioModel:
+                       widths=RATIO_WIDTHS) -> RatioModel:
     """Train phi ~ log(f1/f0) from two sample sets by minibatch logistic loss."""
     x0, x1 = as_positions(samples0), as_positions(samples1)
     if len(x0) == 0 or len(x1) == 0:
@@ -90,10 +89,10 @@ def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
 
     # cosine decay to a 10% floor settles the late-phase minibatch noise
     fit(minibatch, mlp.parameter_arrays(layers), cfg, schedule=cosine_lr(0.1))
-    return RatioModel(layers, (step, (len(x0), len(x1))))
+    return RatioModel(layers)
 
 
-def telescopic_log_ratio(path, x, cfg: TrainConfig, return_models=False):
+def telescopic_log_ratio(path, x, cfg: TrainConfig) -> np.ndarray:
     """Sum of per-bridge log-ratios along a path of ensembles.
 
     ``path`` runs from samples of p to samples of q through overlapping
@@ -105,15 +104,10 @@ def telescopic_log_ratio(path, x, cfg: TrainConfig, return_models=False):
         raise ValueError("telescoping needs at least two ensembles")
     xq = as_positions(x)
     total = np.zeros(len(xq))
-    models = []
     for n in range(len(path) - 1):
         model = fit_logistic_ratio(path[n], path[n + 1],
-                                   TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + n}),
-                                   step=n)
+                                   TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + n}))
         total += model.log_ratio(xq)
-        models.append(model)
-    if return_models:
-        return total, models
     return total
 
 
@@ -122,7 +116,6 @@ def telescopic_log_ratio(path, x, cfg: TrainConfig, return_models=False):
 
 @dataclass
 class OtResult:
-    chain: FlowChain
     transport_cost: float
     kl_p: float
     kl_q: float
@@ -213,7 +206,7 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
     losses, wall = fit(minibatch, chain.parameter_arrays(), cfg, schedule=cosine_lr(0.05))
     for block in chain.blocks:
         block.trained = True
-    return OtResult(chain, transport_cost(chain, xp_pool), *kls, losses, wall)
+    return OtResult(transport_cost(chain, xp_pool), *kls, losses, wall)
 
 
 def _moment_gaussian(x) -> Gaussian:
@@ -226,9 +219,8 @@ def _moment_gaussian(x) -> Gaussian:
 class RiskFunction:
     """Differentiable per-sample risk R(x), evaluable on the tape."""
 
-    def __init__(self, expr, kind="custom"):
+    def __init__(self, expr):
         self.expr = expr
-        self.kind = kind
 
     @classmethod
     def linear(cls, c) -> "RiskFunction":
@@ -237,7 +229,7 @@ class RiskFunction:
         def expr(x):
             return nc.tsum(nc.mul(x, nc.Tensor(c)), axis=1)
 
-        return cls(expr, kind="linear")
+        return cls(expr)
 
     @classmethod
     def classifier_loss(cls, model: RatioModel, label=1) -> "RiskFunction":
@@ -253,7 +245,7 @@ class RiskFunction:
                 return nc.softplus(nc.mul(phi, -1.0))
             return nc.softplus(phi)
 
-        return cls(expr, kind="classifier-loss")
+        return cls(expr)
 
     def __call__(self, x: nc.Tensor) -> nc.Tensor:
         return self.expr(x)

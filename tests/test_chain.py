@@ -125,16 +125,17 @@ def test_sampling_determinism():
 
 def test_sampling_with_logdens_above_exact_dim():
     # d = 10 takes the Hutchinson default, whose probes come from the sampling
-    # rng after the base draw, so the positions match a plain sample
+    # rng after the base draw
     chn = fc.identity_chain(10, 1, widths=(8,), steps=2)
-    ens = fc.sample(chn, 20, np.random.default_rng(12), with_logdens=True)
-    plain = fc.sample(chn, 20, np.random.default_rng(12))
-    assert np.array_equal(ens.positions, plain.positions)
-    assert np.allclose(ens.logdens, chn.base.log_pdf(ens.positions))  # zero field
+    rng = np.random.default_rng(12)
+    ens = fc.sample(chn, 20, rng)
+    logdens = fc.log_density(chn, ens.positions, rng=rng)
+    assert np.allclose(logdens, chn.base.log_pdf(ens.positions))  # zero field
     chn = _perturbed_chain(10, 1, seed=2, steps=2, widths=(8,))
-    ens = fc.sample(chn, 20, np.random.default_rng(12), with_logdens=True)
-    assert np.array_equal(ens.positions, fc.sample(chn, 20, np.random.default_rng(12)).positions)
-    assert ens.logdens.shape == (20,) and np.all(np.isfinite(ens.logdens))
+    rng = np.random.default_rng(12)
+    ens = fc.sample(chn, 20, rng)
+    logdens = fc.log_density(chn, ens.positions, rng=rng)
+    assert logdens.shape == (20,) and np.all(np.isfinite(logdens))
 
 
 @pytest.mark.parametrize("est", [vel.DivergenceEstimator("exact"),

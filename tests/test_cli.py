@@ -101,11 +101,13 @@ def test_bad_value_exit_2(tmp_path, capsys):
     assert "count" in capsys.readouterr().err
 
 
+_TINY_TRAIN = ("[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
+               "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n")
 _TINY = {
-    "train-jko": "[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
-                 "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n",
-    "ot": "[dataset]\ncount = 64\nholdout = 32\n[model]\nwidth = 4\ndepth = 1\n"
-          "steps_per_block = 2\n[train]\nbatch_size = 16\niterations = 2\n",
+    "train-jko": _TINY_TRAIN,
+    "train-lfm": _TINY_TRAIN,
+    "train-cnf": _TINY_TRAIN,
+    "ot": _TINY_TRAIN,
     "dro": "[dataset]\ncount = 64\nholdout = 32\n[train]\nbatch_size = 16\niterations = 2\n",
     "dre": "[dataset]\ncount = 64\nholdout = 32\n[dre]\nbridges = 2\ngrid = 4\n"
            "classifier_iterations = 2\n",
@@ -179,6 +181,15 @@ def _tiny_config(tmp_path, task, section, key, value):
     # the per-block kl_moment of a progressive task sees the count training particles
     ("train-jko", "dataset", "count", "1"),
     ("train-jko", "dataset", "count", "2"),
+    # nll training needs a Gaussian base and jko a Gaussian potential
+    ("train-cnf", "dataset", "target", "fig10-p"),
+    ("train-cnf", "dataset", "target", "fig10-q"),
+    ("train-cnf", "dataset", "target", "branch-tree"),
+    ("train-jko", "dataset", "target", "fig10-p"),
+    ("train-jko", "dataset", "target", "fig10-q"),
+    ("train-jko", "dataset", "target", "branch-tree"),
+    # kl_moment is the closed-form KL to a Gaussian target
+    ("train-lfm+kl_moment", "dataset", "target", "fig10-p"),
 ])
 def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
     cfg = _tiny_config(tmp_path, task, section, key, value.format(tmp=tmp_path))
@@ -213,6 +224,17 @@ def test_kl_mc_on_a_train_task_rejected_before_training(tmp_path, capsys, monkey
     out = tmp_path / "out"
     assert cli.run_experiment(cfg, task="train-jko", out=str(out)) == 2
     assert "kl_mc applies to the eval task only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_kl_mc_without_a_log_density_exit_2_before_metrics(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setattr(cli.metrics, "kl_mc", lambda *args: pytest.fail("metric started"))
+    cfg = _write(tmp_path, "eval.ini", f"[dataset]\n{key} = two-moons\ncount = 64\n"
+                                       "[metrics]\nnames = mmd, kl_mc\n")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="eval", out=str(out)) == 2
+    assert f"[dataset] {key} = two-moons" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -556,6 +578,66 @@ classifier_iterations = 20
     assert cli.run_experiment(cfg, out=str(out)) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["bridge_kind"] == "flow"
+
+
+def test_dre_flow_checkpoint_of_another_dimension_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.tp, "fit_logistic_ratio", lambda *a: pytest.fail("training started"))
+    ckpt = tmp_path / "d3.wflw"
+    fc.save_checkpoint(fc.identity_chain(3, 1, steps=2, widths=(4,)), ckpt)
+    cfg = _write(tmp_path, "dre.ini", f"""
+[dataset]
+count = 64
+[model]
+checkpoint = {ckpt}
+[dre]
+bridges = 2
+bridge_kind = flow
+classifier_iterations = 5
+grid = 4
+""")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="dre", out=str(out)) == 2
+    assert "[model] checkpoint is 3-D but the dataset is 2-D" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every task against every preset, as target and as source, at tiny sizes
+_GRID_INI = """
+[experiment]
+seed = 3
+[dataset]
+{role} = {preset}
+count = 16
+holdout = 8
+[model]
+width = 2
+depth = 1
+steps_per_block = 1
+[train]
+batch_size = 8
+iterations = 1
+[dre]
+bridges = 2
+grid = 4
+classifier_iterations = 1
+[metrics]
+names = {names}
+"""
+_GRID_TASKS = ("train-cnf", "train-jko", "train-fm", "train-lfm", "ot", "dre", "dro", "eval",
+               "sample")
+
+
+@pytest.mark.parametrize("preset", ds.PRESETS)
+@pytest.mark.parametrize("role", ["target", "source"])
+@pytest.mark.parametrize("task", _GRID_TASKS)
+def test_task_preset_grid_exits_0_2_or_3(tmp_path, task, role, preset):
+    names = ("kl_mc, gauss_fid, mmd, w2" if task == "eval"
+             else "nll, kl_moment, gauss_fid, mmd, w2" if task.startswith("train") else "")
+    cfg = _write(tmp_path, "grid.ini", _GRID_INI.format(role=role, preset=preset, names=names))
+    out = tmp_path / "out"
+    code = cli.main([task, "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert code == 0 or not out.exists()
 
 
 def test_dre_flow_bridges_need_checkpoint(tmp_path):

@@ -80,9 +80,8 @@ def test_fid_rank_deficient_flagged():
     a = np.zeros((10, 2))
     a[:, 0] = np.arange(10.0)  # second coordinate constant: singular covariance
     b = np.random.default_rng(6).normal(size=(50, 2))
-    value, details = metrics.gauss_fid(a, b, return_details=True)
-    assert value >= 0.0
-    assert details["clamped_eigenvalues"] in (True, False)
+    value = metrics.gauss_fid(a, b)
+    assert np.isfinite(value) and value >= 0.0
 
 
 def test_fid_requires_enough_points():

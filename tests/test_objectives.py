@@ -169,26 +169,29 @@ def test_fm_gradient_fd():
 def test_interpolant_endpoint_identities():
     rng = np.random.default_rng(9)
     x0, x1 = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    for kind in ("linear", "trig"):
-        interp = obj.Interpolant(kind)
-        a0, a1, _, _ = interp.coeffs(np.array([0.0]))
-        assert np.allclose(a0 * x0 + a1 * x1, x0, atol=1e-12)
-        a0, a1, _, _ = interp.coeffs(np.array([1.0]))
-        assert np.allclose(a0 * x0 + a1 * x1, x1, atol=1e-12)
+    interp = obj.Interpolant()
+    s = np.array([0.0, 0.25, 0.5, 1.0])
+    a0, a1, _, _ = interp.coeffs(s)
+    assert a0.shape == a1.shape == (4, 1)
+    assert np.array_equal(a0[:, 0], 1.0 - s) and np.array_equal(a1[:, 0], s)
+    a0, a1, _, _ = interp.coeffs(np.array([0.0]))
+    assert np.allclose(a0 * x0 + a1 * x1, x0, atol=1e-12)
+    a0, a1, _, _ = interp.coeffs(np.array([1.0]))
+    assert np.allclose(a0 * x0 + a1 * x1, x1, atol=1e-12)
 
 
 def test_interpolant_derivative_fd():
     rng = np.random.default_rng(10)
     x0, x1 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    for kind in ("linear", "trig"):
-        interp = obj.Interpolant(kind)
-        s = np.array([0.37])
-        h = 1e-6
-        a0p, a1p, _, _ = interp.coeffs(s + h)
-        a0m, a1m, _, _ = interp.coeffs(s - h)
-        fd = ((a0p - a0m) * x0 + (a1p - a1m) * x1) / (2 * h)
-        _, _, da0, da1 = interp.coeffs(s)
-        assert np.allclose(da0 * x0 + da1 * x1, fd, atol=1e-8)
+    interp = obj.Interpolant()
+    s = np.array([0.37])
+    h = 1e-6
+    a0p, a1p, _, _ = interp.coeffs(s + h)
+    a0m, a1m, _, _ = interp.coeffs(s - h)
+    fd = ((a0p - a0m) * x0 + (a1p - a1m) * x1) / (2 * h)
+    _, _, da0, da1 = interp.coeffs(s)
+    assert np.array_equal(da0, [[-1.0]]) and np.array_equal(da1, [[1.0]])
+    assert np.allclose(da0 * x0 + da1 * x1, fd, atol=1e-8)
 
 
 # --- local fm ------------------------------------------------------------

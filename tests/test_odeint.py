@@ -341,9 +341,9 @@ def test_jko_loss_tape_is_a_few_dozen_nodes(monkeypatch):
     sizes = []
     sweep = nc.grad
 
-    def spy(tape, seed=None):
+    def spy(tape):
         sizes.append(len(tape.nodes))
-        return sweep(tape, seed)
+        return sweep(tape)
 
     monkeypatch.setattr(nc, "grad", spy)
     field = vel.init_near_identity(2, widths=(64, 64), seed=9)

@@ -102,14 +102,6 @@ def test_telescoping_identical_path_near_zero():
     assert np.abs(est).mean() <= 0.15
 
 
-def test_telescoping_models_record_their_bridge():
-    rng = np.random.default_rng(6)
-    pools = [rng.normal(size=(40, 1)) + k for k in range(3)]
-    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=16, iterations=3, seed=1)
-    _, models = tp.telescopic_log_ratio(pools, np.zeros((2, 1)), cfg, return_models=True)
-    assert [m.trained_on for m in models] == [(0, (40, 40)), (1, (40, 40))]
-
-
 def test_telescoping_needs_two_ensembles():
     with pytest.raises(ValueError):
         tp.telescopic_log_ratio([np.zeros((5, 1))], np.zeros((2, 1)), FIT_CFG)
