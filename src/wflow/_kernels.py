@@ -6,7 +6,8 @@ own on the first call: importing ``scipy.optimize`` would pull in about 320
 scipy modules (linalg, sparse, special) that W2 never uses, and code that
 never computes W2 loads nothing from scipy. The permutation null is a BLAS
 product of the joint kernel matrix with a 0/1 indicator matrix, taken one
-block of permutations at a time.
+block of permutations at a time; the kernel matrix is rebuilt a row block
+at a time for each block and never held whole.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import numpy as np
 NUMBA_ENABLED = False
 
 _LSAP = "scipy.optimize._lsap"
-# most permutations the null scores per product: every product streams all
-# of K again, and each block holds two (N, block) arrays
+# most permutations the null scores per product: every block rebuilds all of
+# K, and each block holds two (N, block) arrays
 _PERM_BLOCK = 80
+# rows of the pairwise squared distances a kernel builds at once
+_ROW_BLOCK = 32
 _linear_sum_assignment = None
 
 
@@ -64,45 +67,74 @@ def solve_assignment(cost: np.ndarray) -> np.ndarray:
     return _linear_sum_assignment(cost)[1]
 
 
-def mmd2_permutations(K: np.ndarray, m: int, perms: np.ndarray) -> np.ndarray:
-    """Unbiased MMD^2 under each permuted split of a joint kernel matrix.
+def _sq_dists(a, b, b_sq, out):
+    """Pairwise squared distances clip(|a|^2 + |b|^2 - 2 a b^T, 0), given b_sq = |b|^2.
 
-    Row p of ``perms`` puts its first m entries in the first sample. With
-    A[:, p] the 0/1 indicator of that sample and B = 1 - A, the within- and
-    between-sample kernel sums of every permutation come out of the product
-    KA = K @ A (and KB = K @ B = rowsum(K) - KA):
+    Built in place in ``out`` (or one fresh array) with a @ b.T the only
+    temporary; the row-block kernels compute b_sq once per call.
+    """
+    t = np.add(np.sum(a * a, axis=1)[:, None], b_sq[None, :], out=out)
+    ab = a @ b.T
+    ab *= 2.0
+    t -= ab
+    return np.maximum(t, 0.0, out=t)
+
+
+def _rbf(sq, bandwidth):
+    """exp(-sq / (2 bandwidth^2)), overwriting sq."""
+    np.negative(sq, out=sq)
+    sq /= 2.0 * bandwidth**2
+    return np.exp(sq, out=sq)
+
+
+def mmd2_permutations(joint: np.ndarray, m: int, perms: np.ndarray,
+                      bandwidth: float) -> np.ndarray:
+    """Unbiased MMD^2 under each permuted split of a joint sample.
+
+    Row p of ``perms`` puts its first m entries in the first sample. With K
+    the RBF kernel matrix of the joint points, A[:, p] the 0/1 indicator of
+    that sample and B = 1 - A, the within- and between-sample kernel sums
+    of every permutation come out of the product KA = K @ A (and
+    KB = K @ B = rowsum(K) - KA):
 
         sxx = colsum(A * KA) - diag(K) @ A
         syy = colsum(B * KB) - diag(K) @ B
         sxy = colsum(B * KA)
 
     The permutations are scored in even blocks of at most _PERM_BLOCK
-    columns, so A, B, KA and KB exist for one block at a time, in two
-    (N, <= _PERM_BLOCK) arrays (B overwrites A, KB overwrites KA), not four
-    (N, perms) ones.
+    columns, each in two (N, <= _PERM_BLOCK) arrays (B overwrites A, KB
+    overwrites KA). K is never held: each block rebuilds it _ROW_BLOCK rows
+    at a time and writes those rows of KA, rowsum(K) and diag(K).
     """
-    K = np.asarray(K, dtype=np.float64)
+    joint = np.asarray(joint, dtype=np.float64)
     perms = np.asarray(perms, dtype=np.int64)
-    rowsum = K.sum(axis=1)[:, None]
-    diag = np.diag(K)
+    joint_sq = np.sum(joint * joint, axis=1)
     # even blocks: a lone last column would go through a matrix-vector
     # product, which sums in another order than the matrix product
     blocks = np.array_split(perms, -(-len(perms) // _PERM_BLOCK))
-    return np.concatenate([_score_block(K, rowsum, diag, m, block) for block in blocks])
+    return np.concatenate([_score_block(joint, joint_sq, bandwidth, m, block)
+                           for block in blocks])
 
 
-def _score_block(K, rowsum, diag, m, perms):
-    total, n_perms = K.shape[0], perms.shape[0]
+def _score_block(joint, joint_sq, bandwidth, m, perms):
+    total, n_perms = joint.shape[0], perms.shape[0]
     n = total - m
     A = np.zeros((total, n_perms))
     A[perms[:, :m].T, np.arange(n_perms)] = 1.0
-    # K @ A with the same sums; in this orientation OpenBLAS streams K in row
-    # panels against the narrow block, 2.1 ms against 2.5 ms for K @ A at
-    # N = 800 and 67 columns (one thread, 2-core x86-64 host)
-    KA = (A.T @ K.T).T
+    KA = np.empty_like(A)
+    rowsum, diag = np.empty(total), np.empty(total)
+    for r0 in range(0, total, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        k = _rbf(_sq_dists(joint[rows], joint, joint_sq, None), bandwidth)
+        # rows of (A.T @ K.T).T: the sums of one whole product wherever
+        # OpenBLAS runs both through its general kernel (as at N = 800), not
+        # its small-matrix one, used under about 10^6 multiply-adds
+        KA[rows] = (A.T @ k.T).T
+        rowsum[rows] = k.sum(axis=1)
+        diag[rows] = k[:, r0:].diagonal()
     sxx = np.einsum("ip,ip->p", A, KA) - diag @ A
     B = np.subtract(1.0, A, out=A)
     sxy = np.einsum("ip,ip->p", B, KA)
-    KB = np.subtract(rowsum, KA, out=KA)
+    KB = np.subtract(rowsum[:, None], KA, out=KA)
     syy = np.einsum("ip,ip->p", B, KB) - diag @ B
     return sxx / (m * (m - 1)) + syy / (n * (n - 1)) - 2.0 * sxy / (m * n)

@@ -143,11 +143,21 @@ def push_forward_logdet(bound_blocks, x: nc.Tensor, est: DivergenceEstimator, rn
 
 def log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng=None):
     """Exact model log-density via the divergence integral along x's trajectory."""
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim == 1:
+        return float(push_log_density(chain, xb[None, :], est, rng)[0][0])
+    return push_log_density(chain, xb, est, rng)[0]
+
+
+def push_log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng=None):
+    """(log p(x), F(x)) for a batch x of shape (m, d), from one augmented pass.
+
+    F(x) is forward_map's end state bit for bit: the augmented stages take
+    the velocity through the same operations as the plain ones.
+    """
     if est is None:
         est = default_estimator(chain.d)
-    xb = np.asarray(x, dtype=np.float64)
-    single = xb.ndim == 1
-    z = xb[None, :] if single else xb
+    z = np.asarray(x, dtype=np.float64)
     logdet = None
     # push_forward_logdet's loop without a tape or kept stage inputs: same values, bit for bit
     for block in chain.blocks:
@@ -157,7 +167,7 @@ def log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng
     out = chain.base.log_pdf(z) + logdet
     if not np.all(np.isfinite(out)):
         raise nc.NumericError("non-finite log-density")
-    return float(out[0]) if single else out
+    return out, z
 
 
 def sample(chain: FlowChain, n, rng) -> ParticleEnsemble:

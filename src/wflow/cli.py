@@ -284,15 +284,22 @@ def _chain_metrics(names, chn, target, holdout, seed):
     rng = np.random.default_rng([seed, 303])
     generated = flowchain.sample(chn, holdout.m, rng)
     sizes = {"holdout": holdout.m, "generated": generated.m}
+    pushed = None
+    if "nll" in names:
+        # default_estimator: the exact trace up to EXACT_DIVERGENCE_MAX_DIM (in
+        # closed form for one or two hidden layers), a Hutchinson estimate above.
+        # The pass ends at forward_map's end state, which kl_moment reuses.
+        logp, end = flowchain.push_log_density(chn, holdout.positions,
+                                               rng=np.random.default_rng([seed, 304]))
+        nll, pushed = float(-np.mean(logp)), ds.ParticleEnsemble(end)
     for name in names:
         extra = {}
         if name == "nll":
-            # default_estimator: the exact trace up to EXACT_DIVERGENCE_MAX_DIM (in
-            # closed form for one or two hidden layers), a Hutchinson estimate above
-            value = metrics.nll_eval(chn, holdout, rng=np.random.default_rng([seed, 304]))
+            value = nll
             extra = {"holdout_disjoint_from_training": True}  # by pool construction
         elif name == "kl_moment":
-            pushed = flowchain.forward_map(chn, holdout)
+            if pushed is None:
+                pushed = flowchain.forward_map(chn, holdout)
             value = metrics.moment_fit_kl(pushed, target)
         else:
             value = _sample_metric(name, generated, holdout)
@@ -430,6 +437,21 @@ def _task_dre(cfg, seed, writer):
     bridges, bridge_kind = cfg["dre"]["bridges"], cfg["dre"]["bridge_kind"]
     fit_cfg = obj.TrainConfig(learn_rate=0.006, batch_size=256,
                               iterations=cfg["dre"]["classifier_iterations"], seed=seed)
+    grid = support_grid(source, target, train_pool, q_pool, cfg["dre"]["grid"])
+    if not len(grid):
+        raise ConfigError(f"[dre] grid = {cfg['dre']['grid']} keeps no point where "
+                          "either density lives")
+    analytic = None
+    try:
+        analytic = target.log_pdf(grid) - source.log_pdf(grid)
+    except NotImplementedError:
+        pass
+    if analytic is not None and not np.all(np.isfinite(analytic)):
+        # e.g. the checkerboard, whose density is zero off its cells
+        raise ConfigError(f"the analytic log-ratio is infinite at "
+                          f"{int(np.sum(~np.isfinite(analytic)))} of {len(grid)} grid points, "
+                          "where one density vanishes; dre needs a source and a target "
+                          "with the same support")
     if bridge_kind == "ou":
         path = ou_bridge_path(train_pool, q_pool, bridges, rng)
     else:
@@ -441,17 +463,8 @@ def _task_dre(cfg, seed, writer):
                               f"{train_pool.d}-D")
         path = flow_bridge_path(chn, train_pool, q_pool, bridges)
 
-    grid = support_grid(source, target, train_pool, q_pool, cfg["dre"]["grid"])
-    if not len(grid):
-        raise ConfigError(f"[dre] grid = {cfg['dre']['grid']} keeps no point where "
-                          "either density lives")
     direct = tp.fit_logistic_ratio(train_pool, q_pool, fit_cfg).log_ratio(grid)
     tele = tp.telescopic_log_ratio(path, grid, fit_cfg)
-    analytic = None
-    try:
-        analytic = target.log_pdf(grid) - source.log_pdf(grid)
-    except NotImplementedError:
-        pass
 
     with open(writer.path("dre.csv"), "w", encoding="ascii") as fh:
         coord_names = ",".join(f"x{k}" for k in range(train_pool.d))

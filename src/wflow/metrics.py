@@ -9,12 +9,13 @@ The pairwise kernels (median bandwidth, MMD, W2's cost, the null's joint
 kernel matrix) build the squared distances in blocks of 32 rows and keep
 only what they reduce to: none holds an (m, n) or (N, N) temporary that it
 only sums over, and none a whole a @ b.T. On 2048 + 2048 points in d=2 the
-tracemalloc peak of `mmd_rbf` and of `median_bandwidth` is 4.5 MiB (160 and
+tracemalloc peak of `mmd_rbf` and of `median_bandwidth` is 2.9 MiB (160 and
 96 MiB with full matrices). W2 keeps its (m, m) cost, which the assignment
 reads whole (2.1 MiB peak at m = 512). The permutation null keeps its
-(N, N) kernel matrix and its (perms, N) permutations, and scores them in
-blocks of permutations: at 400 + 400 points and 200 permutations its peak
-is the 4.9 MiB matrix plus 2.1 MiB.
+(perms, N) permutations and no kernel matrix: it scores blocks of
+permutations, and each block rebuilds K a row block at a time. At 400 + 400
+points and 200 permutations its peak is 2.7 MiB, where the whole K alone
+was 4.9 MiB.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from wflow import _kernels
+from wflow._kernels import _ROW_BLOCK, _rbf, _sq_dists
 from wflow import chain as flowchain
 from wflow import numcore as nc
 from wflow.datasets import Gaussian, as_positions
@@ -33,8 +35,6 @@ from wflow.datasets import Gaussian, as_positions
 # d=2, one BLAS thread, 2-core x86-64 host) takes about 0.15 s at 512 points,
 # 1.3 s at 1024 and 9 s at 2048: the cubic solve, not memory, sets the cap
 W2_MAX_PARTICLES = 512
-# rows of sq_dists a pairwise kernel holds at once
-_ROW_BLOCK = 32
 _LOWER = np.tril(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
 # median_bandwidth bins a squared distance by the top bits of its float64
 # pattern (exponent and 4 mantissa bits): for non-negative doubles the bins
@@ -114,40 +114,20 @@ def w2_exact(ens_a, ens_b) -> float:
     return float(np.sqrt(total / len(a)))
 
 
-def sq_dists(a, b, out=None) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero.
-
-    The same bytes as clip(|a|^2 + |b|^2 - 2 a b^T, 0), built in place in
-    ``out`` (or one fresh array) with a @ b.T the only temporary.
-    """
-    return _sq_dists(a, b, np.sum(b * b, axis=1), out)
-
-
-def _sq_dists(a, b, b_sq, out):
-    """sq_dists given b_sq = |b|^2 row by row, which the row-block kernels compute once."""
-    t = np.add(np.sum(a * a, axis=1)[:, None], b_sq[None, :], out=out)
-    ab = a @ b.T
-    ab *= 2.0
-    t -= ab
-    return np.maximum(t, 0.0, out=t)
-
-
-def _pairwise_matrix(a, b, bandwidth=None):
-    """sq_dists(a, b), or its RBF kernel at a bandwidth, filled _ROW_BLOCK rows at a time.
+def _pairwise_matrix(a, b):
+    """The squared distances of a to b, filled _ROW_BLOCK rows at a time.
 
     The only temporary is one row block of a @ b.T, not the whole product.
     """
     out = np.empty((len(a), len(b)))
     b_sq = np.sum(b * b, axis=1)
     for r0 in range(0, len(a), _ROW_BLOCK):
-        sq = _sq_dists(a[r0:r0 + _ROW_BLOCK], b, b_sq, out[r0:r0 + _ROW_BLOCK])
-        if bandwidth is not None:
-            _rbf(sq, bandwidth)
+        _sq_dists(a[r0:r0 + _ROW_BLOCK], b, b_sq, out[r0:r0 + _ROW_BLOCK])
     return out
 
 
 def _row_blocks(a, b=None):
-    """Yield (r0, sq_dists block) over blocks of _ROW_BLOCK rows of a.
+    """Yield the squared distances of a to b in blocks of _ROW_BLOCK rows of a.
 
     Against b, every block covers all of b's columns. Without b, the blocks
     cover the upper triangle of a against itself: rows r0:r0+B against
@@ -158,7 +138,7 @@ def _row_blocks(a, b=None):
     cols_sq = np.sum(cols * cols, axis=1)
     for r0 in range(0, len(a), _ROW_BLOCK):
         c0 = r0 if b is None else 0
-        yield r0, _sq_dists(a[r0:r0 + _ROW_BLOCK], cols[c0:], cols_sq[c0:], None)
+        yield _sq_dists(a[r0:r0 + _ROW_BLOCK], cols[c0:], cols_sq[c0:], None)
 
 
 def _drop_lower(block, fill):
@@ -183,8 +163,10 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
     and n//2, found by comparing against the bins' float bounds, into one
     array sized from the counts, and selects those two ranks. sqrt is
     monotone, so the mean of their square roots is np.median of the
-    distances, bit for bit. Non-finite input, or squared distances that
-    overflow, give a NaN bandwidth.
+    distances, bit for bit. Each pass drops its block before it builds the
+    next, and the counts go before the second pass, so at most one block,
+    the next one's a @ b.T and the kept values are alive. Non-finite input,
+    or squared distances that overflow, give a NaN bandwidth.
     """
     joint = np.concatenate([a, b], axis=0)
     n_pairs = len(joint) * (len(joint) - 1) // 2
@@ -192,13 +174,15 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
         return float("nan"), False
 
     counts = np.zeros(_MEDIAN_BINS, dtype=np.int64)
-    for _, sq in _row_blocks(joint):
+    for sq in _row_blocks(joint):
         if not np.isfinite(sq.max()):
             return float("nan"), False
         bins = sq.view(np.int64)
         bins >>= _MEDIAN_SHIFT
         _drop_lower(bins, _MEDIAN_BINS - 1)
         counts += np.bincount(bins.ravel(), minlength=_MEDIAN_BINS)
+        # drop the block before the next one is built beside its a @ b.T
+        del sq, bins
     lo, hi = (n_pairs - 1) // 2, n_pairs // 2
     cum = np.cumsum(counts)
     b_lo, b_hi = np.searchsorted(cum, [lo, hi], side="right")
@@ -208,14 +192,16 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
     # last finite bin
     floor, ceil = (np.array([b_lo, b_hi + 1], dtype=np.int64) << _MEDIAN_SHIFT).view(np.float64)
     kept = np.empty(cum[b_hi] - below)
+    del counts, cum
     start = 0
-    for _, sq in _row_blocks(joint):
+    for sq in _row_blocks(joint):
         _drop_lower(sq, -1.0)
         inside = sq >= floor
         inside &= sq < ceil
         values = sq[inside]
         kept[start:start + len(values)] = values
         start += len(values)
+        del sq, inside, values
     ranks = [lo - below, hi - below]
     kept.partition(ranks)
     med = float(np.mean(np.sqrt(kept[ranks])))
@@ -224,17 +210,10 @@ def median_bandwidth(a, b) -> tuple[float, bool]:
     return med, False
 
 
-def _rbf(sq, bandwidth):
-    """exp(-sq / (2 bandwidth^2)), overwriting sq."""
-    np.negative(sq, out=sq)
-    sq /= 2.0 * bandwidth**2
-    return np.exp(sq, out=sq)
-
-
 def _kernel_sum(a, b, bandwidth) -> float:
     """Sum of the RBF kernel over a x b; without b, over the pairs i != j of a."""
     total = 0.0
-    for _, sq in _row_blocks(a, b):
+    for sq in _row_blocks(a, b):
         k = _rbf(sq, bandwidth)
         if b is None:
             _drop_lower(k, 0.0)
@@ -279,9 +258,9 @@ def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
 def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None) -> np.ndarray:
     """MMD^2 values under random relabelings of the joint sample.
 
-    The joint kernel matrix K is filled in place a row block at a time and
-    kept whole; the permutations, drawn into one (n_perms, N) array, are
-    scored against it a block of permutations at a time.
+    The permutations, drawn into one (n_perms, N) array, are scored a block
+    of permutations at a time against the joint kernel matrix K, which each
+    block rebuilds a row block at a time: K is never held whole.
     """
     a, b = _two_samples(ens_a, ens_b)
     if n_perms < 1:
@@ -290,13 +269,12 @@ def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None
         rng = np.random.default_rng(0)
     bw, _ = _bandwidth(a, b, bandwidth)
     joint = np.concatenate([a, b], axis=0)
-    K = _pairwise_matrix(joint, joint, bw)
     # rng.permutation(N) shuffles arange(N): the same draws, made in place
     perms = np.empty((n_perms, len(joint)), dtype=np.int64)
     perms[:] = np.arange(len(joint))
     for row in perms:
         rng.shuffle(row)
-    return _kernels.mmd2_permutations(K, len(a), perms)
+    return _kernels.mmd2_permutations(joint, len(a), perms, bw)
 
 
 class KlResult(NamedTuple):

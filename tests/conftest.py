@@ -110,3 +110,9 @@ def gaussian_kl(mean_a, cov_a, mean_b, cov_b):
         + np.linalg.slogdet(cov_b)[1]
         - np.linalg.slogdet(cov_a)[1]
     )
+
+
+def sq_dists(a, b):
+    """Pairwise squared Euclidean distances: the textbook clip(|a|^2 + |b|^2 - 2 a b^T, 0)."""
+    return np.clip(np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+                   - 2.0 * (a @ b.T), 0.0, None)

@@ -152,6 +152,22 @@ def test_eager_log_density_bit_identical_to_taped(est):
     assert np.array_equal(got, chn.base.log_pdf(z.data) + logdet.data)
 
 
+@pytest.mark.parametrize("widths, est", [
+    ((12, 12), vel.DivergenceEstimator("exact")),
+    ((8, 8, 8), vel.DivergenceEstimator("exact")),
+    ((12, 12), vel.DivergenceEstimator("hutchinson", probes=3)),
+], ids=["closed", "tangent-depth3", "hutch3"])
+def test_push_log_density_ends_at_forward_map_bit_for_bit(widths, est):
+    # the CLI's kl_moment reads this end state in place of forward_map's
+    chn = _perturbed_chain(3, 2, seed=4, steps=5, widths=widths)
+    acts = [layer.act for layer in chn.blocks[0].field.layers]
+    assert vel.has_closed_form(acts) == (widths == (12, 12))
+    x = np.random.default_rng(5).normal(size=(40, 3))
+    logp, end = fc.push_log_density(chn, x, est, np.random.default_rng(6))
+    assert end.tobytes() == fc.forward_map(chn, ds.ParticleEnsemble(x)).positions.tobytes()
+    assert logp.tobytes() == fc.log_density(chn, x, est, np.random.default_rng(6)).tobytes()
+
+
 def test_sampling_pushforward_variance():
     chn = _affine_chain([(np.array([[-1.0]]), None)], ds.standard_gaussian(1))
     ens = fc.sample(chn, 40_000, np.random.default_rng(13))

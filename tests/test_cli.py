@@ -655,3 +655,28 @@ classifier_iterations = 5
 grid = 4
 """)
     assert cli.run_experiment(cfg, out=str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_dre_checkerboard_exits_2_before_any_classifier(tmp_path, monkeypatch, capsys, role):
+    # the checkerboard's density is zero off its cells, so the analytic
+    # log-ratio against a Gaussian is infinite on part of the grid: the
+    # config alone decides that, before anything is trained
+    fitted = []
+    monkeypatch.setattr(cli.tp, "fit_logistic_ratio", lambda *args: fitted.append(args))
+    monkeypatch.setattr(cli.tp, "telescopic_log_ratio", lambda *args: fitted.append(args))
+    cfg = _write(tmp_path, "dre.ini", f"""
+[experiment]
+task = dre
+[dataset]
+{role} = checkerboard
+count = 64
+[dre]
+grid = 8
+classifier_iterations = 5
+""")
+    out = tmp_path / "o"
+    assert cli.run_experiment(cfg, out=str(out)) == 2
+    assert "analytic log-ratio is infinite" in capsys.readouterr().err
+    assert fitted == []
+    assert not out.exists()

@@ -7,12 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import sq_dists
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wflow
 from wflow import _kernels
-from wflow.metrics import sq_dists
 
 
 def _assignment_cost(cost, cols):
@@ -132,16 +132,19 @@ def _mmd2_ix_reference(K, m, perm):
 def test_mmd_permutations_match_ix_reference(m, n, n_perms):
     rng = np.random.default_rng(m * 100 + n)
     joint = rng.normal(size=(m + n, 2))
-    K = np.exp(-sq_dists(joint, joint))
+    K = np.exp(-sq_dists(joint, joint) / 2.0)
     perms = np.stack([rng.permutation(m + n) for _ in range(n_perms)])
-    got = _kernels.mmd2_permutations(K, m, perms)
+    got = _kernels.mmd2_permutations(joint, m, perms, 1.0)
     want = [_mmd2_ix_reference(K, m, p) for p in perms]
     assert got.shape == (n_perms,)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _mmd2_one_product(K, m, perms):
-    """The null with every permutation in one product: the blocked kernel's oracle."""
+    """The null with every permutation in one product of the whole kernel matrix.
+
+    The oracle of the streamed kernel, which never holds K.
+    """
     K = np.asarray(K, dtype=np.float64)
     perms = np.asarray(perms, dtype=np.int64)
     total, n_perms = K.shape[0], perms.shape[0]
@@ -159,9 +162,10 @@ def _mmd2_one_product(K, m, perms):
 
 
 def _joint_kernel(total, seed, scale=1.0):
+    """(rng, joint points, their RBF kernel matrix at bandwidth 1)."""
     rng = np.random.default_rng(seed)
     joint = rng.normal(size=(total, 2)) * scale
-    return rng, np.exp(-sq_dists(joint, joint) / 2.0)
+    return rng, joint, np.exp(-sq_dists(joint, joint) / 2.0)
 
 
 _BLOCK = _kernels._PERM_BLOCK
@@ -175,14 +179,15 @@ _BLOCK = _kernels._PERM_BLOCK
 def test_blocked_null_matches_one_product(total, split, seed, scale, n_perms):
     m = 2 + int(split * (total - 4))
     n = total - m
-    rng, K = _joint_kernel(total, seed, scale)
+    rng, joint, K = _joint_kernel(total, seed, scale)
     perms = np.stack([rng.permutation(total) for _ in range(n_perms)])
-    got = _kernels.mmd2_permutations(K, m, perms)
+    got = _kernels.mmd2_permutations(joint, m, perms, 1.0)
     want = _mmd2_one_product(K, m, perms)
     # K @ A sums N terms per entry, and BLAS orders them by the product's
-    # width: two orders differ by at most N eps times the largest row sum
+    # shape: two orders differ by at most N eps times the largest row sum
     # R, which the three sums carry through their divisions. Measured on
-    # OpenBLAS: within 3.3 ulps of R at this scale, bit for bit at N = 800.
+    # OpenBLAS over 300 random cases: within 0.7 of this tolerance's unit
+    # (without the factor N), bit for bit in about half and at N = 800.
     row_sum = K.sum(axis=1).max()
     tol = total * np.finfo(float).eps * row_sum * (1 / (m - 1) + 1 / (n - 1) + 2 / m)
     assert got.shape == want.shape == (n_perms,)
@@ -191,9 +196,9 @@ def test_blocked_null_matches_one_product(total, split, seed, scale, n_perms):
 
 def test_blocked_null_bit_identical_at_benchmark_size():
     # the two-sample-eval workload: 400 points per side, 200 permutations
-    rng, K = _joint_kernel(800, 23)
+    rng, joint, K = _joint_kernel(800, 23)
     perms = np.stack([rng.permutation(800) for _ in range(200)])
-    assert (_kernels.mmd2_permutations(K, 400, perms).tobytes()
+    assert (_kernels.mmd2_permutations(joint, 400, perms, 1.0).tobytes()
             == _mmd2_one_product(K, 400, perms).tobytes())
 
 
@@ -205,7 +210,22 @@ def test_mmd_permutation_identity_matches_direct_ustat():
     b = rng.normal(size=(35, 2)) + 0.3
     res = mmd_rbf(a, b, bandwidth=1.0)
     joint = np.concatenate([a, b])
-    K = np.exp(-sq_dists(joint, joint) / 2.0)
     identity = np.arange(len(joint), dtype=np.int64)[None, :]
-    out = _kernels.mmd2_permutations(K, len(a), identity)
+    out = _kernels.mmd2_permutations(joint, len(a), identity, 1.0)
     assert out[0] == pytest.approx(res.value, abs=1e-12)
+
+
+def test_null_bit_identical_to_whole_kernel_at_benchmark_size():
+    # the two-sample-eval workload's null, against one product of the whole
+    # kernel matrix at the median bandwidth and the same permutations
+    from wflow import metrics
+
+    rng = np.random.default_rng(31)
+    a, b = rng.normal(size=(400, 2)) + [0.3, 0.0], rng.normal(size=(400, 2))
+    got = metrics.mmd_permutation_null(a, b, 200, rng=np.random.default_rng(32))
+    joint = np.concatenate([a, b])
+    bw = metrics.median_bandwidth(a, b)[0]
+    K = np.exp(-sq_dists(joint, joint) / (2.0 * bw**2))
+    perm_rng = np.random.default_rng(32)
+    perms = np.stack([perm_rng.permutation(800) for _ in range(200)])
+    assert got.tobytes() == _mmd2_one_product(K, 400, perms).tobytes()
