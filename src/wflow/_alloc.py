@@ -5,11 +5,12 @@ import os
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_THRESHOLD = 1 << 30
 
 _done = False
 
 
-def tune_allocator(threshold: int = 1 << 30) -> bool:
+def tune_allocator() -> bool:
     """Raise glibc's mmap/trim thresholds so large short-lived arrays reuse heap pages.
 
     No-op (returns False) off glibc or when WFLOW_MALLOC_TUNE=0.
@@ -21,8 +22,8 @@ def tune_allocator(threshold: int = 1 << 30) -> bool:
         return False
     try:
         libc = ctypes.CDLL("libc.so.6")
-        ok = libc.mallopt(_M_MMAP_THRESHOLD, threshold) == 1
-        ok = libc.mallopt(_M_TRIM_THRESHOLD, threshold) == 1 and ok
+        ok = libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD) == 1
+        ok = libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD) == 1 and ok
     except OSError:
         return False
     _done = ok

@@ -35,7 +35,6 @@ from wflow import objectives as obj
 from wflow import odeint
 from wflow import svgplot
 from wflow import transport as tp
-from wflow.velocity import default_estimator
 
 TASKS = ("train-cnf", "train-jko", "train-fm", "train-lfm", "ot", "dre", "dro",
          "eval", "sample")
@@ -195,9 +194,9 @@ class ArtifactWriter:
                 break
 
 
-def _write_loss_csv(writer, result_losses, wall_ms, stem="loss"):
+def _write_loss_csv(writer, result_losses, wall_ms):
     # deterministic trace and a timing side-channel with the same rows
-    with open(writer.path(f"{stem}.csv"), "w", encoding="ascii") as fh:
+    with open(writer.path("loss.csv"), "w", encoding="ascii") as fh:
         fh.write("iteration,loss\n")
         for i, value in enumerate(result_losses):
             fh.write(f"{i},{float(value)!r}\n")
@@ -225,7 +224,7 @@ def _train_config(cfg, seed) -> obj.TrainConfig:
     train = cfg["train"]
     return obj.TrainConfig(learn_rate=train["learn_rate"], batch_size=train["batch_size"],
                            iterations=train["iterations"], seed=seed, gamma=train["gamma"],
-                           optimizer=train["optimizer"])
+                           optimizer=train["optimizer"], time_draws=train["time_draws"])
 
 
 def _build_chain(cfg, d, base, seed):
@@ -363,20 +362,18 @@ def _task_train(task, cfg, seed, writer):
                           f"kl_moment, which needs at least {need} points")
     chn = _build_chain(cfg, d, target, seed)
     tcfg = _train_config(cfg, seed)
-    est = default_estimator(d)
     losses, walls = [], []
     block_summary = []
 
     if task == "train-cnf":
-        result = obj.train_block("nll", chn, train_pool, tcfg, est=est)
+        result = obj.train_block("nll", chn, train_pool, tcfg)
         losses, walls = result.losses, result.wall_ms
     elif task == "train-fm":
         if len(chn.blocks) != 1:
             raise ConfigError("train-fm uses a single block; set [model] blocks = 1")
         noise = ds.ParticleEnsemble(target.sample(train_pool.m,
                                                   np.random.default_rng([seed, 77])))
-        result = obj.train_block("fm", chn.blocks[0], (train_pool, noise), tcfg,
-                                 time_draws=cfg["train"]["time_draws"])
+        result = obj.train_block("fm", chn.blocks[0], (train_pool, noise), tcfg)
         losses, walls = result.losses, result.wall_ms
     else:  # progressive: train-jko / train-lfm
         kind = "jko" if task == "train-jko" else "local_fm"
@@ -384,8 +381,7 @@ def _task_train(task, cfg, seed, writer):
         for n, block in enumerate(chn.blocks):
             step_cfg = obj.TrainConfig(**{**tcfg.__dict__, "seed": seed + 1000 * n})
             potential = target if kind == "jko" else None
-            result = obj.train_block(kind, block, particles, step_cfg, est=est,
-                                     potential=potential)
+            result = obj.train_block(kind, block, particles, step_cfg, potential=potential)
             particles = obj.push_particles(block, particles)
             losses.extend(result.losses)
             walls.extend(result.wall_ms)

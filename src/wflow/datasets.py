@@ -73,6 +73,8 @@ class Gaussian:
         self._chol = np.linalg.cholesky(cov)  # raises on non-PD input
         self._prec = np.linalg.inv(cov)
         self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
+        # the whitening factor L^-T of the tape expressions: delta @ L^-T is white
+        self._whiten = np.ascontiguousarray(np.linalg.inv(self._chol).T)
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -82,13 +84,14 @@ class Gaussian:
         out = -0.5 * (self.d * LOG_2PI + self._logdet + maha)
         return float(out[0]) if single else out
 
+    def _maha_expr(self, x: nc.Tensor) -> nc.Tensor:
+        """Squared Mahalanobis distances (m,) as a tape expression: whiten, sum squares."""
+        u = nc.matmul(x - nc.Tensor(self.mean), nc.Tensor(self._whiten))
+        return nc.tsum(nc.square(u), axis=1)
+
     def log_pdf_expr(self, x: nc.Tensor) -> nc.Tensor:
         """log-pdf as a tape expression over a batch (m, d)."""
-        # whiten with the constant inverse Cholesky factor, then sum squares
-        inv_l_t = np.linalg.inv(self._chol).T
-        delta = x - nc.Tensor(self.mean)
-        u = nc.matmul(delta, nc.Tensor(inv_l_t))
-        maha = nc.tsum(nc.square(u), axis=1)
+        maha = self._maha_expr(x)
         const = -0.5 * (self.d * LOG_2PI + self._logdet)
         return nc.add(nc.mul(maha, -0.5), const)
 
@@ -98,10 +101,7 @@ class Gaussian:
 
     def potential_expr(self, x: nc.Tensor) -> nc.Tensor:
         """V with density proportional to exp(-V): the negative log-pdf minus its constant."""
-        inv_l_t = np.linalg.inv(self._chol).T
-        delta = x - nc.Tensor(self.mean)
-        u = nc.matmul(delta, nc.Tensor(inv_l_t))
-        return nc.mul(nc.tsum(nc.square(u), axis=1), 0.5)
+        return nc.mul(self._maha_expr(x), 0.5)
 
     def kl_to(self, other: "Gaussian") -> float:
         """Closed-form KL(self || other)."""

@@ -228,25 +228,16 @@ def _two_samples(ens_a, ens_b):
     return a, b
 
 
-def _bandwidth(a, b, bandwidth) -> tuple[float, bool]:
-    """The median heuristic's (bandwidth, fell back), or a given positive finite one."""
-    if bandwidth == "median":
-        return median_bandwidth(a, b)
-    bw = float(bandwidth)
-    if not (np.isfinite(bw) and bw > 0.0):
-        raise ValueError(f"bandwidth must be 'median' or positive and finite, got {bandwidth!r}")
-    return bw, False
-
-
-def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
-    """Unbiased U-statistic estimate of squared MMD with an RBF kernel.
+def mmd_rbf(ens_a, ens_b) -> MmdResult:
+    """Unbiased U-statistic estimate of squared MMD with an RBF kernel at the
+    median-heuristic bandwidth.
 
     The within-sample sums run over the upper triangles and the cross sum
     over a x b, each streamed in row blocks: no kernel matrix is built.
     """
     a, b = _two_samples(ens_a, ens_b)
     m, n = len(a), len(b)
-    bw, fellback = _bandwidth(a, b, bandwidth)
+    bw, fellback = median_bandwidth(a, b)
     value = (
         _kernel_sum(a, None, bw) / (m * (m - 1))
         + _kernel_sum(b, None, bw) / (n * (n - 1))
@@ -255,8 +246,9 @@ def mmd_rbf(ens_a, ens_b, bandwidth="median") -> MmdResult:
     return MmdResult(float(value), bw, fellback)
 
 
-def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None) -> np.ndarray:
-    """MMD^2 values under random relabelings of the joint sample.
+def mmd_permutation_null(ens_a, ens_b, n_perms=200, rng=None) -> np.ndarray:
+    """MMD^2 values under random relabelings of the joint sample, at the
+    median-heuristic bandwidth.
 
     The permutations, drawn into one (n_perms, N) array, are scored a block
     of permutations at a time against the joint kernel matrix K, which each
@@ -267,7 +259,7 @@ def mmd_permutation_null(ens_a, ens_b, n_perms=200, bandwidth="median", rng=None
         raise ValueError(f"n_perms must be at least 1, got {n_perms}")
     if rng is None:
         rng = np.random.default_rng(0)
-    bw, _ = _bandwidth(a, b, bandwidth)
+    bw, _ = median_bandwidth(a, b)
     joint = np.concatenate([a, b], axis=0)
     # rng.permutation(N) shuffles arange(N): the same draws, made in place
     perms = np.empty((n_perms, len(joint)), dtype=np.int64)

@@ -87,48 +87,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # Operator sugar. Subtraction and negation are expressed through the
-    # built-in primitives (add + mul by -1) so the tape stays auditable.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
+    # expressed through the built-in primitives (add + mul by -1) so the tape
+    # stays auditable
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
 
 
 def as_tensor(value) -> Tensor:

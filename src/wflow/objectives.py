@@ -55,6 +55,7 @@ class TrainConfig:
     seed: int = 0
     gamma: float = 1.0
     optimizer: str = "adam"
+    time_draws: int = 1
 
     def __post_init__(self):
         check_positive("learn_rate", self.learn_rate)
@@ -140,28 +141,6 @@ def fit(step, params, cfg: TrainConfig, *, schedule=None, check=None):
     return np.asarray(losses), np.asarray(wall)
 
 
-@dataclass
-class Interpolant:
-    """Linear interpolation I_s = (1 - s) x0 + s x1, so I_0 = x0 and I_1 = x1.
-
-    ``coupling`` fixes how endpoint batches are paired: "independent"
-    shuffles one side, "paired" keeps the given order (for endpoint pairs
-    that are constructed jointly, like mean-reverting step targets).
-    """
-
-    coupling: str = "independent"
-
-    def __post_init__(self):
-        if self.coupling not in ("independent", "paired"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-
-    def coeffs(self, s: np.ndarray):
-        """(a0, a1, da0, da1) such that I_s = a0 x0 + a1 x1, each (n, 1)."""
-        s = s.reshape(-1, 1)
-        one = np.ones_like(s)
-        return 1.0 - s, s, -one, one
-
-
 def _resolve_potential(potential):
     """Normalize the target-potential argument to a Tensor -> Tensor callable."""
     if potential is None:
@@ -216,14 +195,16 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
     return nc.value_and_grad(build)
 
 
-def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
-    """Monte-Carlo velocity-matching loss along the interpolant.
+def fm_loss(field, batch0, batch1, paired=False, time_draws=1, rng=None):
+    """Monte-Carlo velocity-matching loss along x_s = (1 - s) x0 + s x1.
 
-    Under independent coupling batch1 is shuffled (when an rng is given)
-    before pairing by index; paired coupling keeps the given order.
-    Interpolation times are stratified uniform over 8 strata, rescaled
-    onto the field's active interval. With rng=None the strata midpoints
-    are used, which keeps tiny fixed examples deterministic.
+    Unless ``paired``, batch1 is shuffled (when an rng is given) before
+    pairing by index; paired endpoints, constructed jointly like
+    mean-reverting step targets, keep the given order. Interpolation times
+    are stratified uniform over 8 strata, rescaled onto the field's active
+    interval. With rng=None the strata midpoints are used, which keeps tiny
+    fixed examples deterministic. The interpolant and its target velocity
+    are data, so only the field's velocity is recorded.
     """
     field = field.field if isinstance(field, FlowBlock) else field
     x0 = as_positions(batch0)
@@ -232,7 +213,7 @@ def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
         raise ValueError("empty batch")
     if x0.shape != x1.shape:
         raise nc.ShapeError(f"batch shapes differ: {x0.shape} vs {x1.shape}")
-    if rng is not None and interp.coupling == "independent":
+    if rng is not None and not paired:
         x1 = x1[rng.permutation(len(x1))]
     if time_draws > 1:
         x0 = np.tile(x0, (time_draws, 1))
@@ -243,15 +224,12 @@ def fm_loss(field, interp: Interpolant, batch0, batch1, time_draws=1, rng=None):
     s = (strata + u) / FM_STRATA
     t_a, t_b = field.interval
     span = t_b - t_a
-    a0, a1, da0, da1 = interp.coeffs(s)
+    col = s.reshape(-1, 1)
+    xt = nc.Tensor(x0 * (1.0 - col) + x1 * col)
+    target = (x1 - x0) * (1.0 / span)
 
     def build(tape):
-        bound = field.bind(tape)
-        x0_t, x1_t = nc.Tensor(x0), nc.Tensor(x1)
-        xt = nc.add(nc.mul(x0_t, nc.Tensor(a0)), nc.mul(x1_t, nc.Tensor(a1)))
-        target = nc.mul(
-            nc.add(nc.mul(x0_t, nc.Tensor(da0)), nc.mul(x1_t, nc.Tensor(da1))), 1.0 / span)
-        gap = bound.velocity(xt, t_a + s * span) - target
+        gap = field.bind(tape).velocity(xt, t_a + s * span) - target
         return nc.tmean(nc.tsum(nc.square(gap), axis=1))
 
     return nc.value_and_grad(build)
@@ -279,8 +257,7 @@ class TrainResult:
 
 
 def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
-                est: DivergenceEstimator | None = None, potential=None,
-                time_draws=1) -> TrainResult:
+                est: DivergenceEstimator | None = None, potential=None) -> TrainResult:
     """Minimize one objective with minibatch Adam/SGD; deterministic per seed.
 
     loss_kind selects the objective and the expected (subject, data) pair:
@@ -289,9 +266,6 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
     """
     if loss_kind not in ("nll", "jko", "fm", "local_fm"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
-    # mean-reverting step targets are constructed jointly with their
-    # sources, so the local kind pairs them
-    interp = Interpolant(coupling="paired" if loss_kind == "local_fm" else "independent")
     if loss_kind == "fm":
         pool0, pool1 = as_positions(data[0]), as_positions(data[1])
         if len(pool0) != len(pool1):
@@ -310,9 +284,11 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
             return jko_block_loss(subject, pool[idx], cfg.gamma, potential, est, rng)
         if loss_kind == "fm":
             jdx = rng.choice(pool_size, size=take, replace=False)
-            return fm_loss(subject, interp, pool0[idx], pool1[jdx], time_draws, rng)
+            return fm_loss(subject, pool0[idx], pool1[jdx], time_draws=cfg.time_draws, rng=rng)
+        # mean-reverting step targets are constructed jointly with their
+        # sources, so the local kind pairs them
         x_l, x_r = make_local_fm_targets(pool[idx], cfg.gamma, rng)
-        return fm_loss(subject, interp, x_l, x_r, time_draws, rng)
+        return fm_loss(subject, x_l, x_r, paired=True, time_draws=cfg.time_draws, rng=rng)
 
     losses, wall = fit(minibatch, subject.parameter_arrays(), cfg)
     if isinstance(subject, FlowBlock):

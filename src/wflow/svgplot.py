@@ -43,7 +43,7 @@ def _document(body) -> str:
     return head + body + "</svg>\n"
 
 
-def scatter_svg(path, groups, radius=2.0):
+def scatter_svg(path, groups):
     """Write a scatter plot; ``groups`` is a list of (points (m,2), label)."""
     arrays = [g[0] for g in groups if len(g[0])]
     if not arrays:
@@ -54,7 +54,7 @@ def scatter_svg(path, groups, radius=2.0):
         color = PALETTE[gi % len(PALETTE)]
         rows.append(f'<g fill="{color}" fill-opacity="0.55" data-label="{label}">')
         for x, y in to_px(pts):
-            rows.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}"/>')
+            rows.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.0"/>')
         rows.append("</g>")
         rows.append(
             f'<text x="8" y="{18 * (gi + 1)}" font-size="13" fill="{color}">{label}</text>'

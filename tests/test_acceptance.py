@@ -155,7 +155,7 @@ def test_criterion_01_gradient_suite():
         _perturb(fmf.parameter_arrays(), seed + 100)
         x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
         reports.append(gradcheck.check_loss_gradient_fd(
-            lambda: obj.fm_loss(fmf, obj.Interpolant(), x0, x1), fmf.parameter_arrays()))
+            lambda: obj.fm_loss(fmf, x0, x1), fmf.parameter_arrays()))
 
         # ot objective (cost plus both endpoint penalties)
         otc = fc.identity_chain(1, 1, steps=3, widths=(4,), t_total=1.0, seed=seed)

@@ -549,6 +549,30 @@ gamma = 0.25
     assert len(report["blocks"]) == 2
 
 
+def test_train_lfm_reads_time_draws(tmp_path):
+    losses = []
+    for draws in ("1", "2"):
+        cfg = _tiny_config(tmp_path, "train-lfm", "train", "time_draws", draws)
+        out = tmp_path / f"draws{draws}"
+        assert cli.run_experiment(cfg, task="train-lfm", out=str(out)) == 0
+        losses.append((out / "loss.csv").read_bytes())
+    assert losses[0] != losses[1]
+
+
+@pytest.mark.parametrize("task", ["train-jko", "train-lfm"])
+def test_kl_moment_same_with_or_without_nll(tmp_path, task):
+    # alone, kl_moment pushes the holdout through forward_map; beside nll it
+    # takes the end state of nll's push_log_density pass
+    found = []
+    for names in ("kl_moment", "nll, kl_moment"):
+        cfg = _tiny_config(tmp_path, f"{task}+{names}", "experiment", "seed", "3")
+        out = tmp_path / names.replace(", ", "_")
+        assert cli.run_experiment(cfg, task=task, out=str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        found.append([m for m in report["metrics"] if m["name"] == "kl_moment"])
+    assert len(found[0]) == 1 and found[0] == found[1]
+
+
 def test_dre_flow_bridges(tmp_path):
     # intermediates from a trained transport checkpoint instead of OU pulls
     chn = fc.identity_chain(2, 2, steps=4, widths=(6,), seed=1)

@@ -208,10 +208,10 @@ def test_mmd_permutation_identity_matches_direct_ustat():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(40, 2))
     b = rng.normal(size=(35, 2)) + 0.3
-    res = mmd_rbf(a, b, bandwidth=1.0)
+    res = mmd_rbf(a, b)
     joint = np.concatenate([a, b])
     identity = np.arange(len(joint), dtype=np.int64)[None, :]
-    out = _kernels.mmd2_permutations(joint, len(a), identity, 1.0)
+    out = _kernels.mmd2_permutations(joint, len(a), identity, res.bandwidth)
     assert out[0] == pytest.approx(res.value, abs=1e-12)
 
 

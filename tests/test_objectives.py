@@ -136,7 +136,7 @@ def test_fm_exact_match_is_zero():
     field = affine_field(np.zeros((2, 2)), c=np.array([1.0, -2.0]))
     x0 = np.array([[0.0, 0.0]])
     x1 = np.array([[1.0, -2.0]])
-    value, _ = obj.fm_loss(field, obj.Interpolant(), x0, x1)
+    value, _ = obj.fm_loss(field, x0, x1)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -144,16 +144,29 @@ def test_fm_zero_field_constant_integrand():
     field = vel.init_near_identity(2, widths=(4,), seed=0)
     x0 = np.array([[0.0, 0.0]])
     x1 = np.array([[1.0, -2.0]])
-    value, _ = obj.fm_loss(field, obj.Interpolant(), x0, x1)
+    value, _ = obj.fm_loss(field, x0, x1)
     assert value == pytest.approx(5.0)
 
 
 def test_fm_rejects_empty_and_mismatched():
     field = vel.init_near_identity(2, widths=(4,), seed=0)
     with pytest.raises(ValueError):
-        obj.fm_loss(field, obj.Interpolant(), np.zeros((0, 2)), np.zeros((0, 2)))
+        obj.fm_loss(field, np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(nc.ShapeError):
-        obj.fm_loss(field, obj.Interpolant(), np.zeros((3, 2)), np.zeros((4, 2)))
+        obj.fm_loss(field, np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def test_fm_pairing_with_an_rng():
+    # against v = 0 the loss is the mean squared target x1 - x0 (span 1), so
+    # it shows which x1 row each x0 row was paired with
+    rng = np.random.default_rng(11)
+    x0, x1 = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+    field = affine_field(np.zeros((2, 2)))
+    value, _ = obj.fm_loss(field, x0, x1, paired=True, rng=np.random.default_rng(0))
+    assert value == pytest.approx(np.mean(np.sum((x1 - x0) ** 2, axis=1)), rel=1e-12)
+    shuffled = x1[np.random.default_rng(0).permutation(9)]
+    value, _ = obj.fm_loss(field, x0, x1, rng=np.random.default_rng(0))
+    assert value == pytest.approx(np.mean(np.sum((shuffled - x0) ** 2, axis=1)), rel=1e-12)
 
 
 def test_fm_gradient_fd():
@@ -161,37 +174,43 @@ def test_fm_gradient_fd():
     rng = np.random.default_rng(8)
     x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     report = gradcheck.check_loss_gradient_fd(
-        lambda: obj.fm_loss(field, obj.Interpolant(), x0, x1),
+        lambda: obj.fm_loss(field, x0, x1),
         field.parameter_arrays())
     assert report.passed, str(report)
 
 
 def test_interpolant_endpoint_identities():
-    rng = np.random.default_rng(9)
-    x0, x1 = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    interp = obj.Interpolant()
-    s = np.array([0.0, 0.25, 0.5, 1.0])
-    a0, a1, _, _ = interp.coeffs(s)
-    assert a0.shape == a1.shape == (4, 1)
-    assert np.array_equal(a0[:, 0], 1.0 - s) and np.array_equal(a1[:, 0], s)
-    a0, a1, _, _ = interp.coeffs(np.array([0.0]))
-    assert np.allclose(a0 * x0 + a1 * x1, x0, atol=1e-12)
-    a0, a1, _, _ = interp.coeffs(np.array([1.0]))
-    assert np.allclose(a0 * x0 + a1 * x1, x1, atol=1e-12)
+    # against v(x) = x with one endpoint at the origin, the gap is a multiple
+    # of the other endpoint that pins x_s = (1 - s) x0 + s x1 at the strata
+    # midpoints s = (k + 1/2) / 8 used without an rng
+    y = np.random.default_rng(9).normal(size=(16, 2))
+    s = (np.arange(16) % obj.FM_STRATA + 0.5) / obj.FM_STRATA
+    sq = np.sum(y * y, axis=1)
+    field = affine_field(np.eye(2))
+    value, _ = obj.fm_loss(field, np.zeros_like(y), y)  # x_s = s y, target y
+    assert value == pytest.approx(np.mean((s - 1.0) ** 2 * sq), rel=1e-12)
+    value, _ = obj.fm_loss(field, y, np.zeros_like(y))  # x_s = (1 - s) y, target -y
+    assert value == pytest.approx(np.mean((2.0 - s) ** 2 * sq), rel=1e-12)
 
 
 def test_interpolant_derivative_fd():
+    # the target is the time derivative of the path t -> x_s, s = (t - t_a) / span:
+    # a constant field equal to its central difference matches it on a span of 2
     rng = np.random.default_rng(10)
-    x0, x1 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    interp = obj.Interpolant()
-    s = np.array([0.37])
+    x0, x1 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+    t_a, t_b = 0.5, 2.5
+
+    def path(t):
+        s = (t - t_a) / (t_b - t_a)
+        return (1.0 - s) * x0 + s * x1
+
     h = 1e-6
-    a0p, a1p, _, _ = interp.coeffs(s + h)
-    a0m, a1m, _, _ = interp.coeffs(s - h)
-    fd = ((a0p - a0m) * x0 + (a1p - a1m) * x1) / (2 * h)
-    _, _, da0, da1 = interp.coeffs(s)
-    assert np.array_equal(da0, [[-1.0]]) and np.array_equal(da1, [[1.0]])
-    assert np.allclose(da0 * x0 + da1 * x1, fd, atol=1e-8)
+    fd = (path(1.37 + h) - path(1.37 - h)) / (2 * h)
+    value, _ = obj.fm_loss(affine_field(np.zeros((2, 2)), c=fd[0], interval=(t_a, t_b)), x0, x1)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    value, _ = obj.fm_loss(affine_field(np.zeros((2, 2)), c=x1[0] - x0[0], interval=(t_a, t_b)),
+                           x0, x1)
+    assert value == pytest.approx(0.25 * np.sum((x1 - x0) ** 2), rel=1e-12)
 
 
 # --- local fm ------------------------------------------------------------
@@ -350,8 +369,8 @@ def test_fm_loss_shift_identity():
     x1 = rng.normal(size=(m, 1))
     cand1 = affine_field(np.array([[0.3]]))
     cand2 = affine_field(np.array([[-0.5]]), c=np.array([0.2]))
-    l1, _ = obj.fm_loss(cand1, obj.Interpolant(), x0, x1, rng=np.random.default_rng(0))
-    l2, _ = obj.fm_loss(cand2, obj.Interpolant(), x0, x1, rng=np.random.default_rng(0))
+    l1, _ = obj.fm_loss(cand1, x0, x1, rng=np.random.default_rng(0))
+    l2, _ = obj.fm_loss(cand2, x0, x1, rng=np.random.default_rng(0))
 
     # oracle: exact velocity of the linear interpolant between two standard
     # normals is v(x, t) = x (2t - 1) / ((1-t)^2 + t^2); integrate the gaps
