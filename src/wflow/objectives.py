@@ -256,8 +256,7 @@ class TrainResult:
     wall_ms: np.ndarray
 
 
-def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
-                est: DivergenceEstimator | None = None, potential=None) -> TrainResult:
+def train_block(loss_kind, subject, data, cfg: TrainConfig, *, potential=None) -> TrainResult:
     """Minimize one objective with minibatch Adam/SGD; deterministic per seed.
 
     loss_kind selects the objective and the expected (subject, data) pair:
@@ -279,9 +278,9 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *,
     def minibatch(rng):
         idx = rng.choice(pool_size, size=take, replace=False)
         if loss_kind == "nll":
-            return nll_loss(subject, pool[idx], est, rng)
+            return nll_loss(subject, pool[idx], rng=rng)
         if loss_kind == "jko":
-            return jko_block_loss(subject, pool[idx], cfg.gamma, potential, est, rng)
+            return jko_block_loss(subject, pool[idx], cfg.gamma, potential, rng=rng)
         if loss_kind == "fm":
             jdx = rng.choice(pool_size, size=take, replace=False)
             return fm_loss(subject, pool0[idx], pool1[jdx], time_draws=cfg.time_draws, rng=rng)
