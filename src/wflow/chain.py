@@ -22,12 +22,7 @@ from wflow import numcore as nc
 from wflow import odeint
 from wflow.datasets import Gaussian, GaussianMixture, ParticleEnsemble
 from wflow.mlp import Layer
-from wflow.velocity import (
-    DivergenceEstimator,
-    VelocityField,
-    default_estimator,
-    init_near_identity,
-)
+from wflow.velocity import VelocityField, init_near_identity
 
 MAGIC = b"WFLW"
 FORMAT_VERSION = 1
@@ -111,7 +106,6 @@ def identity_chain(d, n_blocks, base=None, widths=(64, 64), steps=32, scheme="rk
 
 def forward_map(chain: FlowChain, ensemble: ParticleEnsemble) -> ParticleEnsemble:
     """Push particles data -> noise through every block in order."""
-    _check_dim(chain, ensemble)
     x = ensemble.positions
     for block in chain.blocks:
         x = odeint.integrate(block.field, x, block.integrator, direction="forward")
@@ -120,14 +114,13 @@ def forward_map(chain: FlowChain, ensemble: ParticleEnsemble) -> ParticleEnsembl
 
 def inverse_map(chain: FlowChain, ensemble: ParticleEnsemble) -> ParticleEnsemble:
     """Pull particles noise -> data: blocks reversed, time reversed."""
-    _check_dim(chain, ensemble)
     x = ensemble.positions
     for block in reversed(chain.blocks):
         x = odeint.integrate(block.field, x, block.integrator, direction="reverse")
     return ParticleEnsemble(x)
 
 
-def push_forward_logdet(bound_blocks, x: nc.Tensor, est: DivergenceEstimator, rng=None):
+def push_forward_logdet(bound_blocks, x: nc.Tensor, rng=None):
     """Tape-friendly forward map plus accumulated divergence integral.
 
     ``bound_blocks`` pairs each block's BoundVelocity with its integrator
@@ -135,33 +128,31 @@ def push_forward_logdet(bound_blocks, x: nc.Tensor, est: DivergenceEstimator, rn
     """
     logdet = None
     for bound, cfg in bound_blocks:
-        aug = odeint.integrate_augmented_tensor(bound, x, cfg, est, rng, direction="forward")
+        aug = odeint.integrate_augmented_tensor(bound, x, cfg, rng, direction="forward")
         x = aug.x
         logdet = aug.logdet if logdet is None else nc.add(logdet, aug.logdet)
     return x, logdet
 
 
-def log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng=None):
+def log_density(chain: FlowChain, x, rng=None):
     """Exact model log-density via the divergence integral along x's trajectory."""
     xb = np.asarray(x, dtype=np.float64)
     if xb.ndim == 1:
-        return float(push_log_density(chain, xb[None, :], est, rng)[0][0])
-    return push_log_density(chain, xb, est, rng)[0]
+        return float(push_log_density(chain, xb[None, :], rng)[0][0])
+    return push_log_density(chain, xb, rng)[0]
 
 
-def push_log_density(chain: FlowChain, x, est: DivergenceEstimator | None = None, rng=None):
+def push_log_density(chain: FlowChain, x, rng=None):
     """(log p(x), F(x)) for a batch x of shape (m, d), from one augmented pass.
 
     F(x) is forward_map's end state bit for bit: the augmented stages take
     the velocity through the same operations as the plain ones.
     """
-    if est is None:
-        est = default_estimator(chain.d)
     z = np.asarray(x, dtype=np.float64)
     logdet = None
     # push_forward_logdet's loop without a tape or kept stage inputs: same values, bit for bit
     for block in chain.blocks:
-        aug = odeint.integrate_augmented(block.field, z, block.integrator, est, rng)
+        aug = odeint.integrate_augmented(block.field, z, block.integrator, rng)
         z = aug.x.data
         logdet = aug.logdet.data if logdet is None else logdet + aug.logdet.data
     out = chain.base.log_pdf(z) + logdet
@@ -176,11 +167,6 @@ def sample(chain: FlowChain, n, rng) -> ParticleEnsemble:
         raise ValueError("need n >= 1 samples")
     z = chain.base.sample(n, rng)
     return inverse_map(chain, ParticleEnsemble(z))
-
-
-def _check_dim(chain, ensemble):
-    if ensemble.d != chain.d:
-        raise nc.ShapeError(f"ensemble dimension {ensemble.d} != chain dimension {chain.d}")
 
 
 # ---------------------------------------------------------------------------

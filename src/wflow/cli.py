@@ -206,15 +206,28 @@ def _write_loss_csv(writer, result_losses, wall_ms):
             fh.write(f"{i},{float(value)!r},{wall:.3f}\n")
 
 
+def _preset(data, role):
+    """The [dataset] source or target density.
+
+    Only standard-gaussian takes ``dim`` and (as the source) ``shift``; the
+    other presets are 2-D, so either key set for them is a config error.
+    """
+    name, d = data[role], data["dim"]
+    shift = data["shift"] if role == "source" else ()
+    if name != "standard-gaussian":
+        if shift:
+            raise ConfigError(f"[dataset] shift needs a standard-gaussian source, not {name}")
+        if d != 2:
+            raise ConfigError(f"[dataset] dim = {d}, but the {role} {name} is 2-D")
+    return ds.preset_density(name, d, shift)
+
+
 def _dataset_pools(cfg, seed):
     data = cfg["dataset"]
     d, count, holdout, shift = data["dim"], data["count"], data["holdout"], data["shift"]
     if shift and len(shift) != d:
         raise ConfigError(f"[dataset] shift needs {d} components, got {len(shift)}")
-    source = ds.preset_density(data["source"], d, shift)
-    target = ds.preset_density(data["target"], d)
-    if source.d != target.d:  # the 2-D presets ignore dim
-        raise ConfigError(f"[dataset] source is {source.d}-D but target is {target.d}-D")
+    source, target = _preset(data, "source"), _preset(data, "target")
     train = ds.ParticleEnsemble(source.sample(count, np.random.default_rng([seed, 101])))
     hold = ds.ParticleEnsemble(source.sample(holdout, np.random.default_rng([seed, 202])))
     return source, target, train, hold
@@ -285,9 +298,10 @@ def _chain_metrics(names, chn, target, holdout, seed):
     sizes = {"holdout": holdout.m, "generated": generated.m}
     pushed = None
     if "nll" in names:
-        # default_estimator: the exact trace up to EXACT_DIVERGENCE_MAX_DIM (in
-        # closed form for one or two hidden layers), a Hutchinson estimate above.
-        # The pass ends at forward_map's end state, which kl_moment reuses.
+        # wflow.velocity picks the divergence estimator from d: the exact trace
+        # at small d (in closed form for one or two hidden layers), a
+        # Hutchinson estimate from this rng above. The pass ends at
+        # forward_map's end state, which kl_moment reuses.
         logp, end = flowchain.push_log_density(chn, holdout.positions,
                                                rng=np.random.default_rng([seed, 304]))
         nll, pushed = float(-np.mean(logp)), ds.ParticleEnsemble(end)
@@ -528,7 +542,7 @@ def _task_sample(cfg, seed, writer):
     if checkpoint:
         chn = _load_checkpoint(cfg)
     else:
-        target = ds.preset_density(cfg["dataset"]["target"], cfg["dataset"]["dim"])
+        target = _preset(cfg["dataset"], "target")
         if not isinstance(target, (ds.Gaussian, ds.GaussianMixture)):
             raise ConfigError("sampling without a checkpoint needs an analytic target")
         chn = _build_chain(cfg, target.d, target, seed)

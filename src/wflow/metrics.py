@@ -60,14 +60,14 @@ class MetricReport:
             raise nc.NumericError(f"metric {self.name} produced a non-finite value")
 
 
-def nll_eval(chain, test_set, est=None, rng=None) -> float:
+def nll_eval(chain, test_set, rng=None) -> float:
     """Mean negative model log-density over held-out points.
 
     The caller is responsible for keeping the test set disjoint from
     training data; reports flag this assumption rather than checking it.
     """
     x = as_positions(test_set)
-    return float(-np.mean(flowchain.log_density(chain, x, est, rng)))
+    return float(-np.mean(flowchain.log_density(chain, x, rng)))
 
 
 def gauss_fid(ens_a, ens_b) -> float:

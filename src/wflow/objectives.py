@@ -28,7 +28,6 @@ from wflow import numcore as nc
 from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain, push_forward_logdet
 from wflow.datasets import ParticleEnsemble, as_positions
-from wflow.velocity import DivergenceEstimator, default_estimator
 
 FM_STRATA = 8
 
@@ -150,29 +149,26 @@ def _resolve_potential(potential):
     return potential
 
 
-def nll_loss(chain: FlowChain, batch, est: DivergenceEstimator | None = None, rng=None):
+def nll_loss(chain: FlowChain, batch, rng=None):
     """Mean negative log-likelihood of the batch, end-to-end through all blocks.
 
     Returns (loss value, gradients) with gradients ordered like
     ``chain.parameter_arrays()``.
     """
     x = as_positions(batch)
-    if est is None:
-        est = default_estimator(chain.d)
     if not hasattr(chain.base, "log_pdf_expr"):
         raise TypeError("nll training needs a base density with a tape expression (Gaussian)")
 
     def build(tape):
         bound = [(block.field.bind(tape), block.integrator) for block in chain.blocks]
-        z, logdet = push_forward_logdet(bound, nc.Tensor(x), est, rng)
+        z, logdet = push_forward_logdet(bound, nc.Tensor(x), rng)
         loglik = nc.add(chain.base.log_pdf_expr(z), logdet)
         return nc.mul(nc.tmean(loglik), -1.0)
 
     return nc.value_and_grad(build)
 
 
-def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
-                   est: DivergenceEstimator | None = None, rng=None):
+def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None, rng=None):
     """Proximal-step objective for one block against target exp(-V).
 
     mean[ V(x_end) - int div v ] + (1 / 2 gamma) * mean ||x_end - x_start||^2.
@@ -181,13 +177,11 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None,
     """
     check_positive("gamma", gamma)
     x = as_positions(batch_prev)
-    if est is None:
-        est = default_estimator(block.field.d)
     v_of = _resolve_potential(potential)
 
     def build(tape):
         aug = odeint.integrate_augmented_tensor(block.field.bind(tape), nc.Tensor(x),
-                                                block.integrator, est, rng)
+                                                block.integrator, rng)
         kl_part = nc.tmean(nc.add(v_of(aug.x), nc.mul(aug.logdet, -1.0)))
         move = nc.tmean(aug.displacement_sq())
         return nc.add(kl_part, nc.mul(move, 1.0 / (2.0 * gamma)))

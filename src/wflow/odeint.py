@@ -34,7 +34,7 @@ import numpy as np
 
 from wflow import numcore as nc
 from wflow import velocity
-from wflow.velocity import BoundVelocity, DivergenceEstimator, VelocityField, default_estimator
+from wflow.velocity import BoundVelocity, VelocityField
 
 SCHEMES = ("euler", "rk4")
 _STAGES = {"euler": 1, "rk4": 4}
@@ -246,27 +246,28 @@ def _integrate_block_bwd(node, inputs, g):
 nc._primitive("integrate_block", _integrate_block_fwd, _integrate_block_bwd)
 
 
-def _block_probes(est: DivergenceEstimator | None, acts, cfg: IntegratorConfig, m, d, rng):
+def _block_probes(divergence, acts, cfg: IntegratorConfig, m, d, rng):
     """The stage kernel mode, (P, K, m, d) probes and their trace scale for one block.
 
-    None: velocity only, no probes. Exact trace: the closed form with no
-    probes, or the basis shared by every stage (``velocity.draw_probes``
-    decides from the stack). Hutchinson: one draw per stage, in stage order.
+    Without divergence: velocity only, no probes. Else ``velocity`` picks the
+    estimator from d: the exact trace takes the closed form with no probes,
+    or the basis shared by every stage; a Hutchinson estimate takes one draw
+    per stage, in stage order.
     """
-    if est is None:
+    if not divergence:
         return "velocity", np.empty((1, 0, m, d)), 1.0
-    if est.mode == "exact":
-        mode, probes, scale = velocity.draw_probes(est, acts, m, d, rng)
+    if not velocity.uses_hutchinson(d):
+        mode, probes, scale = velocity.draw_probes(acts, m, d, rng)
         return mode, probes[None], scale
-    draws = [velocity.draw_probes(est, acts, m, d, rng)
+    draws = [velocity.draw_probes(acts, m, d, rng)
              for _ in range(_STAGES[cfg.scheme] * cfg.steps)]
     return "tangent", np.stack([p for _, p, _ in draws]), draws[0][2]
 
 
 def _integrate_block(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig, direction,
-                     est=None, rng=None) -> nc.Tensor:
+                     divergence, rng) -> nc.Tensor:
     """The packed block output as one taped node."""
-    mode, probes, scale = _block_probes(est, bound.acts, cfg, *x0.shape, rng)
+    mode, probes, scale = _block_probes(divergence, bound.acts, cfg, *x0.shape, rng)
     return nc._apply("integrate_block", (x0, nc.Tensor(probes), *bound.params),
                      _block_meta(bound, cfg, direction, mode, scale))
 
@@ -275,12 +276,11 @@ def integrate_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
                      direction="forward") -> nc.Tensor:
     """Tape-friendly integration of dx/dt = v(x, t) over the config interval."""
     d = x0.shape[1]
-    return nc.slice_(_integrate_block(bound, x0, cfg, direction), 1, 0, d)
+    return nc.slice_(_integrate_block(bound, x0, cfg, direction, False, None), 1, 0, d)
 
 
 def integrate_augmented_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
-                               est: DivergenceEstimator, rng=None,
-                               direction="forward") -> AugmentedState:
+                               rng=None, direction="forward") -> AugmentedState:
     """Jointly integrate the position and the divergence along its trajectory.
 
     The divergence is evaluated at the same RK4 stage points as the state;
@@ -289,18 +289,20 @@ def integrate_augmented_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: Integra
     Hutchinson probes are drawn from ``rng`` stage by stage, in step order.
     """
     d = x0.shape[1]
-    out = _integrate_block(bound, x0, cfg, direction, est, rng)
+    out = _integrate_block(bound, x0, cfg, direction, True, rng)
     logdet = nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
     return AugmentedState(x=nc.slice_(out, 1, 0, d), logdet=logdet, x_start=x0)
 
 
-def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, est=None, rng=None):
+def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, divergence, rng):
     """Run the loop on plain arrays (no tape, no kept stage inputs): (x0 batch, x, logdet)."""
     _check_interval(field, cfg)
     xb = np.asarray(x0, dtype=np.float64)
     xb = xb[None, :] if xb.ndim == 1 else xb
+    if xb.shape[1] != field.d:
+        raise nc.ShapeError(f"point dimension {xb.shape[1]} != field dimension {field.d}")
     bound = field.bind()
-    mode, probes, scale = _block_probes(est, bound.acts, cfg, *xb.shape, rng)
+    mode, probes, scale = _block_probes(divergence, bound.acts, cfg, *xb.shape, rng)
     x, logdet = _run(xb, probes, [p.data for p in bound.params],
                      _block_meta(bound, cfg, direction, mode, scale))
     return xb, x, logdet
@@ -308,15 +310,12 @@ def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, est=None,
 
 def integrate(field: VelocityField, x0, cfg: IntegratorConfig, direction="forward") -> np.ndarray:
     """Eager endpoint of the trajectory started at x0 ((d,) or (m, d))."""
-    _, x, _ = _eager(field, x0, cfg, direction)
+    _, x, _ = _eager(field, x0, cfg, direction, False, None)
     return x[0] if np.ndim(x0) == 1 else x
 
 
-def integrate_augmented(field: VelocityField, x0, cfg: IntegratorConfig,
-                        est: DivergenceEstimator | None = None, rng=None,
+def integrate_augmented(field: VelocityField, x0, cfg: IntegratorConfig, rng=None,
                         direction="forward") -> AugmentedState:
     """Eager augmented integration; state fields hold Tensors over a batch."""
-    if est is None:
-        est = default_estimator(field.d)
-    xb, x, logdet = _eager(field, x0, cfg, direction, est, rng)
+    xb, x, logdet = _eager(field, x0, cfg, direction, True, rng)
     return AugmentedState(x=nc.Tensor(x), logdet=nc.Tensor(logdet), x_start=nc.Tensor(xb))

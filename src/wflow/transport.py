@@ -21,7 +21,7 @@ from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain
 from wflow.datasets import Gaussian, ParticleEnsemble, as_positions
 from wflow.objectives import TrainConfig, check_positive, cosine_lr, fit
-from wflow.velocity import DivergenceEstimator, default_estimator, init_near_identity
+from wflow.velocity import init_near_identity
 
 RATIO_WIDTHS = (64, 64)
 
@@ -43,11 +43,6 @@ class RatioModel:
     def log_ratio(self, x) -> np.ndarray:
         out = mlp.BoundLayers(self.layers).forward(nc.Tensor(as_positions(x)))
         return out.data[:, 0]
-
-    def log_ratio_expr(self, x: nc.Tensor) -> nc.Tensor:
-        """(m,) tape expression; differentiable in x through the fixed weights."""
-        out = mlp.BoundLayers(self.layers).forward(x)
-        return nc.tsum(out, axis=1)
 
 
 def logistic_ratio_loss(layers, samples0, samples1):
@@ -123,7 +118,7 @@ class OtResult:
     wall_ms: np.ndarray
 
 
-def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
+def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, rng):
     """Particle transport cost + gamma * (KL(p||p_hat) + KL(q||q_hat)).
 
     p_hat is the pullback of q through the inverse map and q_hat the
@@ -139,7 +134,7 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
         cost = None
         logdet_fwd = None
         for bv, cfg in bound:
-            aug = odeint.integrate_augmented_tensor(bv, x, cfg, est, rng)
+            aug = odeint.integrate_augmented_tensor(bv, x, cfg, rng)
             span = cfg.interval[1] - cfg.interval[0]
             seg = nc.mul(nc.tmean(aug.displacement_sq()), 1.0 / span)
             cost = seg if cost is None else nc.add(cost, seg)
@@ -151,7 +146,7 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, est, rng):
         y = nc.Tensor(xq)
         logdet_rev = None
         for bv, cfg in reversed(bound):
-            aug = odeint.integrate_augmented_tensor(bv, y, cfg, est, rng, direction="reverse")
+            aug = odeint.integrate_augmented_tensor(bv, y, cfg, rng, direction="reverse")
             logdet_rev = aug.logdet if logdet_rev is None else nc.add(logdet_rev, aug.logdet)
             y = aug.x
         log_q_hat = nc.add(base_p.log_pdf_expr(y), logdet_rev)
@@ -174,8 +169,7 @@ def transport_cost(chain: FlowChain, p_samples) -> float:
 
 
 def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
-             p_density=None, q_density=None,
-             est: DivergenceEstimator | None = None) -> OtResult:
+             p_density=None, q_density=None) -> OtResult:
     """Fit the chain as a transport from p to q with endpoint KL penalties.
 
     gamma weights the endpoint constraints. When analytic densities are not
@@ -189,8 +183,6 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
     for name, dens in (("p", base_p), ("q", base_q)):
         if not hasattr(dens, "log_pdf_expr"):
             raise TypeError(f"{name} density must expose a tape expression (Gaussian)")
-    if est is None:
-        est = default_estimator(chain.d)
     take_p = min(cfg.batch_size, len(xp_pool))
     take_q = min(cfg.batch_size, len(xq_pool))
     kls = [float("nan"), float("nan")]  # (kl_p, kl_q) of the latest step
@@ -199,7 +191,7 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
         ip = rng.choice(len(xp_pool), size=take_p, replace=False)
         iq = rng.choice(len(xq_pool), size=take_q, replace=False)
         value, grads, _, kls[0], kls[1] = _ot_loss(
-            chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma, est, rng)
+            chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma, rng)
         return value, grads
 
     # cosine decay: the penalty weight amplifies late-phase gradient noise
@@ -228,22 +220,6 @@ class RiskFunction:
 
         def expr(x):
             return nc.tsum(nc.mul(x, nc.Tensor(c)), axis=1)
-
-        return cls(expr)
-
-    @classmethod
-    def classifier_loss(cls, model: RatioModel, label=1) -> "RiskFunction":
-        """Logistic loss of a fixed classifier at x, under the given label.
-
-        Minimizing the label-1 loss on class-0 samples drags them across
-        the decision boundary: the adversarial-example pattern.
-        """
-
-        def expr(x):
-            phi = model.log_ratio_expr(x)
-            if label == 1:
-                return nc.softplus(nc.mul(phi, -1.0))
-            return nc.softplus(phi)
 
         return cls(expr)
 

@@ -16,8 +16,11 @@ single reverse sweep. The stage kernel behind it has three modes:
   (m, h) @ (h, h) product whatever d is (the kind of architecture Chen &
   Duvenaud 2019, arXiv:1912.03579, make cheap to differentiate).
 
-``draw_probes`` picks the mode from the estimator and the stack's shape.
-The kernel takes x and the stage's time, a scalar or one time per row, and
+One rule picks the estimator from d: the exact trace up to
+``EXACT_DIVERGENCE_MAX_DIM``, and above it a Hutchinson estimate from
+``HUTCHINSON_PROBES`` Rademacher probes, drawn afresh for every stage.
+``draw_probes`` applies the rule and picks the mode from d and the stack's
+shape. The kernel takes x and the stage's time, a scalar or one time per row, and
 folds the time into the first layer's bias; it never builds the (m, d+1)
 input. Its closed-form coupling depends on the parameters only, so a block
 builds it once (``stage_coupling``) and every stage reuses it. Bias adds,
@@ -30,33 +33,13 @@ takes a median 0.75 ms at m=128, 1.01 ms at m=192 and 1.46 ms at m=256.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from wflow import mlp
 from wflow import numcore as nc
 
 EXACT_DIVERGENCE_MAX_DIM = 8
-
-
-@dataclass
-class DivergenceEstimator:
-    mode: str = "exact"  # exact | hutchinson
-    probes: int = 8      # hutchinson only, Rademacher probe count
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "hutchinson"):
-            raise ValueError(f"unknown divergence mode {self.mode!r}")
-        if self.mode == "hutchinson" and self.probes < 1:
-            raise ValueError("hutchinson estimator needs probes >= 1")
-
-
-def default_estimator(d: int) -> DivergenceEstimator:
-    """Exact trace for small d, Hutchinson above (probe count 8)."""
-    if d <= EXACT_DIVERGENCE_MAX_DIM:
-        return DivergenceEstimator("exact")
-    return DivergenceEstimator("hutchinson", probes=8)
+HUTCHINSON_PROBES = 8
 
 
 class VelocityField:
@@ -126,10 +109,13 @@ class BoundVelocity:
         m, d = x.shape
         return nc.slice_(self._stage(x, t, "velocity", np.empty((0, m, d)), 1.0), 1, 0, d)
 
-    def velocity_and_divergence(self, x: nc.Tensor, t, est: DivergenceEstimator, rng=None):
-        """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node."""
+    def velocity_and_divergence(self, x: nc.Tensor, t, rng=None):
+        """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node.
+
+        Above ``EXACT_DIVERGENCE_MAX_DIM`` the Hutchinson probes come from ``rng``.
+        """
         m, d = x.shape
-        out = self._stage(x, t, *draw_probes(est, self.acts, m, d, rng))
+        out = self._stage(x, t, *draw_probes(self.acts, m, d, rng))
         return nc.slice_(out, 1, 0, d), nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
 
 
@@ -142,22 +128,32 @@ def has_closed_form(acts) -> bool:
     return len(acts) in (2, 3) and acts[-1] == "identity"
 
 
-def draw_probes(est: DivergenceEstimator, acts, m, d, rng):
+def uses_hutchinson(d) -> bool:
+    """Whether the divergence at dimension d is a Hutchinson estimate.
+
+    Its probes are then drawn afresh for every stage; the exact trace is the
+    same at every stage.
+    """
+    return d > EXACT_DIVERGENCE_MAX_DIM
+
+
+def draw_probes(acts, m, d, rng):
     """One stage's kernel mode, probe stack E (K, m, d) and trace scale.
 
-    Exact trace: the closed form with no probes when ``has_closed_form(acts)``,
-    else the d basis vectors, scale 1. Hutchinson: K Rademacher draws from
-    ``rng``, scale 1/K.
+    Exact trace up to ``EXACT_DIVERGENCE_MAX_DIM``: the closed form with no
+    probes when ``has_closed_form(acts)``, else the d basis vectors, scale 1.
+    Hutchinson above it: ``HUTCHINSON_PROBES`` Rademacher draws from ``rng``,
+    scale 1/K.
     """
-    if est.mode == "exact":
+    if not uses_hutchinson(d):
         if has_closed_form(acts):
             return "closed", np.empty((0, m, d)), 1.0
         return "tangent", np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
     if rng is None:
         raise ValueError("hutchinson divergence needs an rng")
     probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
-                       for _ in range(est.probes)])
-    return "tangent", probes, 1.0 / est.probes
+                       for _ in range(HUTCHINSON_PROBES)])
+    return "tangent", probes, 1.0 / HUTCHINSON_PROBES
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ The affine-velocity helpers give exact flow maps (matrix exponentials) and
 exact Gaussian pushforwards, independent of the numerical integrators they
 are used to check. ``affine_field`` builds the velocity field those maps
 solve, and ``eval_velocity``/``divergence`` evaluate any field eagerly at a
-single point or a batch.
+single point or a batch. ``pin_estimator`` fixes the divergence estimator
+that ``wflow.velocity`` picks from d, so that a test can take either at any d.
 """
+
+import sys
 
 import numpy as np
 from scipy.linalg import expm
 
 from wflow import mlp
 from wflow import numcore as nc
-from wflow.velocity import DivergenceEstimator, VelocityField, default_estimator
+from wflow import velocity
+from wflow.velocity import VelocityField
 
 
 def affine_field(a, c=None, interval=(0.0, 1.0), t_total=None) -> VelocityField:
@@ -43,13 +47,24 @@ def eval_velocity(field: VelocityField, x, t) -> np.ndarray:
     return v.data[0] if single else v.data
 
 
-def divergence(field: VelocityField, x, t, est: DivergenceEstimator | None = None, rng=None):
+def divergence(field: VelocityField, x, t, rng=None):
     """Eager divergence at (x, t); scalar for a single point, (m,) for a batch."""
-    if est is None:
-        est = default_estimator(field.d)
     xb, single = _as_batch(x)
-    _, div = field.bind().velocity_and_divergence(nc.Tensor(xb), t, est, rng)
+    _, div = field.bind().velocity_and_divergence(nc.Tensor(xb), t, rng)
     return float(div.data[0]) if single else div.data
+
+
+def pin_estimator(monkeypatch, est):
+    """Make ``wflow.velocity`` take one divergence estimator at every d, for one test.
+
+    ``"exact"`` is the exact trace; an int K is the Hutchinson estimate from
+    K Rademacher probes; None (velocity only) leaves the rule as it is.
+    """
+    if est == "exact":
+        monkeypatch.setattr(velocity, "EXACT_DIVERGENCE_MAX_DIM", sys.maxsize)
+    elif est is not None:
+        monkeypatch.setattr(velocity, "EXACT_DIVERGENCE_MAX_DIM", 0)
+        monkeypatch.setattr(velocity, "HUTCHINSON_PROBES", est)
 
 
 def affine_flow_map(a, c, dt):

@@ -163,10 +163,9 @@ def test_criterion_01_gradient_suite():
         p1 = ds.standard_gaussian(1)
         q1 = ds.Gaussian([0.5], [[1.0]])
         xp, xq = p1.sample(4, rng), q1.sample(4, rng)
-        est = vel.DivergenceEstimator("exact")
 
         def ot_loss():
-            value, grads, *_ = tp._ot_loss(otc.blocks, p1, q1, xp, xq, 2.0, est, None)
+            value, grads, *_ = tp._ot_loss(otc.blocks, p1, q1, xp, xq, 2.0, None)
             return value, grads
 
         reports.append(gradcheck.check_loss_gradient_fd(ot_loss, otc.parameter_arrays()))

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 from conftest import (affine_field, affine_flow_map, compose_affine, gaussian_kl,
-                      gaussian_logpdf, push_gaussian)
+                      gaussian_logpdf, pin_estimator, push_gaussian)
 
 from wflow import chain as fc
 from wflow import datasets as ds
@@ -138,34 +138,35 @@ def test_sampling_with_logdens_above_exact_dim():
     assert logdens.shape == (20,) and np.all(np.isfinite(logdens))
 
 
-@pytest.mark.parametrize("est", [vel.DivergenceEstimator("exact"),
-                                 vel.DivergenceEstimator("hutchinson", probes=3)],
-                         ids=["exact", "hutch3"])
-def test_eager_log_density_bit_identical_to_taped(est):
+# the exact trace, or 3 Hutchinson probes (see conftest.pin_estimator)
+@pytest.mark.parametrize("est", ["exact", 3], ids=["exact", "hutch3"])
+def test_eager_log_density_bit_identical_to_taped(monkeypatch, est):
+    pin_estimator(monkeypatch, est)
     chn = _perturbed_chain(3, 2, seed=4, steps=5)
     x = np.random.default_rng(5).normal(size=(7, 3))
-    got = fc.log_density(chn, x, est, np.random.default_rng(6))
+    got = fc.log_density(chn, x, np.random.default_rng(6))
     tape = nc.Tape()
     with tape:
         bound = [(block.field.bind(tape), block.integrator) for block in chn.blocks]
-        z, logdet = fc.push_forward_logdet(bound, nc.Tensor(x), est, np.random.default_rng(6))
+        z, logdet = fc.push_forward_logdet(bound, nc.Tensor(x), np.random.default_rng(6))
     assert np.array_equal(got, chn.base.log_pdf(z.data) + logdet.data)
 
 
 @pytest.mark.parametrize("widths, est", [
-    ((12, 12), vel.DivergenceEstimator("exact")),
-    ((8, 8, 8), vel.DivergenceEstimator("exact")),
-    ((12, 12), vel.DivergenceEstimator("hutchinson", probes=3)),
+    ((12, 12), "exact"),
+    ((8, 8, 8), "exact"),
+    ((12, 12), 3),
 ], ids=["closed", "tangent-depth3", "hutch3"])
-def test_push_log_density_ends_at_forward_map_bit_for_bit(widths, est):
+def test_push_log_density_ends_at_forward_map_bit_for_bit(monkeypatch, widths, est):
+    pin_estimator(monkeypatch, est)
     # the CLI's kl_moment reads this end state in place of forward_map's
     chn = _perturbed_chain(3, 2, seed=4, steps=5, widths=widths)
     acts = [layer.act for layer in chn.blocks[0].field.layers]
     assert vel.has_closed_form(acts) == (widths == (12, 12))
     x = np.random.default_rng(5).normal(size=(40, 3))
-    logp, end = fc.push_log_density(chn, x, est, np.random.default_rng(6))
+    logp, end = fc.push_log_density(chn, x, np.random.default_rng(6))
     assert end.tobytes() == fc.forward_map(chn, ds.ParticleEnsemble(x)).positions.tobytes()
-    assert logp.tobytes() == fc.log_density(chn, x, est, np.random.default_rng(6)).tobytes()
+    assert logp.tobytes() == fc.log_density(chn, x, np.random.default_rng(6)).tobytes()
 
 
 def test_sampling_pushforward_variance():

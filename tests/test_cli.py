@@ -113,6 +113,11 @@ _TINY = {
            "classifier_iterations = 2\n",
     "eval": "[dataset]\ndim = 3\ncount = 64\n[metrics]\nnames = mmd\n",
     "sample": "[dataset]\ncount = 16\n[model]\nwidth = 4\ndepth = 1\nsteps_per_block = 2\n",
+    # "task:variant" runs the task on 2-D presets, which take neither dim nor shift
+    "eval:moons": "[dataset]\nsource = two-moons\ntarget = fig10-q\ncount = 64\n"
+                  "[metrics]\nnames = mmd\n",
+    "sample:fig10-q": "[dataset]\ntarget = fig10-q\ncount = 16\n[model]\nwidth = 4\n"
+                      "depth = 1\nsteps_per_block = 2\n",
 }
 
 
@@ -190,11 +195,16 @@ def _tiny_config(tmp_path, task, section, key, value):
     ("train-jko", "dataset", "target", "branch-tree"),
     # kl_moment is the closed-form KL to a Gaussian target
     ("train-lfm+kl_moment", "dataset", "target", "fig10-p"),
+    # dim and shift would be ignored by a 2-D preset
+    ("eval:moons", "dataset", "shift", "5,5"),
+    ("eval:moons", "dataset", "dim", "5"),
+    ("sample:fig10-q", "dataset", "dim", "5"),
 ])
 def test_invalid_value_exit_2(tmp_path, capsys, task, section, key, value):
     cfg = _tiny_config(tmp_path, task, section, key, value.format(tmp=tmp_path))
     out = tmp_path / "out"
-    assert cli.run_experiment(cfg, task=task.partition("+")[0], out=str(out)) == 2
+    task = task.partition("+")[0].partition(":")[0]
+    assert cli.run_experiment(cfg, task=task, out=str(out)) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
     assert not out.exists()

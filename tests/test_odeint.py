@@ -3,13 +3,14 @@
 import gradcheck
 import numpy as np
 import pytest
-from conftest import affine_field, affine_flow_map
+from conftest import affine_field, affine_flow_map, pin_estimator
 from gradcheck import replay
 from stage_oracle import time_column
 
 from wflow import chain as fc
+from wflow import datasets as ds
+from wflow import metrics, objectives, odeint
 from wflow import numcore as nc
-from wflow import objectives, odeint
 from wflow import velocity as vel
 
 
@@ -154,6 +155,23 @@ def test_nonfinite_state_reports_step():
     assert err.value.step >= 0
 
 
+@pytest.mark.parametrize("run", [
+    lambda chn, x: odeint.integrate(chn.blocks[0].field, x, chn.blocks[0].integrator),
+    lambda chn, x: odeint.integrate(chn.blocks[0].field, x[0], chn.blocks[0].integrator),
+    lambda chn, x: fc.log_density(chn, x),
+    lambda chn, x: fc.log_density(chn, x[0]),
+    lambda chn, x: fc.push_log_density(chn, x),
+    lambda chn, x: metrics.nll_eval(chn, x),
+    lambda chn, x: fc.forward_map(chn, ds.ParticleEnsemble(x)),
+    lambda chn, x: fc.inverse_map(chn, ds.ParticleEnsemble(x)),
+], ids=["integrate", "integrate_point", "log_density", "log_density_point", "push_log_density",
+        "nll_eval", "forward_map", "inverse_map"])
+def test_eager_dimension_mismatch_is_a_shape_error(run):
+    chn = fc.identity_chain(2, 2, steps=2, widths=(4,))
+    with pytest.raises(nc.ShapeError, match="point dimension 3 != field dimension 2"):
+        run(chn, np.ones((4, 3)))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         odeint.IntegratorConfig("rk4", 0, (0.0, 1.0))
@@ -180,7 +198,7 @@ def _stage_loop(bound, x0, cfg, direction, est=None, rng=None):
     def f(x, s):
         if est is None:
             return bound.bound.forward(nc.concat([x, time_column(bound, s, x.shape[0])], 1)), None
-        return bound.velocity_and_divergence(x, s, est, rng)
+        return bound.velocity_and_divergence(x, s, rng)
 
     x, logdet = x0, nc.Tensor(np.zeros(x0.shape[0]))
     for _ in range(cfg.steps):
@@ -211,7 +229,7 @@ def _assert_round_off(got, want):
 def _block(bound, x0, cfg, direction, est=None, rng=None):
     if est is None:
         return odeint.integrate_tensor(bound, x0, cfg, direction), None
-    aug = odeint.integrate_augmented_tensor(bound, x0, cfg, est, rng, direction)
+    aug = odeint.integrate_augmented_tensor(bound, x0, cfg, rng, direction)
     return aug.x, aug.logdet
 
 
@@ -256,8 +274,8 @@ def _chain_program(fields, cfgs, x, direction, est, run):
     return y.data, (None if total is None else total.data), float(out.data), grads
 
 
-_BLOCK_ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchinson", 3),
-                     None]
+# the exact trace, 3 Hutchinson probes (see conftest.pin_estimator), velocity only
+_BLOCK_ESTIMATORS = ["exact", 3, None]
 _BLOCK_IDS = ["exact", "hutch3", "velocity"]
 
 
@@ -265,7 +283,8 @@ _BLOCK_IDS = ["exact", "hutch3", "velocity"]
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_block_adjoint_matches_stage_oracle(scheme, direction, est, blocks):
+def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est, blocks):
+    pin_estimator(monkeypatch, est)
     fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh")
     x = np.random.default_rng(blocks).normal(size=(6, 2))
     want = _chain_program(fields, cfgs, x, direction, est, _stage_loop)
@@ -287,7 +306,8 @@ def test_block_adjoint_matches_stage_oracle(scheme, direction, est, blocks):
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_block_adjoint_matches_finite_differences(scheme, direction, est, blocks):
+def test_block_adjoint_matches_finite_differences(monkeypatch, scheme, direction, est, blocks):
+    pin_estimator(monkeypatch, est)
     fields, cfgs = _chain_fields(blocks, scheme)
     x = np.random.default_rng(blocks + 10).normal(size=(3, 2))
     params = [p for f in fields for p in f.parameter_arrays()] + [x]
@@ -306,14 +326,13 @@ def test_block_output_columns_all_differentiable(scheme):
     # it must get the same gradient as finite differences
     fields, cfgs = _chain_fields(1, scheme)
     x = np.random.default_rng(21).normal(size=(3, 2))
-    est = vel.DivergenceEstimator("exact")
 
     def loss_fn():
         tape = nc.Tape()
         with tape:
             bound = fields[0].bind(tape)
             x0 = tape.watch(nc.Tensor(x.copy()))
-            out = odeint._integrate_block(bound, x0, cfgs[0], "forward", est)
+            out = odeint._integrate_block(bound, x0, cfgs[0], "forward", True, None)
             mix = np.random.default_rng(22).normal(size=out.shape)
             loss = nc.tsum(nc.mul(out, mix))
         tape.mark_output(loss)
@@ -326,8 +345,7 @@ def test_block_output_columns_all_differentiable(scheme):
 
 def test_block_records_one_node():
     fields, cfgs = _chain_fields(1, "rk4")
-    for est, reads in ((None, ["slice"]), (vel.DivergenceEstimator("exact"),
-                                           ["slice", "sum", "slice"])):
+    for est, reads in ((None, ["slice"]), ("exact", ["slice", "sum", "slice"])):
         tape = nc.Tape()
         with tape:
             _block(fields[0].bind(tape), nc.Tensor(np.ones((4, 2))), cfgs[0], "forward", est)
@@ -366,7 +384,8 @@ def _record_block_program(fields, cfgs, x, est):
 
 
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
-def test_block_replay_matches_fresh_recording(est):
+def test_block_replay_matches_fresh_recording(monkeypatch, est):
+    pin_estimator(monkeypatch, est)
     fields, cfgs = _chain_fields(1, "rk4")
     x = np.random.default_rng(82).normal(size=(5, 2))
     _, tape = _record_block_program(fields, cfgs, x, est)
@@ -384,7 +403,7 @@ def test_block_replay_matches_fresh_recording(est):
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_eager_integration_bit_identical_to_stage_loop(scheme, direction):
+def test_eager_integration_bit_identical_to_stage_loop(monkeypatch, scheme, direction):
     field = _noisy_field(3, seed=14)
     cfg = odeint.IntegratorConfig(scheme, 5, (0.0, 1.0))
     x = np.random.default_rng(15).normal(size=(9, 3))
@@ -394,9 +413,10 @@ def test_eager_integration_bit_identical_to_stage_loop(scheme, direction):
     taped = odeint.integrate_tensor(field.bind(), nc.Tensor(x), cfg, direction)
     assert np.array_equal(got, taped.data)
     for est in _BLOCK_ESTIMATORS[:2]:
+        pin_estimator(monkeypatch, est)
         want_x, want_ld = _stage_loop(field.bind(), nc.Tensor(x), cfg, direction, est,
                                       np.random.default_rng(16))
-        aug = odeint.integrate_augmented(field, x, cfg, est, np.random.default_rng(16), direction)
+        aug = odeint.integrate_augmented(field, x, cfg, np.random.default_rng(16), direction)
         assert np.array_equal(aug.x.data, want_x.data)
         assert np.array_equal(aug.logdet.data, want_ld.data)
 
@@ -411,8 +431,8 @@ def test_closed_form_block_adjoint_matches_finite_differences(scheme, act, width
         layer.w += 0.5 * rng.normal(size=layer.w.shape)
         layer.b += 0.3 * rng.normal(size=layer.b.shape)
     cfg = odeint.IntegratorConfig(scheme, 3, (0.0, 1.0))
-    est = vel.DivergenceEstimator("exact")
-    mode, probes, _ = odeint._block_probes(est, field.bind().acts, cfg, 3, 2, None)
+    est = "exact"
+    mode, probes, _ = odeint._block_probes(True, field.bind().acts, cfg, 3, 2, None)
     assert mode == "closed" and probes.size == 0  # no (d, m, d) basis rides along
     x = rng.normal(size=(3, 2))
 

@@ -6,6 +6,7 @@ import pytest
 
 from wflow import chain as fc
 from wflow import datasets as ds
+from wflow import mlp
 from wflow import numcore as nc
 from wflow import objectives as obj
 from wflow import odeint
@@ -17,13 +18,13 @@ FIT_CFG = obj.TrainConfig(learn_rate=0.006, batch_size=256, iterations=1200, see
 
 def test_logistic_loss_values_and_gradient():
     rng = np.random.default_rng(0)
-    layers = __import__("wflow.mlp", fromlist=["mlp"]).init_layers([1, 6, 1], rng)
+    layers = mlp.init_layers([1, 6, 1], rng)
     s0, s1 = rng.normal(size=(12, 1)), rng.normal(size=(12, 1)) + 1
     value, grads = tp.logistic_ratio_loss(layers, s0, s1)
     assert np.isfinite(value) and len(grads) == 4
     report = gradcheck.check_loss_gradient_fd(
         lambda: tp.logistic_ratio_loss(layers, s0, s1),
-        __import__("wflow.mlp", fromlist=["mlp"]).parameter_arrays(layers))
+        mlp.parameter_arrays(layers))
     assert report.passed, str(report)
 
 
@@ -176,10 +177,9 @@ def test_ot_loss_gradient_fd():
     for layer in chn.blocks[0].field.layers:
         layer.w += 0.2 * rng.normal(size=layer.w.shape)
     xp, xq = p.sample(5, rng), q.sample(5, rng)
-    est = vel.DivergenceEstimator("exact")
 
     def loss_fn():
-        value, grads, *_ = tp._ot_loss(chn.blocks, p, q, xp, xq, 2.0, est, None)
+        value, grads, *_ = tp._ot_loss(chn.blocks, p, q, xp, xq, 2.0, None)
         return value, grads
 
     report = gradcheck.check_loss_gradient_fd(loss_fn, chn.parameter_arrays())
@@ -270,8 +270,13 @@ def test_dro_classifier_loss_risk_moves_across_boundary():
     clf = tp.fit_logistic_ratio(p.sample(4000, rng), q.sample(4000, rng),
                                 obj.TrainConfig(learn_rate=0.01, batch_size=256,
                                                 iterations=400, seed=7))
-    # p is the classifier's class 0; minimizing the label-1 loss is adversarial
-    risk = tp.RiskFunction.classifier_loss(clf, label=1)
+    # p is the classifier's class 0; minimizing the label-1 logistic loss
+    # softplus(-phi) on its samples is adversarial
+    def label1_loss(x):
+        phi = nc.tsum(mlp.BoundLayers(clf.layers).forward(x), axis=1)
+        return nc.softplus(nc.mul(phi, -1.0))
+
+    risk = tp.RiskFunction(label1_loss)
     cfg = obj.TrainConfig(learn_rate=0.02, batch_size=128, iterations=250, seed=8)
     res = tp.dro_train(risk, p, gamma=4.0, cfg=cfg)
     # clean samples score negative logits; worsened ones move positive

@@ -4,7 +4,7 @@ import gradcheck
 import numpy as np
 import pytest
 import stage_oracle
-from conftest import affine_field, divergence, eval_velocity
+from conftest import affine_field, divergence, eval_velocity, pin_estimator
 from gradcheck import replay
 from stage_oracle import lean_forward, lean_vjp, time_column
 
@@ -68,13 +68,6 @@ def test_divergence_linear_trace():
     assert divergence(affine_field(a), np.ones(2), 0.0) == pytest.approx(0.0)
 
 
-def test_divergence_estimator_validation():
-    with pytest.raises(ValueError):
-        vel.DivergenceEstimator("hutchinson", probes=0)
-    with pytest.raises(ValueError):
-        vel.DivergenceEstimator("bogus")
-
-
 def _random_field(d, seed, scale=0.4):
     field = vel.init_near_identity(d, widths=(12, 12), seed=seed)
     rng = np.random.default_rng(seed + 100)
@@ -102,7 +95,7 @@ def test_exact_divergence_matches_fd_jacobian_trace(d):
     assert exact == pytest.approx(trace, rel=1e-5, abs=1e-8)
 
 
-def test_hutchinson_within_three_sigma():
+def test_hutchinson_within_three_sigma(monkeypatch):
     # Rademacher quadratic-form estimator on a linear field with known trace:
     # variance of one probe is 2 * sum of squared off-diagonal entries
     rng = np.random.default_rng(11)
@@ -110,20 +103,20 @@ def test_hutchinson_within_three_sigma():
     a[np.diag_indices(3)] = np.array([1.0, 2.0, 3.0])
     field = affine_field(a)
     probes = 10_000
-    est = vel.DivergenceEstimator("hutchinson", probes=probes)
-    got = divergence(field, np.ones(3), 0.0, est, np.random.default_rng(0))
+    pin_estimator(monkeypatch, probes)
+    got = divergence(field, np.ones(3), 0.0, np.random.default_rng(0))
     off = a + a.T
     var_one = np.sum((off - np.diag(np.diag(off))) ** 2) / 2.0
     sigma = np.sqrt(var_one / probes)
     assert abs(got - 6.0) <= 3 * sigma
 
 
-def test_hutchinson_mean_matches_exact_on_mlp():
+def test_hutchinson_mean_matches_exact_on_mlp(monkeypatch):
     field = _random_field(2, seed=21)
     x = np.array([0.3, -0.8])
     exact = divergence(field, x, 0.5)
-    est = vel.DivergenceEstimator("hutchinson", probes=4000)
-    approx = divergence(field, x, 0.5, est, np.random.default_rng(7))
+    pin_estimator(monkeypatch, 4000)
+    approx = divergence(field, x, 0.5, np.random.default_rng(7))
     assert approx == pytest.approx(exact, abs=0.05 * max(1.0, abs(exact)))
 
 
@@ -146,8 +139,7 @@ def test_divergence_differentiable_in_parameters():
         tape = nc.Tape()
         with tape:
             bound = field.bind(tape)
-            _, div = bound.velocity_and_divergence(
-                nc.Tensor(x), 0.3, vel.DivergenceEstimator("exact"))
+            _, div = bound.velocity_and_divergence(nc.Tensor(x), 0.3)
             out = nc.tmean(nc.square(div))
         tape.mark_output(out)
         tape.freeze()
@@ -199,7 +191,7 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
                 u = nc.mul(u, deriv)
         return u
 
-    if est.mode == "exact":
+    if est == "exact":
         cols = []
         for j in range(d):
             e = np.zeros((1, d + 1))
@@ -210,19 +202,19 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
             div = nc.mul(div, nc.Tensor(np.ones(m)))
     else:
         acc = None
-        for _ in range(est.probes):
+        for _ in range(est):
             eps = rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
             u = chain(nc.Tensor(np.concatenate([eps, np.zeros((m, 1))], axis=1)))
             quad = nc.tsum(nc.mul(u, nc.Tensor(eps)), axis=1)
             acc = quad if acc is None else nc.add(acc, quad)
-        div = nc.mul(acc, 1.0 / est.probes)
+        div = nc.mul(acc, 1.0 / est)
     return h, div
 
 
 def _fused(bound, x, t, est, rng):
     if est is None:
         return bound.velocity(x, t), None
-    return bound.velocity_and_divergence(x, t, est, rng)
+    return bound.velocity_and_divergence(x, t, rng)
 
 
 def _values_and_grads(field, x, est, evaluate, seed=5):
@@ -252,7 +244,8 @@ def _mlp_field(d, widths, act, seed, scale=0.5):
     return field
 
 
-_ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchinson", probes=3)]
+# the exact trace, or 3 Hutchinson probes (see conftest.pin_estimator)
+_ESTIMATORS = ["exact", 3]
 
 
 @pytest.mark.parametrize("est", [*_ESTIMATORS, None], ids=["exact", "hutch3", "velocity"])
@@ -260,7 +253,8 @@ _ESTIMATORS = [vel.DivergenceEstimator("exact"), vel.DivergenceEstimator("hutchi
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("widths", [(7,), (12, 12), (6, 5, 4)])
 @pytest.mark.parametrize("d", [1, 2, 5])
-def test_fused_matches_chain_oracle(d, widths, act, m, est):
+def test_fused_matches_chain_oracle(monkeypatch, d, widths, act, m, est):
+    pin_estimator(monkeypatch, est)
     field = _mlp_field(d, widths, act, seed=10 * d + len(widths))
     x = np.random.default_rng(d + m).normal(size=(m, d))
     want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
@@ -278,7 +272,8 @@ def test_fused_matches_chain_oracle(d, widths, act, m, est):
 
 @pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
 @pytest.mark.parametrize("m", [1, 4])
-def test_fused_matches_chain_oracle_affine_field(m, est):
+def test_fused_matches_chain_oracle_affine_field(monkeypatch, m, est):
+    pin_estimator(monkeypatch, est)
     rng = np.random.default_rng(31)
     field = affine_field(rng.normal(size=(3, 3)), rng.normal(size=3))
     field.layers[0].w[3] = rng.normal(size=3)  # time column
@@ -291,7 +286,8 @@ def test_fused_matches_chain_oracle_affine_field(m, est):
 
 @pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
 @pytest.mark.parametrize("act", ["tanh", "softplus"])
-def test_fused_gradient_matches_finite_differences(act, est):
+def test_fused_gradient_matches_finite_differences(monkeypatch, act, est):
+    pin_estimator(monkeypatch, est)
     field = _mlp_field(2, (5, 4), act, seed=61, scale=0.4)
     x = np.random.default_rng(62).normal(size=(3, 2))
     params = [*field.parameter_arrays(), x]
@@ -301,7 +297,7 @@ def test_fused_gradient_matches_finite_differences(act, est):
         with tape:
             bound = field.bind(tape)
             xt = tape.watch(nc.Tensor(x))
-            v, div = bound.velocity_and_divergence(xt, 0.6, est, np.random.default_rng(63))
+            v, div = bound.velocity_and_divergence(xt, 0.6, np.random.default_rng(63))
             out = nc.add(nc.tmean(nc.square(v)), nc.tmean(nc.mul(div, nc.tsum(v, axis=1))))
         tape.mark_output(out)
         tape.freeze()
@@ -315,17 +311,16 @@ def test_fused_node_one_per_call():
     field = _mlp_field(2, (8, 8), "tanh", seed=71)
     tape = nc.Tape()
     with tape:
-        field.bind(tape).velocity_and_divergence(
-            nc.Tensor(np.ones((4, 2))), 0.2, vel.DivergenceEstimator("exact"))
+        field.bind(tape).velocity_and_divergence(nc.Tensor(np.ones((4, 2))), 0.2)
     ops = [node.op for node in tape.nodes if node.op not in ("param", "const")]
     assert ops == ["velocity_divergence", "slice", "slice", "sum"]
 
 
-def _record_fused_program(field, x, est):
+def _record_fused_program(field, x):
     tape = nc.Tape()
     with tape:
         bound = field.bind(tape)
-        v, div = bound.velocity_and_divergence(nc.Tensor(x), 0.4, est, np.random.default_rng(3))
+        v, div = bound.velocity_and_divergence(nc.Tensor(x), 0.4, np.random.default_rng(3))
         out = nc.add(nc.tmean(nc.square(v)), nc.tmean(div))
     tape.mark_output(out)
     tape.freeze()
@@ -333,16 +328,17 @@ def _record_fused_program(field, x, est):
 
 
 @pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
-def test_fused_replay_matches_fresh_recording(est):
+def test_fused_replay_matches_fresh_recording(monkeypatch, est):
+    pin_estimator(monkeypatch, est)
     field = _mlp_field(3, (9, 7), "softplus", seed=81)
     x = np.random.default_rng(82).normal(size=(5, 3))
-    _, tape = _record_fused_program(field, x, est)
+    _, tape = _record_fused_program(field, x)
     before = [g.data for g in nc.grad(tape)]
     perturbed = [p + 0.125 for p in field.parameter_arrays()]
     replayed = replay(tape, perturbed)
     for layer, (w, b) in zip(field.layers, zip(perturbed[::2], perturbed[1::2])):
         layer.w, layer.b = w, b
-    fresh, _ = _record_fused_program(field, x, est)
+    fresh, _ = _record_fused_program(field, x)
     assert np.array_equal(replayed[0], fresh)
     # the node keeps no residual a replay could overwrite
     after = [g.data for g in nc.grad(tape)]
@@ -355,8 +351,7 @@ def test_fused_nonfinite_weight_names_the_op():
     tape = nc.Tape()
     with pytest.raises(nc.NumericError) as err:
         with tape:
-            field.bind(tape).velocity_and_divergence(
-                nc.Tensor(np.ones((3, 2))), 0.0, vel.DivergenceEstimator("exact"))
+            field.bind(tape).velocity_and_divergence(nc.Tensor(np.ones((3, 2))), 0.0)
     assert err.value.op == "velocity_divergence"
     # the op's inputs are registered first, so the reported index is the slot
     # the op would take; the last node is its probe leaf, the op is not recorded
@@ -410,11 +405,12 @@ def _rel_err(got, want):
 @pytest.mark.parametrize("d", [1, 2, 8, 32])
 @pytest.mark.parametrize("widths", [(9,), (9, 7)], ids=["depth1", "depth2"])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
-def test_closed_form_matches_tangent_kernel(d, widths, act):
+def test_closed_form_matches_tangent_kernel(monkeypatch, d, widths, act):
+    pin_estimator(monkeypatch, "exact")
     m = 6
     field = _mlp_field(d, widths, act, seed=d + len(widths))
     x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
-    mode, empty, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, d, None)
+    mode, empty, scale = vel.draw_probes(acts, m, d, None)
     assert (mode, empty.shape, scale) == ("closed", (0, m, d), 1.0)
     want_v, want_div = lean_forward(x, 0.4, _basis(m, d), params, acts, "tangent", 1.0)
     got_v, got_div = lean_forward(x, 0.4, empty, params, acts, "closed", 1.0)
@@ -443,12 +439,11 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
     m = 5
     x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
     assert not vel.has_closed_form(acts)
-    mode, probes, scale = vel.draw_probes(vel.DivergenceEstimator("exact"), acts, m, 3, None)
+    mode, probes, scale = vel.draw_probes(acts, m, 3, None)
     assert mode == "tangent" and scale == 1.0
     assert np.array_equal(probes, _basis(m, 3))
     # the fused node runs the tangent kernel on the basis, bit for bit
-    v, div = field.bind().velocity_and_divergence(nc.Tensor(x), 0.4,
-                                                  vel.DivergenceEstimator("exact"))
+    v, div = field.bind().velocity_and_divergence(nc.Tensor(x), 0.4)
     want_v, want_div = lean_forward(x, 0.4, probes, params, acts, "tangent", 1.0)
     assert np.array_equal(v.data, want_v) and np.array_equal(div.data, want_div)
     want_h, want_g = lean_vjp(x, 0.4, probes, params, acts, "tangent", 1.0, v_bar, div_bar)
@@ -456,7 +451,7 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
     with tape:
         bound = field.bind(tape)
         xt = tape.watch(nc.Tensor(x.copy()))
-        v, div = bound.velocity_and_divergence(xt, 0.4, vel.DivergenceEstimator("exact"))
+        v, div = bound.velocity_and_divergence(xt, 0.4)
         out = nc.add(nc.tsum(nc.mul(v, v_bar)), nc.tsum(nc.mul(div, div_bar)))
     tape.mark_output(out)
     tape.freeze()
@@ -465,27 +460,46 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
         assert np.array_equal(got, want)
 
 
-def test_hutchinson_keeps_tangents_on_closed_form_stacks():
+def test_hutchinson_keeps_tangents_on_closed_form_stacks(monkeypatch):
     # Hutchinson never takes the closed form: same Rademacher draws from the
     # rng, in the same order, and the tangent kernel
     field = _mlp_field(4, (8, 8), "tanh", seed=9)
     acts = tuple(layer.act for layer in field.layers)
     assert vel.has_closed_form(acts)
-    est = vel.DivergenceEstimator("hutchinson", probes=3)
-    mode, probes, scale = vel.draw_probes(est, acts, 5, 4, np.random.default_rng(10))
+    pin_estimator(monkeypatch, 3)
+    mode, probes, scale = vel.draw_probes(acts, 5, 4, np.random.default_rng(10))
     rng = np.random.default_rng(10)
     want = np.stack([rng.integers(0, 2, size=(5, 4)) * 2.0 - 1.0 for _ in range(3)])
     assert mode == "tangent" and scale == 1.0 / 3
     assert np.array_equal(probes, want)
     x = np.random.default_rng(11).normal(size=(5, 4))
-    got = divergence(field, x, 0.2, est, np.random.default_rng(10))
+    got = divergence(field, x, 0.2, np.random.default_rng(10))
     _, want_div = lean_forward(x, 0.2, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
     assert np.array_equal(got, want_div)
 
 
-def test_default_estimator_switches_above_exact_dim():
-    assert vel.default_estimator(8) == vel.DivergenceEstimator("exact")
-    assert vel.default_estimator(9) == vel.DivergenceEstimator("hutchinson", probes=8)
+# widths, d, then the mode, probe count K and trace scale the rule picks: the
+# exact trace up to EXACT_DIVERGENCE_MAX_DIM = 8 (the closed form for one or
+# two hidden layers, the d basis vectors for three), 8 Hutchinson probes above
+@pytest.mark.parametrize("widths, d, mode, k, scale", [
+    ((6,), 8, "closed", 0, 1.0),
+    ((6, 5), 8, "closed", 0, 1.0),
+    ((6, 5, 4), 8, "tangent", 8, 1.0),
+    ((6,), 9, "tangent", 8, 1.0 / 8),
+    ((6, 5), 9, "tangent", 8, 1.0 / 8),
+    ((6, 5, 4), 9, "tangent", 8, 1.0 / 8),
+], ids=["depth1-d8", "depth2-d8", "depth3-d8", "depth1-d9", "depth2-d9", "depth3-d9"])
+def test_draw_probes_rule(widths, d, mode, k, scale):
+    acts = tuple(layer.act for layer in _mlp_field(d, widths, "tanh", seed=1).layers)
+    m = 3
+    got_mode, probes, got_scale = vel.draw_probes(acts, m, d, np.random.default_rng(2))
+    assert (got_mode, probes.shape, got_scale) == (mode, (k, m, d), scale)
+    if d == 8:
+        assert mode == "closed" or np.array_equal(probes, _basis(m, d))
+    else:
+        assert set(np.unique(probes)) == {-1.0, 1.0}
+        with pytest.raises(ValueError, match="needs an rng"):
+            vel.draw_probes(acts, m, d, None)
 
 
 # ---------------------------------------------------------------------------
