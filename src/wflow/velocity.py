@@ -24,11 +24,12 @@ shape. The kernel takes x and the stage's time, a scalar or one time per row, an
 folds the time into the first layer's bias; it never builds the (m, d+1)
 input. Its closed-form coupling depends on the parameters only, so a block
 builds it once (``stage_coupling``) and every stage reuses it. Bias adds,
-activations, slopes and the VJP's cotangent updates run in place on arrays
-the stage itself allocated, and the VJP adds its parameter cotangents into
-accumulators the caller owns. On a 2-core x86-64 host (one BLAS thread,
-pinned core), a closed stage's forward + VJP at tanh widths 64x2, d=2
-takes a median 0.75 ms at m=128, 1.01 ms at m=192 and 1.46 ms at m=256.
+activations, slopes and the VJP's cotangent updates fill a workspace that
+the caller allocates once per block (``stage_workspace``), and the VJP adds
+its parameter cotangents into accumulators the caller owns. On a 2-core
+x86-64 host (one BLAS thread, pinned core), a closed stage's forward + VJP
+at tanh widths 64x2, d=2 takes a median 0.45 ms at m=128, 0.63 ms at m=192
+and 0.89 ms at m=256.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def draw_probes(acts, m, d, rng):
             return "closed", np.empty((0, m, d)), 1.0
         return "tangent", np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
     if rng is None:
-        raise ValueError("hutchinson divergence needs an rng")
+        raise nc.MissingRngError(f"hutchinson divergence needs an rng above d = "
+                                 f"{EXACT_DIVERGENCE_MAX_DIM}: pass rng")
     probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
                        for _ in range(HUTCHINSON_PROBES)])
     return "tangent", probes, 1.0 / HUTCHINSON_PROBES
@@ -176,25 +178,27 @@ def draw_probes(acts, m, d, rng):
 #   ``stage_coupling`` builds it once per block (or per stage node) and the
 #   kernel takes it as an argument.
 #
-# Each layer works in place on the fresh output of its GEMM: bias add,
-# activation and slope, and in the VJP the cotangent updates. The
-# ``velocity_divergence`` primitive packs [v | div] as (m, d+1) and keeps
-# nothing beyond its output, so eager callers hold no residuals and a tape
-# re-run leaves none stale; its VJP recomputes the sweep, the primal alone in
-# the velocity and closed modes. Both divergence modes reach z through act''
-# (see stage_vjp). ``wflow.odeint`` calls the same kernel and VJP once per
-# stage of a block.
+# Each hidden layer's GEMM writes into its workspace buffer, and the bias
+# add, activation and slope, and in the VJP the cotangent updates, work in
+# place there. The ``velocity_divergence`` primitive builds a workspace per
+# call, packs [v | div] as (m, d+1) and keeps nothing beyond its output, so
+# eager callers hold no residuals and a tape re-run leaves none stale; its
+# VJP recomputes the sweep, the primal alone in the velocity and closed
+# modes. Both divergence modes reach z through act'' (see stage_vjp).
+# ``wflow.odeint`` calls the same kernel and VJP once per stage of a block,
+# with one workspace for all of them.
 
-def _activate(act, z, want_slope):
+def _activate(act, z, want_slope, out):
     """act(z), in place on z but for softplus, and the slope act'(z).
 
-    The slope is None for identity layers or when unwanted.
+    A tanh slope fills ``out`` (a fresh array when None); the slope is None
+    for identity layers or when unwanted.
     """
     if act == "tanh":
         a = np.tanh(z, out=z)
         if not want_slope:
             return a, None
-        slope = a * a
+        slope = np.multiply(a, a, out=out)
         return a, np.subtract(1.0, slope, out=slope)
     if act == "softplus":
         slope = nc._sigmoid_np(z) if want_slope else None
@@ -202,30 +206,43 @@ def _activate(act, z, want_slope):
     return z, None
 
 
-def _sweep(x, tau, probes, params, acts, want_slopes):
+def stage_workspace(params, m):
+    """One stage's buffers at batch m, which every stage of a block refills.
+
+    Per layer: the activation, the slope and their two cotangents, (m, width)
+    each. The output layer's are None, so they are fresh arrays: its
+    activation is the stage's velocity, which outlives the stage.
+    """
+    hidden = [[np.empty((m, w.shape[1])) for _ in range(4)] for w in params[0:-2:2]]
+    return hidden + [(None,) * 4]
+
+
+def _sweep(x, tau, probes, params, acts, want_slopes, ws):
     """The layers of one stage in order: a list of (a, slope, t, u).
 
     ``a`` is the layer's activation (m, width); ``u`` the K stacked tangents
     after it as one (K*m, width) block, so each layer's tangent is one GEMM;
     ``t`` is the tangent before the slope multiplies it. With K = 0 the
-    tangent entries are None.
+    tangent entries are None. A hidden layer's z, activation and slope fill
+    its workspace buffers; the tangents are fresh.
     """
     k, m, d = probes.shape
     a, u = x, (probes.reshape(k * m, d) if k else None)
     layers = []
     for i, act in enumerate(acts):
         w, b = params[2 * i], params[2 * i + 1]
+        z_buf, slope_buf = ws[i][:2]
         if i > 0:
-            z = a @ w
+            z = np.matmul(a, w, out=z_buf)
             z += b
         elif np.ndim(tau) == 0:
-            z = x @ w[:d]
+            z = np.matmul(x, w[:d], out=z_buf)
             z += b + tau * w[d]
         else:
-            z = np.multiply.outer(tau, w[d])
+            z = np.multiply.outer(tau, w[d], out=z_buf)
             z += b
             z += x @ w[:d]
-        a, slope = _activate(act, z, want_slopes or k > 0)
+        a, slope = _activate(act, z, want_slopes or k > 0, slope_buf)
         t = None
         if k:
             t = u @ (w[:d] if i == 0 else w)
@@ -255,30 +272,33 @@ def stage_coupling(mode, params, d):
     return w1 * cross.T, cross
 
 
-def stage_forward(x, tau, probes, params, acts, mode, scale, coupling):
+def stage_forward(x, tau, probes, params, acts, mode, scale, coupling, ws):
     """Velocity (m, d) and divergence (m,) at stage input x and embedded time tau.
 
-    div is None in velocity mode; closed mode needs ``stage_coupling``.
+    div is None in velocity mode; closed mode needs ``stage_coupling``. ``ws``
+    is a ``stage_workspace`` at x's batch size; v and div are fresh arrays.
     """
     if mode == "closed":
-        layers = _sweep(x, tau, probes, params, acts, True)
+        layers = _sweep(x, tau, probes, params, acts, True, ws)
         c, cross = coupling
         if cross is None:
             return layers[-1][0], _slope(layers[0]) @ c
-        return layers[-1][0], np.einsum("ij,ij->i", _slope(layers[0]) @ c, _slope(layers[1]))
-    layers = _sweep(x, tau, probes, params, acts, False)
+        # the forward leaves the cotangent buffers free
+        q = np.matmul(_slope(layers[0]), c, out=ws[1][3])
+        return layers[-1][0], np.einsum("ij,ij->i", q, _slope(layers[1]))
+    layers = _sweep(x, tau, probes, params, acts, False, ws)
     if mode == "velocity":
         return layers[-1][0], None
     u = layers[-1][3]
     return layers[-1][0], (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
 
 
-def _closed_cotangents(layers, params, d, coupling, div_bar, grads):
+def _closed_cotangents(layers, params, d, coupling, div_bar, grads, ws):
     """Pull div_bar back through the closed form.
 
     Returns the cotangent of each hidden slope D_i (None for the output
-    layer) and adds the coupling's weight cotangents into ``grads``: w0[:d],
-    w1 (and w2).
+    layer), in the slope cotangent buffers, and adds the coupling's weight
+    cotangents into ``grads``: w0[:d], w1 (and w2).
     """
     d1 = _slope(layers[0])
     w0x, w1 = params[0][:d], params[2]
@@ -287,30 +307,33 @@ def _closed_cotangents(layers, params, d, coupling, div_bar, grads):
         c_bar = div_bar @ d1
         grads[0][:d] += (w1 * c_bar[:, None]).T
         grads[2] += c_bar[:, None] * w0x.T
-        return [np.multiply.outer(div_bar, c), None]
-    p_bar = _slope(layers[1]) * div_bar[:, None]
+        return [np.multiply.outer(div_bar, c, out=ws[0][3]), None]
+    p_bar = np.multiply(_slope(layers[1]), div_bar[:, None], out=ws[1][3])
     c_bar = d1.T @ p_bar
     cross_bar = (c_bar * w1).T
     grads[0][:d] += params[4].T @ cross_bar
     grads[2] += c_bar * cross.T
     grads[4] += cross_bar @ w0x.T
-    q_bar = d1 @ c
+    d1_bar = np.matmul(p_bar, c.T, out=ws[0][3])
+    # p_bar is spent, so D2's cotangent takes its buffer
+    q_bar = np.matmul(d1, c, out=ws[1][3])
     q_bar *= div_bar[:, None]
-    return [p_bar @ c.T, q_bar, None]
+    return [d1_bar, q_bar, None]
 
 
-def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, coupling):
+def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, coupling, ws):
     """Pull (v_bar, div_bar) back through one stage; returns x_bar (m, d).
 
     The parameter cotangents add into ``grads``, one array per parameter;
-    closed mode needs ``stage_coupling``. ``div_bar`` is ignored in velocity
-    mode. v_bar and div_bar are read, never written.
+    closed mode needs ``stage_coupling``; ``ws`` is a ``stage_workspace`` at
+    x's batch size. ``div_bar`` is ignored in velocity mode. v_bar and
+    div_bar are read, never written; x_bar is a fresh array.
     """
     k, m, d = probes.shape
-    layers = _sweep(x, tau, probes, params, acts, True)
+    layers = _sweep(x, tau, probes, params, acts, True, ws)
     slope_bars = [None] * len(layers)
     if mode == "closed":
-        slope_bars = _closed_cotangents(layers, params, d, coupling, div_bar, grads)
+        slope_bars = _closed_cotangents(layers, params, d, coupling, div_bar, grads, ws)
     a_bar = v_bar
     u_bar = ((scale * div_bar)[:, None] * probes).reshape(k * m, d) if k else None
     for i in range(len(layers) - 1, -1, -1):
@@ -324,7 +347,7 @@ def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, 
             width = slope.shape[1]
             u_bar = u_bar.reshape(k, m, width)
             t_bar = (u_bar * slope).reshape(k * m, width)
-            slope_bar = np.einsum("kmn,kmn->mn", u_bar, t.reshape(k, m, width))
+            slope_bar = np.einsum("kmn,kmn->mn", u_bar, t.reshape(k, m, width), out=ws[i][3])
         if slope is None:
             z_bar = a_bar
         elif slope_bar is None:
@@ -349,14 +372,15 @@ def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, 
                 u_bar = t_bar @ w.T
         if i == 0:
             grads[0][d] += tau * z_sum if np.ndim(tau) == 0 else tau @ z_bar
-        a_bar = z_bar @ w.T
+        a_bar = np.matmul(z_bar, w.T, out=ws[i - 1][2] if i else None)
     return a_bar
 
 
 def _velocity_divergence_fwd(args, meta):
     x, tau, probes, params = args[0], args[1], args[2], args[3:]
     coupling = stage_coupling(meta[1], params, x.shape[1])
-    v, div = stage_forward(x, tau, probes, params, *meta, coupling)
+    v, div = stage_forward(x, tau, probes, params, *meta, coupling,
+                           stage_workspace(params, len(x)))
     if div is None:
         div = np.zeros(len(v))
     return np.concatenate([v, div[:, None]], axis=1)
@@ -367,7 +391,8 @@ def _velocity_divergence_bwd(node, inputs, g):
     d = x.shape[1]
     coupling = stage_coupling(node.meta[1], params, d)
     grads = [np.zeros_like(p) for p in params]
-    x_bar = stage_vjp(x, tau, probes, params, *node.meta, g[:, :d], g[:, d], grads, coupling)
+    x_bar = stage_vjp(x, tau, probes, params, *node.meta, g[:, :d], g[:, d], grads, coupling,
+                      stage_workspace(params, len(x)))
     return (x_bar, None, None, *grads)
 
 

@@ -157,7 +157,8 @@ def time_column(bound, t, m):
 
 def lean_forward(x, tau, probes, params, acts, mode, scale):
     coupling = vel.stage_coupling(mode, params, x.shape[1])
-    return vel.stage_forward(x, tau, probes, params, acts, mode, scale, coupling)
+    return vel.stage_forward(x, tau, probes, params, acts, mode, scale, coupling,
+                             vel.stage_workspace(params, len(x)))
 
 
 def lean_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar):
@@ -165,5 +166,5 @@ def lean_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar):
     coupling = vel.stage_coupling(mode, params, d)
     grads = [np.zeros_like(p) for p in params]
     x_bar = vel.stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads,
-                          coupling)
+                          coupling, vel.stage_workspace(params, len(x)))
     return x_bar, grads

@@ -30,6 +30,22 @@ def test_nll_matches_gaussian_entropy():
     assert metrics.nll_eval(chn, x) == pytest.approx(entropy, abs=0.05)
 
 
+def test_nll_of_one_point_is_minus_its_log_density():
+    # a 1-D array is one d-dimensional point, as log_density reads it
+    chn = fc.identity_chain(2, 2, steps=2, widths=(4,))
+    rng = np.random.default_rng(5)
+    for block in chn.blocks:
+        block.field.layers[-1].w += 0.3 * rng.normal(size=block.field.layers[-1].w.shape)
+    x = np.array([0.3, -0.7])
+    assert metrics.nll_eval(chn, x) == -fc.log_density(chn, x)
+
+
+def test_nll_above_exact_dim_without_rng_is_a_typed_error():
+    chn = fc.identity_chain(10, 1, steps=2, widths=(4,))
+    with pytest.raises(nc.MissingRngError, match="needs an rng above d = 8: pass rng"):
+        metrics.nll_eval(chn, np.zeros((3, 10)))
+
+
 # --- gauss_fid ---------------------------------------------------------------
 
 def test_fid_identical_ensembles_zero():

@@ -162,10 +162,11 @@ def test_nonfinite_state_reports_step():
     lambda chn, x: fc.log_density(chn, x[0]),
     lambda chn, x: fc.push_log_density(chn, x),
     lambda chn, x: metrics.nll_eval(chn, x),
+    lambda chn, x: metrics.nll_eval(chn, x[0]),
     lambda chn, x: fc.forward_map(chn, ds.ParticleEnsemble(x)),
     lambda chn, x: fc.inverse_map(chn, ds.ParticleEnsemble(x)),
 ], ids=["integrate", "integrate_point", "log_density", "log_density_point", "push_log_density",
-        "nll_eval", "forward_map", "inverse_map"])
+        "nll_eval", "nll_eval_point", "forward_map", "inverse_map"])
 def test_eager_dimension_mismatch_is_a_shape_error(run):
     chn = fc.identity_chain(2, 2, steps=2, widths=(4,))
     with pytest.raises(nc.ShapeError, match="point dimension 3 != field dimension 2"):
@@ -233,12 +234,12 @@ def _block(bound, x0, cfg, direction, est=None, rng=None):
     return aug.x, aug.logdet
 
 
-def _chain_fields(blocks, scheme, act="tanh"):
+def _chain_fields(blocks, scheme, act="tanh", widths=(5, 4)):
     edges = np.linspace(0.0, 1.0, blocks + 1)
     fields, cfgs = [], []
     for i in range(blocks):
         interval = (float(edges[i]), float(edges[i + 1]))
-        field = vel.init_near_identity(2, widths=(5, 4), seed=40 + i, interval=interval,
+        field = vel.init_near_identity(2, widths=widths, seed=40 + i, interval=interval,
                                        t_total=1.0, hidden_act=act)
         rng = np.random.default_rng(50 + i)
         for layer in field.layers:
@@ -279,13 +280,19 @@ _BLOCK_ESTIMATORS = ["exact", 3, None]
 _BLOCK_IDS = ["exact", "hutch3", "velocity"]
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
+# one hidden layer (the closed form's c), two (its coupling B) and three (no
+# closed form: the exact trace takes the tangents); the block's stages share
+# one workspace, the oracle's stage nodes each build their own
+@pytest.mark.parametrize("blocks, widths", [
+    (1, (5, 4)), (2, (5, 4)), (1, (7,)), (2, (7,)), (1, (6, 5, 4)), (2, (6, 5, 4)),
+], ids=["1", "2", "1-w7", "2-w7", "1-w654", "2-w654"])
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est, blocks):
+def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est, blocks, widths):
     pin_estimator(monkeypatch, est)
-    fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh")
+    fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh",
+                                 widths=widths)
     x = np.random.default_rng(blocks).normal(size=(6, 2))
     want = _chain_program(fields, cfgs, x, direction, est, _stage_loop)
     got = _chain_program(fields, cfgs, x, direction, est, _block)
@@ -297,7 +304,7 @@ def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est,
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
-    assert len(got[3]) == len(want[3]) == 6 * blocks + 1
+    assert len(got[3]) == len(want[3]) == 2 * (len(widths) + 1) * blocks + 1
     for g_got, g_want in zip(got[3], want[3]):
         assert np.linalg.norm(g_got - g_want) <= 1e-12 * max(np.linalg.norm(g_want), 1e-300)
 
