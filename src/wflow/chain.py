@@ -8,6 +8,11 @@ point x is
     log p(x) = log q(F(x)) + integral of div v along the trajectory of x,
 
 with the integral taken forward in time from 0 to T.
+
+A block's interval [t_k, t_{k+1}] lives in its ``IntegratorConfig`` alone.
+T lives in each block's field (``t_total``, the time embedding t / T) and
+must equal the end of the chain's tiling; a checkpoint stores it once, in
+its header.
 """
 
 from __future__ import annotations
@@ -43,13 +48,6 @@ class FlowBlock:
     integrator: odeint.IntegratorConfig
     trained: bool = False
 
-    def __post_init__(self):
-        if tuple(self.integrator.interval) != tuple(self.field.interval):
-            raise ValueError(
-                f"integrator interval {self.integrator.interval} != "
-                f"field interval {self.field.interval}"
-            )
-
     def parameter_arrays(self):
         return self.field.parameter_arrays()
 
@@ -60,17 +58,20 @@ class FlowChain:
     def __init__(self, blocks, base):
         if not blocks:
             raise ValueError("chain needs at least one block")
-        t = blocks[0].field.interval[0]
+        t = blocks[0].integrator.interval[0]
         if abs(t) > 1e-12:
             raise ValueError("first block must start at time 0")
         for block in blocks:
-            t_a, t_b = block.field.interval
+            t_a, t_b = block.integrator.interval
             if abs(t_a - t) > 1e-9:
                 raise ValueError(f"block intervals must tile contiguously (gap at t={t})")
             t = t_b
         dims = {block.field.d for block in blocks}
         if len(dims) != 1:
             raise ValueError("blocks disagree on dimension")
+        # exact: np.linspace puts the last tiling edge at t_total itself
+        if any(block.field.t_total != t for block in blocks):
+            raise ValueError(f"every block's t_total must equal the tiling end {t}")
         self.blocks = list(blocks)
         self.base = base
         self.d = blocks[0].field.d
@@ -95,10 +96,8 @@ def identity_chain(d, n_blocks, base=None, widths=(64, 64), steps=32, scheme="rk
     blocks = []
     for i in range(n_blocks):
         interval = (float(edges[i]), float(edges[i + 1]))
-        field = init_near_identity(d, widths=widths, seed=seed + i, interval=interval,
-                                   t_total=t_total)
-        cfg = odeint.IntegratorConfig(scheme, steps, interval)
-        blocks.append(FlowBlock(field, cfg))
+        field = init_near_identity(d, widths=widths, seed=seed + i, t_total=t_total)
+        blocks.append(FlowBlock(field, odeint.IntegratorConfig(scheme, steps, interval)))
     if base is None:
         base = Gaussian(np.zeros(d), np.eye(d))
     return FlowChain(blocks, base)
@@ -231,7 +230,7 @@ def save_checkpoint(chain: FlowChain, path):
     """Versioned binary checkpoint; bit-exact round trip of all parameters."""
     parts = [struct.pack("<IId", len(chain.blocks), chain.d, chain.t_total)]
     for block in chain.blocks:
-        t_a, t_b = block.field.interval
+        t_a, t_b = block.integrator.interval
         parts.append(struct.pack("<dd", t_a, t_b))
         parts.append(struct.pack("<BIB", _SCHEME_CODE[block.integrator.scheme],
                                  block.integrator.steps, int(block.trained)))
@@ -300,8 +299,7 @@ def _unpack_chain(r: _Reader) -> FlowChain:
             w = r.floats(fan_in * fan_out).reshape(fan_in, fan_out)
             b = r.floats(fan_out)
             layers.append(Layer(w, b, _decode(_ACT_NAME, act_code, "activation")))
-        field = VelocityField(layers, (t_a, t_b), t_total, d)
         scheme = _decode(_SCHEME_NAME, scheme_code, "integrator scheme")
         cfg = odeint.IntegratorConfig(scheme, steps, (t_a, t_b))
-        blocks.append(FlowBlock(field, cfg, trained=bool(trained)))
+        blocks.append(FlowBlock(VelocityField(layers, t_total, d), cfg, trained=bool(trained)))
     return FlowChain(blocks, _unpack_density(r))

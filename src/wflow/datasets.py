@@ -170,12 +170,13 @@ def fig10_q() -> GaussianMixture:
     )
 
 
-def branch_tree(depth=4, sigma=0.12) -> GaussianMixture:
+def branch_tree() -> GaussianMixture:
     """Recursive branching mixture: blobs along a binary tree of segments.
 
     A qualitative 2-D "tree" distribution: the trunk splits in two at each
-    level, segment length and blob spread shrink geometrically. Purely a
-    documented construction of this package, not tied to any external dataset.
+    of 4 levels, segment length and blob spread (0.12 of the segment's
+    length) shrink geometrically. Purely a documented construction of this
+    package, not tied to any external dataset.
     """
     means, spreads = [], []
 
@@ -183,8 +184,8 @@ def branch_tree(depth=4, sigma=0.12) -> GaussianMixture:
         tip = origin + length * np.array([np.cos(angle), np.sin(angle)])
         for frac in (0.25, 0.5, 0.75, 1.0):
             means.append(origin + frac * (tip - origin))
-            spreads.append(sigma * length)
-        if level < depth:
+            spreads.append(0.12 * length)
+        if level < 4:
             for turn in (-0.55, 0.55):
                 grow(tip, angle + turn, 0.62 * length, level + 1)
 
@@ -195,19 +196,16 @@ def branch_tree(depth=4, sigma=0.12) -> GaussianMixture:
 
 
 class TwoMoons:
-    """Two interleaving noisy half-circles; sampler only, no closed-form pdf."""
+    """Two interleaving half-circles, noise N(0, 0.08^2); sampler only, no closed-form pdf."""
 
     d = 2
-
-    def __init__(self, noise=0.08):
-        self.noise = noise
 
     def sample(self, n, rng) -> np.ndarray:
         theta = rng.uniform(0.0, np.pi, size=n)
         upper = rng.integers(0, 2, size=n).astype(bool)
         x = np.where(upper, np.cos(theta), 1.0 - np.cos(theta))
         y = np.where(upper, np.sin(theta) - 0.25, 0.25 - np.sin(theta))
-        pts = np.stack([x, y], axis=1) + self.noise * rng.standard_normal((n, 2))
+        pts = np.stack([x, y], axis=1) + 0.08 * rng.standard_normal((n, 2))
         return pts
 
     def log_pdf(self, x):

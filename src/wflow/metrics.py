@@ -283,6 +283,9 @@ def kl_mc(logp, logq, samples_of_p) -> KlResult:
     aborts the estimate.
     """
     x = as_positions(samples_of_p)
+    if len(x) < 2:
+        raise ValueError(f"samples_of_p needs at least 2 samples for a standard error, "
+                         f"got {len(x)}")
     terms = np.asarray(logp(x), dtype=np.float64) - np.asarray(logq(x), dtype=np.float64)
     finite = np.isfinite(terms)
     n_bad = int(np.sum(~finite))

@@ -59,6 +59,9 @@ class TrainConfig:
     def __post_init__(self):
         check_positive("learn_rate", self.learn_rate)
         check_positive("gamma", self.gamma)
+        for name in ("batch_size", "time_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -189,18 +192,18 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None, rng=None
     return nc.value_and_grad(build)
 
 
-def fm_loss(field, batch0, batch1, paired=False, time_draws=1, rng=None):
+def fm_loss(block: FlowBlock, batch0, batch1, paired=False, time_draws=1, rng=None):
     """Monte-Carlo velocity-matching loss along x_s = (1 - s) x0 + s x1.
 
     Unless ``paired``, batch1 is shuffled (when an rng is given) before
     pairing by index; paired endpoints, constructed jointly like
     mean-reverting step targets, keep the given order. Interpolation times
-    are stratified uniform over 8 strata, rescaled onto the field's active
-    interval. With rng=None the strata midpoints are used, which keeps tiny
-    fixed examples deterministic. The interpolant and its target velocity
-    are data, so only the field's velocity is recorded.
+    are stratified uniform over 8 strata, rescaled onto the block's
+    interval, ``block.integrator.interval``. With rng=None the strata
+    midpoints are used, which keeps tiny fixed examples deterministic. The
+    interpolant and its target velocity are data, so only the field's
+    velocity is recorded.
     """
-    field = field.field if isinstance(field, FlowBlock) else field
     x0 = as_positions(batch0)
     x1 = as_positions(batch1)
     if len(x0) == 0 or len(x1) == 0:
@@ -216,14 +219,14 @@ def fm_loss(field, batch0, batch1, paired=False, time_draws=1, rng=None):
     strata = (np.arange(n) % FM_STRATA).astype(np.float64)
     u = rng.uniform(0.0, 1.0, size=n) if rng is not None else np.full(n, 0.5)
     s = (strata + u) / FM_STRATA
-    t_a, t_b = field.interval
+    t_a, t_b = block.integrator.interval
     span = t_b - t_a
     col = s.reshape(-1, 1)
     xt = nc.Tensor(x0 * (1.0 - col) + x1 * col)
     target = (x1 - x0) * (1.0 / span)
 
     def build(tape):
-        gap = field.bind(tape).velocity(xt, t_a + s * span) - target
+        gap = block.field.bind(tape).velocity(xt, t_a + s * span) - target
         return nc.tmean(nc.tsum(nc.square(gap), axis=1))
 
     return nc.value_and_grad(build)
@@ -254,8 +257,9 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *, potential=None) -
     """Minimize one objective with minibatch Adam/SGD; deterministic per seed.
 
     loss_kind selects the objective and the expected (subject, data) pair:
-    nll (chain, ensemble), jko (block, pushed ensemble), fm (block or field,
-    (ensemble0, ensemble1)), local_fm (block or field, ensemble).
+    nll (chain, ensemble), jko (block, pushed ensemble), fm (block,
+    (ensemble0, ensemble1)), local_fm (block, ensemble). A block trains over
+    its integrator's interval.
     """
     if loss_kind not in ("nll", "jko", "fm", "local_fm"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -284,11 +288,8 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *, potential=None) -
         return fm_loss(subject, x_l, x_r, paired=True, time_draws=cfg.time_draws, rng=rng)
 
     losses, wall = fit(minibatch, subject.parameter_arrays(), cfg)
-    if isinstance(subject, FlowBlock):
-        subject.trained = True
-    elif isinstance(subject, FlowChain):
-        for block in subject.blocks:
-            block.trained = True
+    for block in (subject.blocks if loss_kind == "nll" else [subject]):
+        block.trained = True
     return TrainResult(losses, wall)
 
 

@@ -269,7 +269,7 @@ def _sustained_linear_descent(losses) -> bool:
 
 
 def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
-              d=None, widths=(64, 64), steps=8, seed_offset=0) -> DroResult:
+              widths=(64, 64), steps=8, seed_offset=0) -> DroResult:
     """Learn the worst-case transport min_F E[R(F(X)) + ||X - F(X)||^2 / (2 gamma)].
 
     A single near-identity block plays the transport map. Sustained linear
@@ -278,11 +278,8 @@ def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
     """
     check_positive("gamma", gamma)
     draw, pool = _resolve_sampler(p_sampler)
-    if d is None:
-        probe = draw(1, np.random.default_rng(cfg.seed))
-        d = as_positions(probe).shape[1]
-    field = init_near_identity(d, widths=widths, seed=cfg.seed + seed_offset,
-                               interval=(0.0, 1.0))
+    d = as_positions(draw(1, np.random.default_rng(cfg.seed))).shape[1]
+    field = init_near_identity(d, widths=widths, seed=cfg.seed + seed_offset)
     block = FlowBlock(field, odeint.IntegratorConfig("rk4", steps, (0.0, 1.0)))
 
     def minibatch(rng):

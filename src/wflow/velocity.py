@@ -1,10 +1,13 @@
 """Time-conditioned MLP velocity fields and their divergence.
 
 The field maps (x, t) -> velocity in R^d through a dense stack applied to
-(x, t / t_total). Velocity and divergence (the Jacobian trace over x) come
-from one taped primitive, ``velocity_divergence``, whose hand-written VJP
-keeps the divergence differentiable in the parameters and in x with a
-single reverse sweep. The stage kernel behind it has three modes:
+(x, t / t_total); it holds T (``t_total``) and no interval. Velocity and
+divergence (the Jacobian trace over x) come from the fused stage kernel,
+``stage_forward``, whose hand-written VJP ``stage_vjp`` keeps the
+divergence differentiable in the parameters and in x with a single reverse
+sweep. ``wflow.odeint`` calls it once per stage of a block; the taped
+primitive ``velocity_divergence`` is one stage alone (the fm loss's
+velocity). The kernel has three modes:
 
 - ``velocity``: the primal sweep alone, no divergence;
 - ``tangent``: the sweep also carries K directional derivatives, started
@@ -44,16 +47,14 @@ HUTCHINSON_PROBES = 8
 
 
 class VelocityField:
-    """Parameterized velocity v(x, t) active on a half-open time interval.
+    """Parameterized velocity v(x, t), with t embedded as t / t_total.
 
+    It holds no interval: a block's lives in its ``IntegratorConfig``.
     Immutable during evaluation; training mutates the layer arrays in
     place between evaluation phases (single writer).
     """
 
-    def __init__(self, layers, interval, t_total, d):
-        t_a, t_b = float(interval[0]), float(interval[1])
-        if not t_a < t_b:
-            raise ValueError(f"empty interval [{t_a}, {t_b})")
+    def __init__(self, layers, t_total, d):
         if not layers:
             raise ValueError("velocity field needs at least one layer")
         for prev, layer in zip(layers, layers[1:]):
@@ -69,7 +70,6 @@ class VelocityField:
         if layers[-1].w.shape[1] != d:
             raise ValueError("last layer must output d values")
         self.layers = layers
-        self.interval = (t_a, t_b)
         self.t_total = float(t_total)
         self.d = d
 
@@ -399,7 +399,7 @@ def _velocity_divergence_bwd(node, inputs, g):
 nc._primitive("velocity_divergence", _velocity_divergence_fwd, _velocity_divergence_bwd)
 
 
-def init_near_identity(d, widths=(64, 64), seed=0, interval=(0.0, 1.0), t_total=None,
+def init_near_identity(d, widths=(64, 64), seed=0, t_total=1.0,
                        hidden_act="tanh") -> VelocityField:
     """Fresh field whose output is exactly zero, so its block map is the identity.
 
@@ -413,6 +413,4 @@ def init_near_identity(d, widths=(64, 64), seed=0, interval=(0.0, 1.0), t_total=
     rng = np.random.default_rng(seed)
     sizes = [d + 1, *widths, d]
     layers = mlp.init_layers(sizes, rng, hidden_act=hidden_act, zero_final=True)
-    if t_total is None:
-        t_total = max(interval[1], 1.0)
-    return VelocityField(layers, interval, t_total, d)
+    return VelocityField(layers, t_total, d)

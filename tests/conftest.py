@@ -19,7 +19,7 @@ from wflow import velocity
 from wflow.velocity import VelocityField
 
 
-def affine_field(a, c=None, interval=(0.0, 1.0), t_total=None) -> VelocityField:
+def affine_field(a, c=None, t_total=1.0) -> VelocityField:
     """Single identity-activation layer realizing v(x) = A x + c, time-independent."""
     a = np.asarray(a, dtype=np.float64)
     d = a.shape[0]
@@ -27,9 +27,7 @@ def affine_field(a, c=None, interval=(0.0, 1.0), t_total=None) -> VelocityField:
     w = np.zeros((d + 1, d))
     w[:d, :] = a.T  # affine computes x @ w, so rows index input coords
     layers = [mlp.Layer(w, c.copy(), "identity")]
-    if t_total is None:
-        t_total = max(interval[1], 1.0)
-    return VelocityField(layers, interval, t_total, d)
+    return VelocityField(layers, t_total, d)
 
 
 def _as_batch(x):

@@ -51,8 +51,7 @@ def jko_run():
     kl_trace = [metrics.moment_fit_kl(particles, target)]
     for n in range(6):
         interval = (float(n), float(n + 1))
-        field = vel.init_near_identity(2, widths=(64, 64), seed=10 + n,
-                                       interval=interval, t_total=6.0)
+        field = vel.init_near_identity(2, widths=(64, 64), seed=10 + n, t_total=6.0)
         block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 10, interval))
         cfg = obj.TrainConfig(learn_rate=0.012, batch_size=192, iterations=220,
                               seed=n, gamma=1.0)
@@ -63,7 +62,7 @@ def jko_run():
     elapsed = time.perf_counter() - t0
     # the same trained fields re-hosted on the contract-grade 32-step grid
     chain32 = fc.FlowChain(
-        [fc.FlowBlock(b.field, odeint.IntegratorConfig("rk4", 32, b.field.interval))
+        [fc.FlowBlock(b.field, odeint.IntegratorConfig("rk4", 32, b.integrator.interval))
          for b in blocks], target)
     return {"chain32": chain32, "kl_trace": np.asarray(kl_trace), "data": data,
             "elapsed": elapsed}
@@ -85,10 +84,11 @@ def fm_run():
     rng = np.random.default_rng(1)
     x0_pool = rng.normal(size=(8192, 1))
     x1_pool = rng.normal(size=(8192, 1))
-    field = vel.init_near_identity(1, widths=(48, 48), seed=2, interval=(0.0, 1.0))
+    block = fc.FlowBlock(vel.init_near_identity(1, widths=(48, 48), seed=2),
+                         odeint.IntegratorConfig())
     cfg = obj.TrainConfig(learn_rate=0.008, batch_size=512, iterations=500, seed=3)
-    obj.train_block("fm", field, (x0_pool, x1_pool), cfg)
-    return {"field": field}
+    obj.train_block("fm", block, (x0_pool, x1_pool), cfg)
+    return {"field": block.field}
 
 
 def _train_local_fm(gamma_n, seed=0):
@@ -98,8 +98,7 @@ def _train_local_fm(gamma_n, seed=0):
     blocks = []
     for n in range(6):
         interval = (float(n), float(n + 1))
-        field = vel.init_near_identity(2, widths=(64, 64), seed=seed + 10 * n,
-                                       interval=interval, t_total=6.0)
+        field = vel.init_near_identity(2, widths=(64, 64), seed=seed + 10 * n, t_total=6.0)
         block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 10, interval))
         cfg = obj.TrainConfig(learn_rate=0.01, batch_size=256, iterations=400,
                               seed=seed + n, gamma=gamma_n)
@@ -151,11 +150,12 @@ def test_criterion_01_gradient_suite():
             lambda: obj.jko_block_loss(block, xj, gamma=0.7), block.parameter_arrays()))
 
         # fm velocity matching
-        fmf = vel.init_near_identity(2, widths=(4,), seed=seed, interval=(0.0, 1.0))
-        _perturb(fmf.parameter_arrays(), seed + 100)
+        fmb = fc.FlowBlock(vel.init_near_identity(2, widths=(4,), seed=seed),
+                           odeint.IntegratorConfig())
+        _perturb(fmb.parameter_arrays(), seed + 100)
         x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
         reports.append(gradcheck.check_loss_gradient_fd(
-            lambda: obj.fm_loss(fmf, x0, x1), fmf.parameter_arrays()))
+            lambda: obj.fm_loss(fmb, x0, x1), fmb.parameter_arrays()))
 
         # ot objective (cost plus both endpoint penalties)
         otc = fc.identity_chain(1, 1, steps=3, widths=(4,), t_total=1.0, seed=seed)
@@ -171,7 +171,7 @@ def test_criterion_01_gradient_suite():
         reports.append(gradcheck.check_loss_gradient_fd(ot_loss, otc.parameter_arrays()))
 
         # dro objective with a linear risk
-        drf = vel.init_near_identity(2, widths=(4,), seed=seed, interval=(0.0, 1.0))
+        drf = vel.init_near_identity(2, widths=(4,), seed=seed)
         _perturb(drf.parameter_arrays(), seed + 200, scale=0.15)
         cfg_int = odeint.IntegratorConfig("rk4", 3, (0.0, 1.0))
         xd = rng.normal(size=(5, 2))
@@ -229,7 +229,7 @@ def test_criterion_02_invertibility_and_likelihood(jko_run, cnf_run):
     blocks = []
     for i, (a, c) in enumerate(specs):
         interval = (float(i), float(i + 1))
-        field = affine_field(a, c, interval=interval, t_total=2.0)
+        field = affine_field(a, c, t_total=2.0)
         blocks.append(fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 64, interval)))
     affine_chain = fc.FlowChain(blocks, base)
     m_tot, b_tot = compose_affine([affine_flow_map(a, c, 1.0) for a, c in specs])

@@ -1,5 +1,6 @@
 """Chain composition, likelihood, sampling, and the checkpoint format."""
 
+import hashlib
 import struct
 import zlib
 
@@ -31,7 +32,7 @@ def _affine_chain(specs, base, steps=64):
     t = 0.0
     for a, c in specs:
         interval = (t, t + 1.0)
-        field = affine_field(a, c, interval=interval, t_total=float(len(specs)))
+        field = affine_field(a, c, t_total=float(len(specs)))
         blocks.append(fc.FlowBlock(field, odeint.IntegratorConfig("rk4", steps, interval)))
         t += 1.0
     return fc.FlowChain(blocks, base)
@@ -300,7 +301,7 @@ def _density_floats(density):
 def _chain_is_finite(chn):
     arrays = _density_floats(chn.base) + [np.asarray(chn.t_total)]
     for block in chn.blocks:
-        arrays.append(np.asarray([*block.field.interval, block.field.t_total]))
+        arrays.append(np.asarray([*block.integrator.interval, block.field.t_total]))
         arrays.extend(block.parameter_arrays())
     return all(np.all(np.isfinite(a)) for a in arrays)
 
@@ -356,6 +357,46 @@ def test_checkpoint_nonfinite_t_total_rejected(tmp_path):
         fc.load_checkpoint(path)
 
 
+def test_checkpoint_t_total_off_the_tiling_end_rejected(tmp_path):
+    # a header T the blocks' intervals do not end at would load as a chain
+    # whose fields embed time differently from the one saved
+    path, blob = _fuzz_checkpoint(tmp_path, ds.standard_gaussian(2))
+    mutated = bytearray(blob)
+    offset = _PAYLOAD_START + struct.calcsize("<II")
+    assert struct.unpack_from("<d", mutated, offset) == (1.0,)
+    mutated[offset : offset + 8] = struct.pack("<d", 2.0)
+    _write_with_crc(path, mutated)
+    with pytest.raises(fc.CheckpointError, match="t_total"):
+        fc.load_checkpoint(path)
+
+
+# sha256 of the .wflw that _formula_chain writes; its weights and times are
+# dyadic rationals and no rng stream is drawn, so every numpy writes the
+# same bytes, and a change to the format changes this digest
+_FORMULA_CHAIN_SHA256 = "86a6897835dcc893a84d27b137a946d6296c740951f763bff7039b003faa64d9"
+
+
+def _formula_chain():
+    """Three blocks, one Euler and one trained, over a mixture base; weights from a formula."""
+    chn = fc.identity_chain(2, 3, base=ds.fig10_p(), widths=(4, 3), steps=3, t_total=1.5)
+    for i, block in enumerate(chn.blocks):
+        for layer in block.field.layers:
+            for p in (layer.w, layer.b):
+                p[...] = ((np.arange(p.size) * (i + 3)) % 17 - 8).reshape(p.shape) / 32.0
+    chn.blocks[1].integrator = odeint.IntegratorConfig("euler", 5, (0.5, 1.0))
+    chn.blocks[2].trained = True
+    return chn
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    chn = _formula_chain()
+    path = tmp_path / "formula.wflw"
+    fc.save_checkpoint(chn, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _FORMULA_CHAIN_SHA256
+    x = np.random.default_rng(31).normal(size=(5, 2))
+    assert np.array_equal(fc.log_density(fc.load_checkpoint(path), x), fc.log_density(chn, x))
+
+
 @pytest.mark.parametrize("base", [ds.standard_gaussian(2), ds.fig10_p()], ids=["gauss", "mix"])
 def test_checkpoint_every_truncation_rejected(tmp_path, base):
     path, blob = _fuzz_checkpoint(tmp_path, base)
@@ -382,24 +423,26 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_chain_requires_contiguous_intervals():
-    f1 = vel.init_near_identity(2, widths=(4,), seed=0, interval=(0.0, 1.0))
-    f2 = vel.init_near_identity(2, widths=(4,), seed=1, interval=(1.5, 2.0))
+    f1 = vel.init_near_identity(2, widths=(4,), seed=0, t_total=2.0)
+    f2 = vel.init_near_identity(2, widths=(4,), seed=1, t_total=2.0)
     b1 = fc.FlowBlock(f1, odeint.IntegratorConfig("rk4", 2, (0.0, 1.0)))
     b2 = fc.FlowBlock(f2, odeint.IntegratorConfig("rk4", 2, (1.5, 2.0)))
     with pytest.raises(ValueError, match="tile"):
         fc.FlowChain([b1, b2], ds.standard_gaussian(2))
 
 
+def test_chain_requires_fields_to_embed_time_over_the_tiling_end():
+    # a field built with the default T = 1 on a chain that ends at 0.5
+    field = vel.init_near_identity(2, widths=(4,), seed=0)
+    block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 2, (0.0, 0.5)))
+    with pytest.raises(ValueError, match="t_total"):
+        fc.FlowChain([block], ds.standard_gaussian(2))
+
+
 def test_field_rejects_unchained_layer_widths():
     layers = [Layer(np.zeros((3, 4)), np.zeros(4), "tanh"),
               Layer(np.zeros((5, 2)), np.zeros(2), "identity")]
     with pytest.raises(ValueError, match="chain"):
-        vel.VelocityField(layers, (0.0, 1.0), 1.0, 2)
+        vel.VelocityField(layers, 1.0, 2)
     with pytest.raises(ValueError, match="at least one layer"):
-        vel.VelocityField([], (0.0, 1.0), 1.0, 2)
-
-
-def test_block_interval_mismatch_rejected():
-    f = vel.init_near_identity(2, widths=(4,), seed=0, interval=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        fc.FlowBlock(f, odeint.IntegratorConfig("rk4", 2, (0.0, 0.5)))
+        vel.VelocityField([], 1.0, 2)

@@ -7,6 +7,7 @@ from conftest import affine_field, eval_velocity
 
 from wflow import chain as fc
 from wflow import datasets as ds
+from wflow import metrics
 from wflow import numcore as nc
 from wflow import objectives as obj
 from wflow import odeint
@@ -15,6 +16,11 @@ from wflow import velocity as vel
 
 def _tiny_chain(d, n_blocks, seed=0, steps=6, widths=(5,)):
     return fc.identity_chain(d, n_blocks, steps=steps, widths=widths, seed=seed)
+
+
+def _block(field, interval=(0.0, 1.0)):
+    """The field as a block over ``interval``, the span fm_loss matches along."""
+    return fc.FlowBlock(field, odeint.IntegratorConfig(interval=interval))
 
 
 def _perturb(subject, seed, scale=0.2):
@@ -88,6 +94,22 @@ def test_train_config_rejects_non_positive_or_non_finite(key, value):
         obj.TrainConfig(**{key: value})
 
 
+def _zero_logpdf(x):
+    return np.zeros(len(x))
+
+
+@pytest.mark.parametrize("name,make", [
+    ("batch_size", lambda: obj.TrainConfig(batch_size=0)),
+    ("time_draws", lambda: obj.TrainConfig(time_draws=0)),
+    ("samples_of_p", lambda: metrics.kl_mc(_zero_logpdf, _zero_logpdf, np.zeros((1, 2)))),
+], ids=["batch_size", "time_draws", "kl_mc"])
+def test_sizes_below_one_batch_or_two_samples_rejected(name, make):
+    # unchecked, a jko block fails at a reshape on an empty batch, zero time
+    # draws train as one, and one KL sample gives a NaN standard error
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
 @pytest.mark.parametrize("gamma", _NOT_POSITIVE_FINITE)
 def test_jko_rejects_non_positive_or_non_finite_gamma(gamma):
     block = _tiny_chain(2, 1).blocks[0]
@@ -120,7 +142,7 @@ def test_jko_single_block_reduces_gaussian_kl():
     assert start_kl == pytest.approx(0.80685, abs=1e-4)
     x = src.sample(2048, np.random.default_rng(1))
     block = fc.FlowBlock(
-        vel.init_near_identity(1, widths=(24,), seed=3, interval=(0.0, 1.0)),
+        vel.init_near_identity(1, widths=(24,), seed=3),
         odeint.IntegratorConfig("rk4", 10, (0.0, 1.0)))
     cfg = obj.TrainConfig(learn_rate=0.02, batch_size=256, iterations=120, seed=0, gamma=1.0)
     obj.train_block("jko", block, x, cfg)
@@ -132,27 +154,27 @@ def test_jko_single_block_reduces_gaussian_kl():
 # --- fm ----------------------------------------------------------------
 
 def test_fm_exact_match_is_zero():
-    field = affine_field(np.zeros((2, 2)), c=np.array([1.0, -2.0]))
+    block = _block(affine_field(np.zeros((2, 2)), c=np.array([1.0, -2.0])))
     x0 = np.array([[0.0, 0.0]])
     x1 = np.array([[1.0, -2.0]])
-    value, _ = obj.fm_loss(field, x0, x1)
+    value, _ = obj.fm_loss(block, x0, x1)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fm_zero_field_constant_integrand():
-    field = vel.init_near_identity(2, widths=(4,), seed=0)
+    block = _block(vel.init_near_identity(2, widths=(4,), seed=0))
     x0 = np.array([[0.0, 0.0]])
     x1 = np.array([[1.0, -2.0]])
-    value, _ = obj.fm_loss(field, x0, x1)
+    value, _ = obj.fm_loss(block, x0, x1)
     assert value == pytest.approx(5.0)
 
 
 def test_fm_rejects_empty_and_mismatched():
-    field = vel.init_near_identity(2, widths=(4,), seed=0)
+    block = _block(vel.init_near_identity(2, widths=(4,), seed=0))
     with pytest.raises(ValueError):
-        obj.fm_loss(field, np.zeros((0, 2)), np.zeros((0, 2)))
+        obj.fm_loss(block, np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(nc.ShapeError):
-        obj.fm_loss(field, np.zeros((3, 2)), np.zeros((4, 2)))
+        obj.fm_loss(block, np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 def test_fm_pairing_with_an_rng():
@@ -160,21 +182,21 @@ def test_fm_pairing_with_an_rng():
     # it shows which x1 row each x0 row was paired with
     rng = np.random.default_rng(11)
     x0, x1 = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
-    field = affine_field(np.zeros((2, 2)))
-    value, _ = obj.fm_loss(field, x0, x1, paired=True, rng=np.random.default_rng(0))
+    block = _block(affine_field(np.zeros((2, 2))))
+    value, _ = obj.fm_loss(block, x0, x1, paired=True, rng=np.random.default_rng(0))
     assert value == pytest.approx(np.mean(np.sum((x1 - x0) ** 2, axis=1)), rel=1e-12)
     shuffled = x1[np.random.default_rng(0).permutation(9)]
-    value, _ = obj.fm_loss(field, x0, x1, rng=np.random.default_rng(0))
+    value, _ = obj.fm_loss(block, x0, x1, rng=np.random.default_rng(0))
     assert value == pytest.approx(np.mean(np.sum((shuffled - x0) ** 2, axis=1)), rel=1e-12)
 
 
 def test_fm_gradient_fd():
-    field = _perturb(_tiny_chain(2, 1, widths=(4,)).blocks[0], seed=7).field
+    block = _perturb(_tiny_chain(2, 1, widths=(4,)).blocks[0], seed=7)
     rng = np.random.default_rng(8)
     x0, x1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     report = gradcheck.check_loss_gradient_fd(
-        lambda: obj.fm_loss(field, x0, x1),
-        field.parameter_arrays())
+        lambda: obj.fm_loss(block, x0, x1),
+        block.parameter_arrays())
     assert report.passed, str(report)
 
 
@@ -185,10 +207,10 @@ def test_interpolant_endpoint_identities():
     y = np.random.default_rng(9).normal(size=(16, 2))
     s = (np.arange(16) % obj.FM_STRATA + 0.5) / obj.FM_STRATA
     sq = np.sum(y * y, axis=1)
-    field = affine_field(np.eye(2))
-    value, _ = obj.fm_loss(field, np.zeros_like(y), y)  # x_s = s y, target y
+    block = _block(affine_field(np.eye(2)))
+    value, _ = obj.fm_loss(block, np.zeros_like(y), y)  # x_s = s y, target y
     assert value == pytest.approx(np.mean((s - 1.0) ** 2 * sq), rel=1e-12)
-    value, _ = obj.fm_loss(field, y, np.zeros_like(y))  # x_s = (1 - s) y, target -y
+    value, _ = obj.fm_loss(block, y, np.zeros_like(y))  # x_s = (1 - s) y, target -y
     assert value == pytest.approx(np.mean((2.0 - s) ** 2 * sq), rel=1e-12)
 
 
@@ -205,9 +227,9 @@ def test_interpolant_derivative_fd():
 
     h = 1e-6
     fd = (path(1.37 + h) - path(1.37 - h)) / (2 * h)
-    value, _ = obj.fm_loss(affine_field(np.zeros((2, 2)), c=fd[0], interval=(t_a, t_b)), x0, x1)
+    value, _ = obj.fm_loss(_block(affine_field(np.zeros((2, 2)), c=fd[0]), (t_a, t_b)), x0, x1)
     assert value == pytest.approx(0.0, abs=1e-12)
-    value, _ = obj.fm_loss(affine_field(np.zeros((2, 2)), c=x1[0] - x0[0], interval=(t_a, t_b)),
+    value, _ = obj.fm_loss(_block(affine_field(np.zeros((2, 2)), c=x1[0] - x0[0]), (t_a, t_b)),
                            x0, x1)
     assert value == pytest.approx(0.25 * np.sum((x1 - x0) ** 2), rel=1e-12)
 
@@ -368,8 +390,8 @@ def test_fm_loss_shift_identity():
     x1 = rng.normal(size=(m, 1))
     cand1 = affine_field(np.array([[0.3]]))
     cand2 = affine_field(np.array([[-0.5]]), c=np.array([0.2]))
-    l1, _ = obj.fm_loss(cand1, x0, x1, rng=np.random.default_rng(0))
-    l2, _ = obj.fm_loss(cand2, x0, x1, rng=np.random.default_rng(0))
+    l1, _ = obj.fm_loss(_block(cand1), x0, x1, rng=np.random.default_rng(0))
+    l2, _ = obj.fm_loss(_block(cand2), x0, x1, rng=np.random.default_rng(0))
 
     # oracle: exact velocity of the linear interpolant between two standard
     # normals is v(x, t) = x (2t - 1) / ((1-t)^2 + t^2); integrate the gaps
@@ -403,7 +425,7 @@ def test_movement_regularization_monotone_in_penalty():
         x = src.sample(512, np.random.default_rng(100 + seed))
         for gamma in displacements:
             block = fc.FlowBlock(
-                vel.init_near_identity(1, widths=(16,), seed=seed, interval=(0.0, 1.0)),
+                vel.init_near_identity(1, widths=(16,), seed=seed),
                 odeint.IntegratorConfig("rk4", 8, (0.0, 1.0)))
             cfg = obj.TrainConfig(learn_rate=0.02, batch_size=128, iterations=80,
                                   seed=seed, gamma=gamma)

@@ -14,8 +14,8 @@ from wflow import numcore as nc
 from wflow import velocity as vel
 
 
-def _noisy_field(d, seed, scale=0.35, interval=(0.0, 1.0)):
-    field = vel.init_near_identity(d, widths=(12, 12), seed=seed, interval=interval)
+def _noisy_field(d, seed, scale=0.35):
+    field = vel.init_near_identity(d, widths=(12, 12), seed=seed)
     rng = np.random.default_rng(seed + 7)
     for layer in field.layers:
         layer.w += scale * rng.normal(size=layer.w.shape)
@@ -140,12 +140,6 @@ def test_reverse_logdet_negates_forward():
     assert np.abs(fwd.logdet.data + rev.logdet.data).max() <= 1e-6
 
 
-def test_interval_outside_field_rejected():
-    field = vel.init_near_identity(2, widths=(4,), seed=0, interval=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        odeint.integrate(field, np.ones(2), odeint.IntegratorConfig("rk4", 4, (0.0, 2.0)))
-
-
 def test_nonfinite_state_reports_step():
     # a stiff expanding field overflows float64 partway through the interval
     field = affine_field(np.array([[10_000.0]]))
@@ -239,8 +233,7 @@ def _chain_fields(blocks, scheme, act="tanh", widths=(5, 4)):
     fields, cfgs = [], []
     for i in range(blocks):
         interval = (float(edges[i]), float(edges[i + 1]))
-        field = vel.init_near_identity(2, widths=widths, seed=40 + i, interval=interval,
-                                       t_total=1.0, hidden_act=act)
+        field = vel.init_near_identity(2, widths=widths, seed=40 + i, hidden_act=act)
         rng = np.random.default_rng(50 + i)
         for layer in field.layers:
             layer.w += 0.5 * rng.normal(size=layer.w.shape)

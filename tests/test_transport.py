@@ -287,7 +287,7 @@ def test_dro_classifier_loss_risk_moves_across_boundary():
 
 def test_dro_gradient_fd():
     c = np.array([0.7, -0.2])
-    field = vel.init_near_identity(2, widths=(4,), seed=9, interval=(0.0, 1.0))
+    field = vel.init_near_identity(2, widths=(4,), seed=9)
     rng = np.random.default_rng(10)
     for layer in field.layers:
         layer.w += 0.2 * rng.normal(size=layer.w.shape)

@@ -37,7 +37,7 @@ def test_init_rejects_bad_dim():
 def test_affine_single_layer_evaluation():
     # single identity layer acting on (x, t~): A x + c * t~
     a = np.array([[0.5, -1.0], [2.0, 0.25]])
-    field = affine_field(a, interval=(0.0, 2.0), t_total=2.0)
+    field = affine_field(a, t_total=2.0)
     # wire the time column by hand to check the embedding scale
     field.layers[0].w[2, :] = np.array([3.0, -3.0])
     x = np.array([1.0, 2.0])
