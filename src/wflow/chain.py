@@ -119,7 +119,7 @@ def inverse_map(chain: FlowChain, ensemble: ParticleEnsemble) -> ParticleEnsembl
     return ParticleEnsemble(x)
 
 
-def push_forward_logdet(bound_blocks, x: nc.Tensor, rng=None):
+def push_forward_logdet(bound_blocks, x: nc.Tensor):
     """Tape-friendly forward map plus accumulated divergence integral.
 
     ``bound_blocks`` pairs each block's BoundVelocity with its integrator
@@ -127,21 +127,21 @@ def push_forward_logdet(bound_blocks, x: nc.Tensor, rng=None):
     """
     logdet = None
     for bound, cfg in bound_blocks:
-        aug = odeint.integrate_augmented_tensor(bound, x, cfg, rng, direction="forward")
+        aug = odeint.integrate_augmented_tensor(bound, x, cfg)
         x = aug.x
         logdet = aug.logdet if logdet is None else nc.add(logdet, aug.logdet)
     return x, logdet
 
 
-def log_density(chain: FlowChain, x, rng=None):
+def log_density(chain: FlowChain, x):
     """Exact model log-density via the divergence integral along x's trajectory."""
     xb = np.asarray(x, dtype=np.float64)
     if xb.ndim == 1:
-        return float(push_log_density(chain, xb[None, :], rng)[0][0])
-    return push_log_density(chain, xb, rng)[0]
+        return float(push_log_density(chain, xb[None, :])[0][0])
+    return push_log_density(chain, xb)[0]
 
 
-def push_log_density(chain: FlowChain, x, rng=None):
+def push_log_density(chain: FlowChain, x):
     """(log p(x), F(x)) for a batch x of shape (m, d), from one augmented pass.
 
     F(x) is forward_map's end state bit for bit: the augmented stages take
@@ -151,7 +151,7 @@ def push_log_density(chain: FlowChain, x, rng=None):
     logdet = None
     # push_forward_logdet's loop without a tape or kept stage inputs: same values, bit for bit
     for block in chain.blocks:
-        aug = odeint.integrate_augmented(block.field, z, block.integrator, rng)
+        aug = odeint.integrate_augmented(block.field, z, block.integrator)
         z = aug.x.data
         logdet = aug.logdet.data if logdet is None else logdet + aug.logdet.data
     out = chain.base.log_pdf(z) + logdet

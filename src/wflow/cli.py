@@ -47,6 +47,9 @@ SAMPLE_METRICS = ("gauss_fid", "mmd", "w2")  # two-sample, shared by eval and tr
 MMD_MAX_SAMPLES = 2048
 # the DRE support grid keeps a point where p or q has at least this log-density
 MIN_LOG_DENSITY = -5.5
+# the DRE grid's grid ** dim points, built whole before any is dropped; each
+# classifier layer then evaluates a (points, width) array over all it keeps
+MAX_GRID_POINTS = 2 ** 16
 
 
 class ConfigError(Exception):
@@ -298,12 +301,9 @@ def _chain_metrics(names, chn, target, holdout, seed):
     sizes = {"holdout": holdout.m, "generated": generated.m}
     pushed = None
     if "nll" in names:
-        # wflow.velocity picks the divergence estimator from d: the exact trace
-        # at small d (in closed form for one or two hidden layers), a
-        # Hutchinson estimate from this rng above. The pass ends at
-        # forward_map's end state, which kl_moment reuses.
-        logp, end = flowchain.push_log_density(chn, holdout.positions,
-                                               rng=np.random.default_rng([seed, 304]))
+        # the exact trace at every d; the pass ends at forward_map's end
+        # state, which kl_moment reuses
+        logp, end = flowchain.push_log_density(chn, holdout.positions)
         nll, pushed = float(-np.mean(logp)), ds.ParticleEnsemble(end)
     for name in names:
         extra = {}
@@ -441,16 +441,21 @@ def _task_ot(cfg, seed, writer):
 
 
 def _task_dre(cfg, seed, writer):
+    n_grid, dim = cfg["dre"]["grid"], cfg["dataset"]["dim"]
+    # any grid of 2 or more passes the cap within bit_length dims, so capping
+    # the exponent there keeps the power small however large dim is
+    if n_grid ** min(dim, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
+        raise ConfigError(f"[dre] grid = {n_grid} at [dataset] dim = {dim} makes "
+                          f"{n_grid}^{dim} support grid points, more than {MAX_GRID_POINTS}")
     source, target, train_pool, _ = _dataset_pools(cfg, seed)
     rng = np.random.default_rng([seed, 99])
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m, rng))
     bridges, bridge_kind = cfg["dre"]["bridges"], cfg["dre"]["bridge_kind"]
     fit_cfg = obj.TrainConfig(learn_rate=0.006, batch_size=256,
                               iterations=cfg["dre"]["classifier_iterations"], seed=seed)
-    grid = support_grid(source, target, train_pool, q_pool, cfg["dre"]["grid"])
+    grid = support_grid(source, target, train_pool, q_pool, n_grid)
     if not len(grid):
-        raise ConfigError(f"[dre] grid = {cfg['dre']['grid']} keeps no point where "
-                          "either density lives")
+        raise ConfigError(f"[dre] grid = {n_grid} keeps no point where either density lives")
     analytic = None
     try:
         analytic = target.log_pdf(grid) - source.log_pdf(grid)

@@ -60,7 +60,7 @@ class MetricReport:
             raise nc.NumericError(f"metric {self.name} produced a non-finite value")
 
 
-def nll_eval(chain, test_set, rng=None) -> float:
+def nll_eval(chain, test_set) -> float:
     """Mean negative model log-density over held-out points.
 
     The caller is responsible for keeping the test set disjoint from
@@ -68,7 +68,7 @@ def nll_eval(chain, test_set, rng=None) -> float:
     A 1-D array is one point, as in ``chain.log_density``.
     """
     x = test_set.positions if isinstance(test_set, ParticleEnsemble) else test_set
-    return float(-np.mean(flowchain.log_density(chain, x, rng)))
+    return float(-np.mean(flowchain.log_density(chain, x)))
 
 
 def gauss_fid(ens_a, ens_b) -> float:

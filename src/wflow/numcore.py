@@ -24,7 +24,6 @@ __all__ = [
     "Tape",
     "NumericError",
     "ShapeError",
-    "MissingRngError",
     "add",
     "mul",
     "matmul",
@@ -64,10 +63,6 @@ class ShapeError(ValueError):
         super().__init__(_locate(message, op, index))
         self.op = op
         self.index = index
-
-
-class MissingRngError(ValueError):
-    """A random draw, such as Hutchinson probes, was asked for with no rng given."""
 
 
 def _as_c_array(value) -> np.ndarray:

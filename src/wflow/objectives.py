@@ -152,7 +152,7 @@ def _resolve_potential(potential):
     return potential
 
 
-def nll_loss(chain: FlowChain, batch, rng=None):
+def nll_loss(chain: FlowChain, batch):
     """Mean negative log-likelihood of the batch, end-to-end through all blocks.
 
     Returns (loss value, gradients) with gradients ordered like
@@ -164,14 +164,14 @@ def nll_loss(chain: FlowChain, batch, rng=None):
 
     def build(tape):
         bound = [(block.field.bind(tape), block.integrator) for block in chain.blocks]
-        z, logdet = push_forward_logdet(bound, nc.Tensor(x), rng)
+        z, logdet = push_forward_logdet(bound, nc.Tensor(x))
         loglik = nc.add(chain.base.log_pdf_expr(z), logdet)
         return nc.mul(nc.tmean(loglik), -1.0)
 
     return nc.value_and_grad(build)
 
 
-def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None, rng=None):
+def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None):
     """Proximal-step objective for one block against target exp(-V).
 
     mean[ V(x_end) - int div v ] + (1 / 2 gamma) * mean ||x_end - x_start||^2.
@@ -184,7 +184,7 @@ def jko_block_loss(block: FlowBlock, batch_prev, gamma, potential=None, rng=None
 
     def build(tape):
         aug = odeint.integrate_augmented_tensor(block.field.bind(tape), nc.Tensor(x),
-                                                block.integrator, rng)
+                                                block.integrator)
         kl_part = nc.tmean(nc.add(v_of(aug.x), nc.mul(aug.logdet, -1.0)))
         move = nc.tmean(aug.displacement_sq())
         return nc.add(kl_part, nc.mul(move, 1.0 / (2.0 * gamma)))
@@ -276,9 +276,9 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *, potential=None) -
     def minibatch(rng):
         idx = rng.choice(pool_size, size=take, replace=False)
         if loss_kind == "nll":
-            return nll_loss(subject, pool[idx], rng=rng)
+            return nll_loss(subject, pool[idx])
         if loss_kind == "jko":
-            return jko_block_loss(subject, pool[idx], cfg.gamma, potential, rng=rng)
+            return jko_block_loss(subject, pool[idx], cfg.gamma, potential)
         if loss_kind == "fm":
             jdx = rng.choice(pool_size, size=take, replace=False)
             return fm_loss(subject, pool0[idx], pool1[jdx], time_draws=cfg.time_draws, rng=rng)

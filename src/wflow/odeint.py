@@ -19,11 +19,12 @@ for S stages, so the reverse sweep never re-integrates and a tape re-run
 never leaves them stale; the stage times are not stored, because the adjoint
 recomputes them from the grid bit for bit. The end state and the divergence
 integral are differentiable in the field parameters and in x0. The block
-meta carries the stage kernel's mode (velocity, tangent or closed);
-velocity-only integration is the same loop in velocity mode, and an exact
-trace in closed mode carries no probes. A closed block builds its coupling
-once in the forward loop and once in the adjoint; every stage reuses it,
-and the stage kernel's workspace too. On a 2-core x86-64 host (one BLAS
+meta carries the stage kernel's mode: velocity for velocity-only
+integration, else the exact trace that ``velocity.divergence_mode`` picks
+from the stack's shape, at every d: the closed form for one or two hidden
+layers, d basis tangents otherwise. A closed block builds its coupling once
+in the forward loop and once in the adjoint; every stage reuses it, and the
+stage kernel's workspace too. On a 2-core x86-64 host (one BLAS
 thread, pinned core), one eager ``forward_map`` + ``nll_eval`` of 256
 points through a 6-block d=2 chain (widths 64x2 tanh, 10 RK4 steps: 480
 stages) takes a median 105.7 ms.
@@ -102,7 +103,6 @@ class _Block(NamedTuple):
 
     acts: tuple
     mode: str         # stage kernel mode: velocity, tangent or closed
-    scale: float      # divergence trace scale of the probes
     scheme: str
     steps: int
     t: float          # start time
@@ -111,10 +111,12 @@ class _Block(NamedTuple):
     direction: str
 
 
-def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, mode, scale) -> _Block:
+def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, divergence) -> _Block:
+    """The block's meta; its mode is velocity only, or the exact trace's when ``divergence``."""
     t, h = _grid(cfg, direction)
-    return _Block(bound.acts, mode, scale, cfg.scheme, cfg.steps, t, h,
-                  1.0 / bound.field.t_total, direction)
+    mode = velocity.divergence_mode(bound.acts) if divergence else "velocity"
+    return _Block(bound.acts, mode, cfg.scheme, cfg.steps, t, h, 1.0 / bound.field.t_total,
+                  direction)
 
 
 def _combine_rk4(x, k1, k2, k3, k4, h):
@@ -135,13 +137,12 @@ def _stage_taus(blk: _Block):
     return taus
 
 
-def _run(x, probes, params, blk: _Block, stage_inputs=None):
+def _run(x, params, blk: _Block, stage_inputs=None):
     """The Euler/RK4 loop in numpy: returns (x_end, logdet).
 
-    ``probes`` is (1, K, m, d), shared by every stage, or (S, K, m, d), one
-    stack per stage in order; in velocity mode the logdet stays zero.
-    ``stage_inputs`` (m, S, d), when given, receives the input x of every
-    stage. Finiteness is checked once per step.
+    In velocity mode the logdet stays zero. ``stage_inputs`` (m, S, d), when
+    given, receives the input x of every stage. Finiteness is checked once
+    per step.
     """
     m, d = x.shape
     per = _STAGES[blk.scheme]
@@ -156,9 +157,7 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
     def stage(xs):
         nonlocal s
         xin[:, s % per] = xs
-        # s % len(probes) is 0 for shared probes and s for per-stage ones
-        v, div = velocity.stage_forward(xs, taus[s], probes[s % len(probes)], params, blk.acts,
-                                        blk.mode, blk.scale, coupling, ws)
+        v, div = velocity.stage_forward(xs, taus[s], params, blk.acts, blk.mode, coupling, ws)
         s += 1
         return v, div
 
@@ -186,9 +185,9 @@ def _run(x, probes, params, blk: _Block, stage_inputs=None):
 
 
 # ---------------------------------------------------------------------------
-# the block primitive: inputs x0 (m, d), probes (P, K, m, d), then w0, b0,
-# w1, b1, ...; meta a _Block. The output packs, per particle, the end state
-# [x_end | logdet] followed by the S stage inputs x, as (m, d + 1 + S d).
+# the block primitive: inputs x0 (m, d), then w0, b0, w1, b1, ...; meta a
+# _Block. The output packs, per particle, the end state [x_end | logdet]
+# followed by the S stage inputs x, as (m, d + 1 + S d).
 
 def _stage_columns(packed, d):
     """The S stage inputs inside a packed block output (or its cotangent), as (m, S, d)."""
@@ -199,14 +198,14 @@ def _integrate_block_fwd(args, meta):
     x0 = args[0]
     m, d = x0.shape
     out = np.empty((m, d + 1 + _STAGES[meta.scheme] * meta.steps * d))
-    x, logdet = _run(x0, args[1], args[2:], meta, _stage_columns(out, d))
+    x, logdet = _run(x0, args[1:], meta, _stage_columns(out, d))
     out[:, :d] = x
     out[:, d] = logdet
     return out
 
 
 def _integrate_block_bwd(node, inputs, g):
-    x0, probes, params = inputs[0], inputs[1], inputs[2:]
+    x0, params = inputs[0], inputs[1:]
     blk: _Block = node.meta
     m, d = x0.shape
     per = _STAGES[blk.scheme]
@@ -219,9 +218,8 @@ def _integrate_block_bwd(node, inputs, g):
 
     def pull(s, k_bar, weight):
         """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
-        x_bar = velocity.stage_vjp(
-            np.ascontiguousarray(xs[:, s]), taus[s], probes[s % len(probes)], params, blk.acts,
-            blk.mode, blk.scale, k_bar, ld_bar * weight, grads, coupling, ws)
+        x_bar = velocity.stage_vjp(np.ascontiguousarray(xs[:, s]), taus[s], params, blk.acts,
+                                   blk.mode, k_bar, ld_bar * weight, grads, coupling, ws)
         x_bar += xs_bar[:, s]
         return x_bar
 
@@ -238,81 +236,60 @@ def _integrate_block_bwd(node, inputs, g):
         x2 = pull(s + 1, c * 2.0 + x3 * (h / 2.0), (h / 6.0) * 2.0)
         x1 = pull(s, c + x2 * (h / 2.0), h / 6.0)
         x_bar = x_bar + x4 + x3 + x2 + x1
-    return (x_bar, None, *grads)
+    return (x_bar, *grads)
 
 
 nc._primitive("integrate_block", _integrate_block_fwd, _integrate_block_bwd)
 
 
-def _block_probes(divergence, acts, cfg: IntegratorConfig, m, d, rng):
-    """The stage kernel mode, (P, K, m, d) probes and their trace scale for one block.
-
-    Without divergence: velocity only, no probes. Else ``velocity`` picks the
-    estimator from d: the exact trace takes the closed form with no probes,
-    or the basis shared by every stage; a Hutchinson estimate takes one draw
-    per stage, in stage order.
-    """
-    if not divergence:
-        return "velocity", np.empty((1, 0, m, d)), 1.0
-    if not velocity.uses_hutchinson(d):
-        mode, probes, scale = velocity.draw_probes(acts, m, d, rng)
-        return mode, probes[None], scale
-    draws = [velocity.draw_probes(acts, m, d, rng)
-             for _ in range(_STAGES[cfg.scheme] * cfg.steps)]
-    return "tangent", np.stack([p for _, p, _ in draws]), draws[0][2]
-
-
 def _integrate_block(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig, direction,
-                     divergence, rng) -> nc.Tensor:
+                     divergence) -> nc.Tensor:
     """The packed block output as one taped node."""
-    mode, probes, scale = _block_probes(divergence, bound.acts, cfg, *x0.shape, rng)
-    return nc._apply("integrate_block", (x0, nc.Tensor(probes), *bound.params),
-                     _block_meta(bound, cfg, direction, mode, scale))
+    return nc._apply("integrate_block", (x0, *bound.params),
+                     _block_meta(bound, cfg, direction, divergence))
 
 
 def integrate_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
                      direction="forward") -> nc.Tensor:
     """Tape-friendly integration of dx/dt = v(x, t) over the config interval."""
     d = x0.shape[1]
-    return nc.slice_(_integrate_block(bound, x0, cfg, direction, False, None), 1, 0, d)
+    return nc.slice_(_integrate_block(bound, x0, cfg, direction, False), 1, 0, d)
 
 
 def integrate_augmented_tensor(bound: BoundVelocity, x0: nc.Tensor, cfg: IntegratorConfig,
-                               rng=None, direction="forward") -> AugmentedState:
+                               direction="forward") -> AugmentedState:
     """Jointly integrate the position and the divergence along its trajectory.
 
     The divergence is evaluated at the same RK4 stage points as the state;
     the returned ``logdet`` is the signed integral of div v over the
     traversed time span (negative of the forward value when reversed).
-    Hutchinson probes are drawn from ``rng`` stage by stage, in step order.
     """
     d = x0.shape[1]
-    out = _integrate_block(bound, x0, cfg, direction, True, rng)
+    out = _integrate_block(bound, x0, cfg, direction, True)
     logdet = nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
     return AugmentedState(x=nc.slice_(out, 1, 0, d), logdet=logdet, x_start=x0)
 
 
-def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, divergence, rng):
+def _eager(field: VelocityField, x0, cfg: IntegratorConfig, direction, divergence):
     """Run the loop on plain arrays (no tape, no kept stage inputs): (x0 batch, x, logdet)."""
     xb = np.asarray(x0, dtype=np.float64)
     xb = xb[None, :] if xb.ndim == 1 else xb
     if xb.shape[1] != field.d:
         raise nc.ShapeError(f"point dimension {xb.shape[1]} != field dimension {field.d}")
     bound = field.bind()
-    mode, probes, scale = _block_probes(divergence, bound.acts, cfg, *xb.shape, rng)
-    x, logdet = _run(xb, probes, [p.data for p in bound.params],
-                     _block_meta(bound, cfg, direction, mode, scale))
+    x, logdet = _run(xb, [p.data for p in bound.params],
+                     _block_meta(bound, cfg, direction, divergence))
     return xb, x, logdet
 
 
 def integrate(field: VelocityField, x0, cfg: IntegratorConfig, direction="forward") -> np.ndarray:
     """Eager endpoint of the trajectory started at x0 ((d,) or (m, d))."""
-    _, x, _ = _eager(field, x0, cfg, direction, False, None)
+    _, x, _ = _eager(field, x0, cfg, direction, False)
     return x[0] if np.ndim(x0) == 1 else x
 
 
-def integrate_augmented(field: VelocityField, x0, cfg: IntegratorConfig, rng=None,
+def integrate_augmented(field: VelocityField, x0, cfg: IntegratorConfig,
                         direction="forward") -> AugmentedState:
     """Eager augmented integration; state fields hold Tensors over a batch."""
-    xb, x, logdet = _eager(field, x0, cfg, direction, True, rng)
+    xb, x, logdet = _eager(field, x0, cfg, direction, True)
     return AugmentedState(x=nc.Tensor(x), logdet=nc.Tensor(logdet), x_start=nc.Tensor(xb))

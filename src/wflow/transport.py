@@ -118,7 +118,7 @@ class OtResult:
     wall_ms: np.ndarray
 
 
-def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, rng):
+def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma):
     """Particle transport cost + gamma * (KL(p||p_hat) + KL(q||q_hat)).
 
     p_hat is the pullback of q through the inverse map and q_hat the
@@ -134,7 +134,7 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, rng):
         cost = None
         logdet_fwd = None
         for bv, cfg in bound:
-            aug = odeint.integrate_augmented_tensor(bv, x, cfg, rng)
+            aug = odeint.integrate_augmented_tensor(bv, x, cfg)
             span = cfg.interval[1] - cfg.interval[0]
             seg = nc.mul(nc.tmean(aug.displacement_sq()), 1.0 / span)
             cost = seg if cost is None else nc.add(cost, seg)
@@ -146,7 +146,7 @@ def _ot_loss(chain_blocks, base_p, base_q, xp, xq, gamma, rng):
         y = nc.Tensor(xq)
         logdet_rev = None
         for bv, cfg in reversed(bound):
-            aug = odeint.integrate_augmented_tensor(bv, y, cfg, rng, direction="reverse")
+            aug = odeint.integrate_augmented_tensor(bv, y, cfg, direction="reverse")
             logdet_rev = aug.logdet if logdet_rev is None else nc.add(logdet_rev, aug.logdet)
             y = aug.x
         log_q_hat = nc.add(base_p.log_pdf_expr(y), logdet_rev)
@@ -191,7 +191,7 @@ def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
         ip = rng.choice(len(xp_pool), size=take_p, replace=False)
         iq = rng.choice(len(xq_pool), size=take_q, replace=False)
         value, grads, _, kls[0], kls[1] = _ot_loss(
-            chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma, rng)
+            chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma)
         return value, grads
 
     # cosine decay: the penalty weight amplifies late-phase gradient noise

@@ -10,26 +10,23 @@ primitive ``velocity_divergence`` is one stage alone (the fm loss's
 velocity). The kernel has three modes:
 
 - ``velocity``: the primal sweep alone, no divergence;
-- ``tangent``: the sweep also carries K directional derivatives, started
-  from the d basis vectors for the exact trace of a deep stack or from K
-  Rademacher draws for the Hutchinson estimate (FFJORD, Grathwohl et al.
-  2019, arXiv:1810.01367);
+- ``tangent``: the sweep also carries the d directional derivatives along
+  the basis vectors, whose trace is the exact divergence of any stack;
 - ``closed``: the exact trace in closed form for a stack with one or two
   hidden layers and an identity output layer, at the cost of at most one
   (m, h) @ (h, h) product whatever d is (the kind of architecture Chen &
   Duvenaud 2019, arXiv:1912.03579, make cheap to differentiate).
 
-One rule picks the estimator from d: the exact trace up to
-``EXACT_DIVERGENCE_MAX_DIM``, and above it a Hutchinson estimate from
-``HUTCHINSON_PROBES`` Rademacher probes, drawn afresh for every stage.
-``draw_probes`` applies the rule and picks the mode from d and the stack's
-shape. The kernel takes x and the stage's time, a scalar or one time per row, and
-folds the time into the first layer's bias; it never builds the (m, d+1)
-input. Its closed-form coupling depends on the parameters only, so a block
-builds it once (``stage_coupling``) and every stage reuses it. Bias adds,
-activations, slopes and the VJP's cotangent updates fill a workspace that
-the caller allocates once per block (``stage_workspace``), and the VJP adds
-its parameter cotangents into accumulators the caller owns. On a 2-core
+The divergence is exact at every d. One rule, ``divergence_mode``, picks the
+mode from the stack's shape alone: the closed form when ``has_closed_form``
+holds, the d basis tangents otherwise. The kernel takes x and the stage's
+time, a scalar or one time per row, and folds the time into the first
+layer's bias; it never builds the (m, d+1) input. Its closed-form coupling
+depends on the parameters only, so a block builds it once
+(``stage_coupling``) and every stage reuses it. Bias adds, activations,
+slopes and the VJP's cotangent updates fill a workspace that the caller
+allocates once per block (``stage_workspace``), and the VJP adds its
+parameter cotangents into accumulators the caller owns. On a 2-core
 x86-64 host (one BLAS thread, pinned core), a closed stage's forward + VJP
 at tanh widths 64x2, d=2 takes a median 0.45 ms at m=128, 0.63 ms at m=192
 and 0.89 ms at m=256.
@@ -41,9 +38,6 @@ import numpy as np
 
 from wflow import mlp
 from wflow import numcore as nc
-
-EXACT_DIVERGENCE_MAX_DIM = 8
-HUTCHINSON_PROBES = 8
 
 
 class VelocityField:
@@ -99,24 +93,19 @@ class BoundVelocity:
             raise nc.ShapeError(f"per-sample times must have shape ({m},), got {t.shape}")
         return t * scale
 
-    def _stage(self, x: nc.Tensor, t, mode, probes, scale) -> nc.Tensor:
+    def _stage(self, x: nc.Tensor, t, mode) -> nc.Tensor:
         """One fused stage node; the output packs [v | div] as (m, d+1)."""
         tau = nc.Tensor(self._time(t, x.shape[0]))
-        return nc._apply("velocity_divergence", (x, tau, nc.Tensor(probes), *self.params),
-                         (self.acts, mode, scale))
+        return nc._apply("velocity_divergence", (x, tau, *self.params), (self.acts, mode))
 
     def velocity(self, x: nc.Tensor, t) -> nc.Tensor:
         """Velocity (m, d) at (x, t): the fused stage with no divergence."""
-        m, d = x.shape
-        return nc.slice_(self._stage(x, t, "velocity", np.empty((0, m, d)), 1.0), 1, 0, d)
+        return nc.slice_(self._stage(x, t, "velocity"), 1, 0, x.shape[1])
 
-    def velocity_and_divergence(self, x: nc.Tensor, t, rng=None):
-        """Velocity (m, d) and divergence (m,) at (x, t), one fused tape node.
-
-        Above ``EXACT_DIVERGENCE_MAX_DIM`` the Hutchinson probes come from ``rng``.
-        """
-        m, d = x.shape
-        out = self._stage(x, t, *draw_probes(self.acts, m, d, rng))
+    def velocity_and_divergence(self, x: nc.Tensor, t):
+        """Velocity (m, d) and exact divergence (m,) at (x, t), one fused tape node."""
+        d = x.shape[1]
+        out = self._stage(x, t, divergence_mode(self.acts))
         return nc.slice_(out, 1, 0, d), nc.tsum(nc.slice_(out, 1, d, d + 1), axis=1)
 
 
@@ -129,48 +118,31 @@ def has_closed_form(acts) -> bool:
     return len(acts) in (2, 3) and acts[-1] == "identity"
 
 
-def uses_hutchinson(d) -> bool:
-    """Whether the divergence at dimension d is a Hutchinson estimate.
-
-    Its probes are then drawn afresh for every stage; the exact trace is the
-    same at every stage.
-    """
-    return d > EXACT_DIVERGENCE_MAX_DIM
+def divergence_mode(acts) -> str:
+    """The kernel mode of the exact trace: closed when the stack has a closed form."""
+    return "closed" if has_closed_form(acts) else "tangent"
 
 
-def draw_probes(acts, m, d, rng):
-    """One stage's kernel mode, probe stack E (K, m, d) and trace scale.
-
-    Exact trace up to ``EXACT_DIVERGENCE_MAX_DIM``: the closed form with no
-    probes when ``has_closed_form(acts)``, else the d basis vectors, scale 1.
-    Hutchinson above it: ``HUTCHINSON_PROBES`` Rademacher draws from ``rng``,
-    scale 1/K.
-    """
-    if not uses_hutchinson(d):
-        if has_closed_form(acts):
-            return "closed", np.empty((0, m, d)), 1.0
-        return "tangent", np.broadcast_to(np.eye(d)[:, None, :], (d, m, d)), 1.0
-    if rng is None:
-        raise nc.MissingRngError(f"hutchinson divergence needs an rng above d = "
-                                 f"{EXACT_DIVERGENCE_MAX_DIM}: pass rng")
-    probes = np.stack([rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
-                       for _ in range(HUTCHINSON_PROBES)])
-    return "tangent", probes, 1.0 / HUTCHINSON_PROBES
+def stage_tangents(mode, m, d):
+    """The tangents' start E (d, m, d) in tangent mode, each row's d basis vectors; else None."""
+    if mode != "tangent":
+        return None
+    return np.broadcast_to(np.eye(d)[:, None, :], (d, m, d))
 
 
 # ---------------------------------------------------------------------------
 # the fused stage kernel: the stage input x (m, d) and its embedded time
-# tau = t / t_total (a scalar, or (m,) per-sample times), probes E (K, m, d),
-# then w0, b0, w1, b1, ...; activations, mode and trace scale. The time is
-# folded into the first layer's bias, z1 = x @ w0[:d] + (b0 + tau * w0[d]),
-# so no (m, d+1) input is ever built. It returns v (m, d) and div (m,), by
-# mode:
+# tau = t / t_total (a scalar, or (m,) per-sample times), then w0, b0, w1,
+# b1, ...; activations and mode. The time is folded into the first layer's
+# bias, z1 = x @ w0[:d] + (b0 + tau * w0[d]), so no (m, d+1) input is ever
+# built. It returns v (m, d) and div (m,), by mode:
 #
-# - velocity (K = 0): the primal sweep alone, div None;
-# - tangent: div = scale * sum_k rowsum(U[k] * E[k]), with the tangent U
-#   started from E through w0[:d] and carried as U <- (U @ w) * act'(z), one
-#   GEMM per layer over the K stacked tangents;
-# - closed (K = 0): in row-vector notation, W0x = w0[:d] and D_i = act'(z_i)
+# - velocity: the primal sweep alone, div None;
+# - tangent: div = sum_k rowsum(U[k] * E[k]) over the d basis vectors E[k]
+#   (``stage_tangents``), with the tangent U started from E through w0[:d] and
+#   carried as U <- (U @ w) * act'(z), one GEMM per layer over the d stacked
+#   tangents;
+# - closed: in row-vector notation, W0x = w0[:d] and D_i = act'(z_i)
 #   (ones for an identity layer). Two hidden layers give
 #   div = rowsum((D1 @ B) * D2) with the (h1, h2) coupling
 #   B = w1 * (w2 @ W0x)^T; one hidden layer gives div = D1 @ c with
@@ -217,17 +189,18 @@ def stage_workspace(params, m):
     return hidden + [(None,) * 4]
 
 
-def _sweep(x, tau, probes, params, acts, want_slopes, ws):
+def _sweep(x, tau, basis, params, acts, want_slopes, ws):
     """The layers of one stage in order: a list of (a, slope, t, u).
 
     ``a`` is the layer's activation (m, width); ``u`` the K stacked tangents
     after it as one (K*m, width) block, so each layer's tangent is one GEMM;
-    ``t`` is the tangent before the slope multiplies it. With K = 0 the
-    tangent entries are None. A hidden layer's z, activation and slope fill
-    its workspace buffers; the tangents are fresh.
+    ``t`` is the tangent before the slope multiplies it. Without a basis
+    (K = 0) the tangent entries are None. A hidden layer's z, activation and
+    slope fill its workspace buffers; the tangents are fresh.
     """
-    k, m, d = probes.shape
-    a, u = x, (probes.reshape(k * m, d) if k else None)
+    m, d = x.shape
+    k = 0 if basis is None else len(basis)
+    a, u = x, (basis.reshape(k * m, d) if k else None)
     layers = []
     for i, act in enumerate(acts):
         w, b = params[2 * i], params[2 * i + 1]
@@ -272,25 +245,26 @@ def stage_coupling(mode, params, d):
     return w1 * cross.T, cross
 
 
-def stage_forward(x, tau, probes, params, acts, mode, scale, coupling, ws):
+def stage_forward(x, tau, params, acts, mode, coupling, ws):
     """Velocity (m, d) and divergence (m,) at stage input x and embedded time tau.
 
     div is None in velocity mode; closed mode needs ``stage_coupling``. ``ws``
     is a ``stage_workspace`` at x's batch size; v and div are fresh arrays.
     """
     if mode == "closed":
-        layers = _sweep(x, tau, probes, params, acts, True, ws)
+        layers = _sweep(x, tau, None, params, acts, True, ws)
         c, cross = coupling
         if cross is None:
             return layers[-1][0], _slope(layers[0]) @ c
         # the forward leaves the cotangent buffers free
         q = np.matmul(_slope(layers[0]), c, out=ws[1][3])
         return layers[-1][0], np.einsum("ij,ij->i", q, _slope(layers[1]))
-    layers = _sweep(x, tau, probes, params, acts, False, ws)
-    if mode == "velocity":
+    basis = stage_tangents(mode, *x.shape)
+    layers = _sweep(x, tau, basis, params, acts, False, ws)
+    if basis is None:
         return layers[-1][0], None
     u = layers[-1][3]
-    return layers[-1][0], (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
+    return layers[-1][0], (u.reshape(basis.shape) * basis).sum(axis=2).sum(axis=0)
 
 
 def _closed_cotangents(layers, params, d, coupling, div_bar, grads, ws):
@@ -321,7 +295,7 @@ def _closed_cotangents(layers, params, d, coupling, div_bar, grads, ws):
     return [d1_bar, q_bar, None]
 
 
-def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, coupling, ws):
+def stage_vjp(x, tau, params, acts, mode, v_bar, div_bar, grads, coupling, ws):
     """Pull (v_bar, div_bar) back through one stage; returns x_bar (m, d).
 
     The parameter cotangents add into ``grads``, one array per parameter;
@@ -329,17 +303,18 @@ def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, 
     x's batch size. ``div_bar`` is ignored in velocity mode. v_bar and
     div_bar are read, never written; x_bar is a fresh array.
     """
-    k, m, d = probes.shape
-    layers = _sweep(x, tau, probes, params, acts, True, ws)
+    m, d = x.shape
+    basis = stage_tangents(mode, m, d)
+    k = 0 if basis is None else d
+    layers = _sweep(x, tau, basis, params, acts, True, ws)
     slope_bars = [None] * len(layers)
     if mode == "closed":
         slope_bars = _closed_cotangents(layers, params, d, coupling, div_bar, grads, ws)
     a_bar = v_bar
-    u_bar = ((scale * div_bar)[:, None] * probes).reshape(k * m, d) if k else None
+    u_bar = (div_bar[:, None] * basis).reshape(k * m, d) if k else None
     for i in range(len(layers) - 1, -1, -1):
         a_out, slope, t, _ = layers[i]
-        a_in, u_in = (x, probes.reshape(k * m, d)) if i == 0 else (layers[i - 1][0],
-                                                                    layers[i - 1][3])
+        a_in = x if i == 0 else layers[i - 1][0]
         w = params[2 * i] if i else params[0][:d]
         slope_bar = slope_bars[i]
         t_bar = u_bar
@@ -367,6 +342,7 @@ def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, 
         w_bar = grads[2 * i][:d] if i == 0 else grads[2 * i]
         w_bar += a_in.T @ z_bar
         if k:
+            u_in = basis.reshape(k * m, d) if i == 0 else layers[i - 1][3]
             w_bar += u_in.T @ t_bar
             if i:
                 u_bar = t_bar @ w.T
@@ -377,23 +353,22 @@ def stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads, 
 
 
 def _velocity_divergence_fwd(args, meta):
-    x, tau, probes, params = args[0], args[1], args[2], args[3:]
+    x, tau, params = args[0], args[1], args[2:]
     coupling = stage_coupling(meta[1], params, x.shape[1])
-    v, div = stage_forward(x, tau, probes, params, *meta, coupling,
-                           stage_workspace(params, len(x)))
+    v, div = stage_forward(x, tau, params, *meta, coupling, stage_workspace(params, len(x)))
     if div is None:
         div = np.zeros(len(v))
     return np.concatenate([v, div[:, None]], axis=1)
 
 
 def _velocity_divergence_bwd(node, inputs, g):
-    x, tau, probes, params = inputs[0], inputs[1], inputs[2], inputs[3:]
+    x, tau, params = inputs[0], inputs[1], inputs[2:]
     d = x.shape[1]
     coupling = stage_coupling(node.meta[1], params, d)
     grads = [np.zeros_like(p) for p in params]
-    x_bar = stage_vjp(x, tau, probes, params, *node.meta, g[:, :d], g[:, d], grads, coupling,
+    x_bar = stage_vjp(x, tau, params, *node.meta, g[:, :d], g[:, d], grads, coupling,
                       stage_workspace(params, len(x)))
-    return (x_bar, None, None, *grads)
+    return (x_bar, None, *grads)
 
 
 nc._primitive("velocity_divergence", _velocity_divergence_fwd, _velocity_divergence_bwd)

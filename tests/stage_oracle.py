@@ -81,7 +81,7 @@ def _closed_cotangents(layers, params, d, div_bar):
             [w2.T @ cross_bar, coupling_bar * cross.T, cross_bar @ w0x.T])
 
 
-def stage_forward(h, probes, params, acts, mode, scale):
+def stage_forward(h, probes, params, acts, mode):
     """Velocity (m, d) and divergence (m,) at the stage input h; div is None in velocity mode."""
     if mode == "closed":
         layers = list(_sweep(h, probes, params, acts))
@@ -94,10 +94,10 @@ def stage_forward(h, probes, params, acts, mode, scale):
         pass
     if mode == "velocity":
         return v, None
-    return v, (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0) * scale
+    return v, (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0)
 
 
-def stage_vjp(h, probes, params, acts, mode, scale, v_bar, div_bar):
+def stage_vjp(h, probes, params, acts, mode, v_bar, div_bar):
     """Pull (v_bar, div_bar) back through one stage: (h_bar, [w0_bar, b0_bar, ...]).
 
     ``div_bar`` is ignored in velocity mode.
@@ -108,7 +108,7 @@ def stage_vjp(h, probes, params, acts, mode, scale, v_bar, div_bar):
     if mode == "closed":
         slope_bars, coupling_bars = _closed_cotangents(layers, params, d, div_bar)
     a_bar = v_bar
-    u_bar = ((scale * div_bar)[:, None] * probes).reshape(k * m, d) if k else None
+    u_bar = (div_bar[:, None] * probes).reshape(k * m, d) if k else None
     grads = [None] * len(params)
     for i in range(len(layers) - 1, -1, -1):
         a_in, u_in, a_out, slope, t, _ = layers[i]
@@ -155,16 +155,16 @@ def time_column(bound, t, m):
 # one-call wrappers of the lean kernel in wflow.velocity, with the oracle's
 # return values: (v, div) and (x_bar, [w0_bar, b0_bar, ...])
 
-def lean_forward(x, tau, probes, params, acts, mode, scale):
+def lean_forward(x, tau, params, acts, mode):
     coupling = vel.stage_coupling(mode, params, x.shape[1])
-    return vel.stage_forward(x, tau, probes, params, acts, mode, scale, coupling,
+    return vel.stage_forward(x, tau, params, acts, mode, coupling,
                              vel.stage_workspace(params, len(x)))
 
 
-def lean_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar):
+def lean_vjp(x, tau, params, acts, mode, v_bar, div_bar):
     d = x.shape[1]
     coupling = vel.stage_coupling(mode, params, d)
     grads = [np.zeros_like(p) for p in params]
-    x_bar = vel.stage_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar, grads,
-                          coupling, vel.stage_workspace(params, len(x)))
+    x_bar = vel.stage_vjp(x, tau, params, acts, mode, v_bar, div_bar, grads, coupling,
+                          vel.stage_workspace(params, len(x)))
     return x_bar, grads

@@ -165,7 +165,7 @@ def test_criterion_01_gradient_suite():
         xp, xq = p1.sample(4, rng), q1.sample(4, rng)
 
         def ot_loss():
-            value, grads, *_ = tp._ot_loss(otc.blocks, p1, q1, xp, xq, 2.0, None)
+            value, grads, *_ = tp._ot_loss(otc.blocks, p1, q1, xp, xq, 2.0)
             return value, grads
 
         reports.append(gradcheck.check_loss_gradient_fd(ot_loss, otc.parameter_arrays()))

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 from conftest import (affine_field, affine_flow_map, compose_affine, gaussian_kl,
-                      gaussian_logpdf, pin_estimator, push_gaussian)
+                      gaussian_logpdf, push_gaussian)
 
 from wflow import chain as fc
 from wflow import datasets as ds
@@ -124,50 +124,56 @@ def test_sampling_determinism():
     assert np.array_equal(a.positions, b.positions)
 
 
+def _fd_log_jacobian(chn, x, h=1e-5):
+    """log |det dF/dx| of the chain's forward map at each row of x, by central differences."""
+    m, d = x.shape
+    cols = []
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        plus = fc.forward_map(chn, ds.ParticleEnsemble(x + e)).positions
+        minus = fc.forward_map(chn, ds.ParticleEnsemble(x - e)).positions
+        cols.append((plus - minus) / (2 * h))
+    return np.linalg.slogdet(np.stack(cols, axis=2))[1]
+
+
 def test_sampling_with_logdens_above_exact_dim():
-    # d = 10 takes the Hutchinson default, whose probes come from the sampling
-    # rng after the base draw
+    # d = 10 takes the exact trace, as every d does: a zero field keeps the
+    # base density, and a perturbed one (closed form for one hidden layer,
+    # basis tangents for three) gives the change of variables
+    # log q(F(x)) + log |det dF/dx|, up to the RK4 grid's error
     chn = fc.identity_chain(10, 1, widths=(8,), steps=2)
-    rng = np.random.default_rng(12)
-    ens = fc.sample(chn, 20, rng)
-    logdens = fc.log_density(chn, ens.positions, rng=rng)
-    assert np.allclose(logdens, chn.base.log_pdf(ens.positions))  # zero field
-    chn = _perturbed_chain(10, 1, seed=2, steps=2, widths=(8,))
-    rng = np.random.default_rng(12)
-    ens = fc.sample(chn, 20, rng)
-    logdens = fc.log_density(chn, ens.positions, rng=rng)
-    assert logdens.shape == (20,) and np.all(np.isfinite(logdens))
+    ens = fc.sample(chn, 20, np.random.default_rng(12))
+    assert np.allclose(fc.log_density(chn, ens.positions), chn.base.log_pdf(ens.positions))
+    for widths in ((8,), (8, 8, 8)):
+        chn = _perturbed_chain(10, 1, seed=2, steps=16, widths=widths)
+        x = fc.sample(chn, 5, np.random.default_rng(12)).positions
+        z = fc.forward_map(chn, ds.ParticleEnsemble(x)).positions
+        want = chn.base.log_pdf(z) + _fd_log_jacobian(chn, x)
+        np.testing.assert_allclose(fc.log_density(chn, x), want, rtol=0, atol=1e-6)
 
 
-# the exact trace, or 3 Hutchinson probes (see conftest.pin_estimator)
-@pytest.mark.parametrize("est", ["exact", 3], ids=["exact", "hutch3"])
-def test_eager_log_density_bit_identical_to_taped(monkeypatch, est):
-    pin_estimator(monkeypatch, est)
+def test_eager_log_density_bit_identical_to_taped():
     chn = _perturbed_chain(3, 2, seed=4, steps=5)
     x = np.random.default_rng(5).normal(size=(7, 3))
-    got = fc.log_density(chn, x, np.random.default_rng(6))
+    got = fc.log_density(chn, x)
     tape = nc.Tape()
     with tape:
         bound = [(block.field.bind(tape), block.integrator) for block in chn.blocks]
-        z, logdet = fc.push_forward_logdet(bound, nc.Tensor(x), np.random.default_rng(6))
+        z, logdet = fc.push_forward_logdet(bound, nc.Tensor(x))
     assert np.array_equal(got, chn.base.log_pdf(z.data) + logdet.data)
 
 
-@pytest.mark.parametrize("widths, est", [
-    ((12, 12), "exact"),
-    ((8, 8, 8), "exact"),
-    ((12, 12), 3),
-], ids=["closed", "tangent-depth3", "hutch3"])
-def test_push_log_density_ends_at_forward_map_bit_for_bit(monkeypatch, widths, est):
-    pin_estimator(monkeypatch, est)
+@pytest.mark.parametrize("widths", [(12, 12), (8, 8, 8)], ids=["closed", "tangent-depth3"])
+def test_push_log_density_ends_at_forward_map_bit_for_bit(widths):
     # the CLI's kl_moment reads this end state in place of forward_map's
     chn = _perturbed_chain(3, 2, seed=4, steps=5, widths=widths)
     acts = [layer.act for layer in chn.blocks[0].field.layers]
     assert vel.has_closed_form(acts) == (widths == (12, 12))
     x = np.random.default_rng(5).normal(size=(40, 3))
-    logp, end = fc.push_log_density(chn, x, np.random.default_rng(6))
+    logp, end = fc.push_log_density(chn, x)
     assert end.tobytes() == fc.forward_map(chn, ds.ParticleEnsemble(x)).positions.tobytes()
-    assert logp.tobytes() == fc.log_density(chn, x, np.random.default_rng(6)).tobytes()
+    assert logp.tobytes() == fc.log_density(chn, x).tobytes()
 
 
 def test_sampling_pushforward_variance():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wflow import chain as fc
 from wflow import cli
 from wflow import datasets as ds
+from wflow import metrics
 from wflow import numcore as nc
 
 
@@ -504,9 +505,11 @@ names = nll
     assert report["metrics"][0]["config"]["holdout_disjoint_from_training"] is True
 
 
-def test_train_cnf_hutchinson_nll(tmp_path):
-    # d=10 is above the exact-trace limit, so nll_eval takes Hutchinson probes
-    cfg = _write(tmp_path, "cnf10.ini", """
+@pytest.mark.parametrize("depth", [2, 3])
+def test_train_cnf_exact_nll_at_d10(tmp_path, depth):
+    # d = 10 takes the exact trace, as every d does: in closed form at depth
+    # 2, through the d basis tangents at depth 3, in the loss and in nll
+    cfg = _write(tmp_path, "cnf10.ini", f"""
 [experiment]
 task = train-cnf
 seed = 1
@@ -517,19 +520,61 @@ holdout = 32
 [model]
 blocks = 1
 width = 8
-depth = 1
+depth = {depth}
 steps_per_block = 2
 [train]
 batch_size = 16
-iterations = 1
+iterations = 3
 [metrics]
 names = nll
 """)
+    reports = []
+    for run in ("a", "b"):
+        assert cli.run_experiment(cfg, out=str(tmp_path / run)) == 0
+        reports.append((tmp_path / run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    nll = json.loads(reports[0])["metrics"][0]
+    assert nll["name"] == "nll"
+    # the same holdout the CLI drew, through the saved checkpoint
+    _, _, _, holdout = cli._dataset_pools(cli.parse_config(cfg)[1], 1)
+    chn = fc.load_checkpoint(str(tmp_path / "a" / "chain.wflw"))
+    assert nll["value"] == metrics.nll_eval(chn, holdout)
+
+
+_DRE_GRID_INI = """
+[experiment]
+task = dre
+[dataset]
+dim = {dim}
+count = 64
+[dre]
+grid = {grid}
+"""
+
+
+def test_dre_grid_over_the_cap_exit_2_with_no_output(tmp_path, capsys):
+    # 24^10 points would be built whole before any is dropped
+    cfg = _write(tmp_path, "dre.ini", _DRE_GRID_INI.format(dim=10, grid=24))
     out = tmp_path / "out"
-    assert cli.run_experiment(cfg, out=str(out)) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["metrics"][0]["name"] == "nll"
-    assert np.isfinite(report["metrics"][0]["value"])
+    assert cli.run_experiment(cfg, out=str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "[dre] grid = 24" in err and "[dataset] dim = 10" in err
+
+
+@pytest.mark.parametrize("dim, grid, capped", [
+    (2, 256, False), (2, 257, True), (16, 2, False), (17, 2, True), (400, 1, False),
+])
+def test_dre_grid_cap_is_checked_before_any_allocation(tmp_path, capsys, monkeypatch, dim, grid,
+                                                       capped):
+    def pools(*args):
+        raise cli.ConfigError("pools reached")
+
+    monkeypatch.setattr(cli, "_dataset_pools", pools)
+    cfg = _write(tmp_path, "dre.ini", _DRE_GRID_INI.format(dim=dim, grid=grid))
+    assert cli.run_experiment(cfg, out=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert ("support grid points" in err) == capped and ("pools reached" in err) != capped
 
 
 def test_train_lfm_task(tmp_path):

@@ -40,12 +40,6 @@ def test_nll_of_one_point_is_minus_its_log_density():
     assert metrics.nll_eval(chn, x) == -fc.log_density(chn, x)
 
 
-def test_nll_above_exact_dim_without_rng_is_a_typed_error():
-    chn = fc.identity_chain(10, 1, steps=2, widths=(4,))
-    with pytest.raises(nc.MissingRngError, match="needs an rng above d = 8: pass rng"):
-        metrics.nll_eval(chn, np.zeros((3, 10)))
-
-
 # --- gauss_fid ---------------------------------------------------------------
 
 def test_fid_identical_ensembles_zero():

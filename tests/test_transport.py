@@ -179,7 +179,7 @@ def test_ot_loss_gradient_fd():
     xp, xq = p.sample(5, rng), q.sample(5, rng)
 
     def loss_fn():
-        value, grads, *_ = tp._ot_loss(chn.blocks, p, q, xp, xq, 2.0, None)
+        value, grads, *_ = tp._ot_loss(chn.blocks, p, q, xp, xq, 2.0)
         return value, grads
 
     report = gradcheck.check_loss_gradient_fd(loss_fn, chn.parameter_arrays())

@@ -1,10 +1,10 @@
-"""Velocity fields: initialization, evaluation, divergence estimators."""
+"""Velocity fields: initialization, evaluation, the exact divergence."""
 
 import gradcheck
 import numpy as np
 import pytest
 import stage_oracle
-from conftest import affine_field, divergence, eval_velocity, pin_estimator
+from conftest import affine_field, divergence, eval_velocity
 from gradcheck import replay
 from stage_oracle import lean_forward, lean_vjp, time_column
 
@@ -68,8 +68,8 @@ def test_divergence_linear_trace():
     assert divergence(affine_field(a), np.ones(2), 0.0) == pytest.approx(0.0)
 
 
-def _random_field(d, seed, scale=0.4):
-    field = vel.init_near_identity(d, widths=(12, 12), seed=seed)
+def _random_field(d, seed, scale=0.4, widths=(12, 12)):
+    field = vel.init_near_identity(d, widths=widths, seed=seed)
     rng = np.random.default_rng(seed + 100)
     for layer in field.layers:
         layer.w += scale * rng.normal(size=layer.w.shape)
@@ -77,47 +77,26 @@ def _random_field(d, seed, scale=0.4):
     return field
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 10, 16])
 def test_exact_divergence_matches_fd_jacobian_trace(d):
-    field = _random_field(d, seed=d)
+    # one and two hidden layers take the closed form, three the d basis
+    # tangents; both are the exact trace at every d
     rng = np.random.default_rng(d)
     x = rng.normal(size=d)
     t = 0.37
     h = 1e-6
-    trace = 0.0
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        vp = eval_velocity(field, x + e, t)
-        vm = eval_velocity(field, x - e, t)
-        trace += (vp[j] - vm[j]) / (2 * h)
-    exact = divergence(field, x, t)
-    assert exact == pytest.approx(trace, rel=1e-5, abs=1e-8)
-
-
-def test_hutchinson_within_three_sigma(monkeypatch):
-    # Rademacher quadratic-form estimator on a linear field with known trace:
-    # variance of one probe is 2 * sum of squared off-diagonal entries
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(3, 3))
-    a[np.diag_indices(3)] = np.array([1.0, 2.0, 3.0])
-    field = affine_field(a)
-    probes = 10_000
-    pin_estimator(monkeypatch, probes)
-    got = divergence(field, np.ones(3), 0.0, np.random.default_rng(0))
-    off = a + a.T
-    var_one = np.sum((off - np.diag(np.diag(off))) ** 2) / 2.0
-    sigma = np.sqrt(var_one / probes)
-    assert abs(got - 6.0) <= 3 * sigma
-
-
-def test_hutchinson_mean_matches_exact_on_mlp(monkeypatch):
-    field = _random_field(2, seed=21)
-    x = np.array([0.3, -0.8])
-    exact = divergence(field, x, 0.5)
-    pin_estimator(monkeypatch, 4000)
-    approx = divergence(field, x, 0.5, np.random.default_rng(7))
-    assert approx == pytest.approx(exact, abs=0.05 * max(1.0, abs(exact)))
+    for widths, mode in (((12,), "closed"), ((12, 12), "closed"), ((12, 12, 12), "tangent")):
+        field = _random_field(d, seed=d, widths=widths)
+        assert vel.divergence_mode(tuple(layer.act for layer in field.layers)) == mode
+        trace = 0.0
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = h
+            vp = eval_velocity(field, x + e, t)
+            vm = eval_velocity(field, x - e, t)
+            trace += (vp[j] - vm[j]) / (2 * h)
+        exact = divergence(field, x, t)
+        assert exact == pytest.approx(trace, rel=1e-5, abs=1e-8), widths
 
 
 def test_velocity_continuous_in_time():
@@ -165,7 +144,7 @@ def _exp_bwd(node, inputs, g):
 nc._primitive("exp", _exp_fwd, _exp_bwd)
 
 
-def _chain_velocity_and_divergence(bound, x, t, est, rng):
+def _chain_velocity_and_divergence(bound, x, t, est):
     m, d = x.shape
     h = nc.concat([x, time_column(bound, t, m)], axis=1)
     derivs = []
@@ -191,30 +170,21 @@ def _chain_velocity_and_divergence(bound, x, t, est, rng):
                 u = nc.mul(u, deriv)
         return u
 
-    if est == "exact":
-        cols = []
-        for j in range(d):
-            e = np.zeros((1, d + 1))
-            e[0, j] = 1.0
-            cols.append(nc.slice_(chain(nc.Tensor(e)), 1, j, j + 1))
-        div = nc.tsum(nc.concat(cols, axis=1), axis=1)
-        if div.shape[0] == 1 and m > 1:
-            div = nc.mul(div, nc.Tensor(np.ones(m)))
-    else:
-        acc = None
-        for _ in range(est):
-            eps = rng.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
-            u = chain(nc.Tensor(np.concatenate([eps, np.zeros((m, 1))], axis=1)))
-            quad = nc.tsum(nc.mul(u, nc.Tensor(eps)), axis=1)
-            acc = quad if acc is None else nc.add(acc, quad)
-        div = nc.mul(acc, 1.0 / est)
+    cols = []
+    for j in range(d):
+        e = np.zeros((1, d + 1))
+        e[0, j] = 1.0
+        cols.append(nc.slice_(chain(nc.Tensor(e)), 1, j, j + 1))
+    div = nc.tsum(nc.concat(cols, axis=1), axis=1)
+    if div.shape[0] == 1 and m > 1:
+        div = nc.mul(div, nc.Tensor(np.ones(m)))
     return h, div
 
 
-def _fused(bound, x, t, est, rng):
+def _fused(bound, x, t, est):
     if est is None:
         return bound.velocity(x, t), None
-    return bound.velocity_and_divergence(x, t, rng)
+    return bound.velocity_and_divergence(x, t)
 
 
 def _values_and_grads(field, x, est, evaluate, seed=5):
@@ -226,7 +196,7 @@ def _values_and_grads(field, x, est, evaluate, seed=5):
     with tape:
         bound = field.bind(tape)
         xt = tape.watch(nc.Tensor(x.copy()))
-        v, div = evaluate(bound, xt, 0.37, est, np.random.default_rng(seed))
+        v, div = evaluate(bound, xt, 0.37, est)
         out = nc.tsum(nc.mul(v, cv))
         if div is not None:
             out = nc.add(out, nc.tsum(nc.mul(div, cd)))
@@ -244,17 +214,14 @@ def _mlp_field(d, widths, act, seed, scale=0.5):
     return field
 
 
-# the exact trace, or 3 Hutchinson probes (see conftest.pin_estimator)
-_ESTIMATORS = ["exact", 3]
-
-
-@pytest.mark.parametrize("est", [*_ESTIMATORS, None], ids=["exact", "hutch3", "velocity"])
+# the exact trace (closed for one or two hidden layers, tangents for three),
+# or the velocity alone
+@pytest.mark.parametrize("est", ["exact", None], ids=["exact", "velocity"])
 @pytest.mark.parametrize("m", [1, 6])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("widths", [(7,), (12, 12), (6, 5, 4)])
 @pytest.mark.parametrize("d", [1, 2, 5])
-def test_fused_matches_chain_oracle(monkeypatch, d, widths, act, m, est):
-    pin_estimator(monkeypatch, est)
+def test_fused_matches_chain_oracle(d, widths, act, m, est):
     field = _mlp_field(d, widths, act, seed=10 * d + len(widths))
     x = np.random.default_rng(d + m).normal(size=(m, d))
     want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
@@ -270,24 +237,20 @@ def test_fused_matches_chain_oracle(monkeypatch, d, widths, act, m, est):
         np.testing.assert_allclose(g_got, g_want, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
 @pytest.mark.parametrize("m", [1, 4])
-def test_fused_matches_chain_oracle_affine_field(monkeypatch, m, est):
-    pin_estimator(monkeypatch, est)
+def test_fused_matches_chain_oracle_affine_field(m):
     rng = np.random.default_rng(31)
     field = affine_field(rng.normal(size=(3, 3)), rng.normal(size=3))
     field.layers[0].w[3] = rng.normal(size=3)  # time column
     x = rng.normal(size=(m, 3))
-    want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
-    got = _values_and_grads(field, x, est, _fused)
+    want = _values_and_grads(field, x, "exact", _chain_velocity_and_divergence)
+    got = _values_and_grads(field, x, "exact", _fused)
     for a, b in zip([got[0], got[1], *got[2]], [want[0], want[1], *want[2]]):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
 @pytest.mark.parametrize("act", ["tanh", "softplus"])
-def test_fused_gradient_matches_finite_differences(monkeypatch, act, est):
-    pin_estimator(monkeypatch, est)
+def test_fused_gradient_matches_finite_differences(act):
     field = _mlp_field(2, (5, 4), act, seed=61, scale=0.4)
     x = np.random.default_rng(62).normal(size=(3, 2))
     params = [*field.parameter_arrays(), x]
@@ -297,7 +260,7 @@ def test_fused_gradient_matches_finite_differences(monkeypatch, act, est):
         with tape:
             bound = field.bind(tape)
             xt = tape.watch(nc.Tensor(x))
-            v, div = bound.velocity_and_divergence(xt, 0.6, np.random.default_rng(63))
+            v, div = bound.velocity_and_divergence(xt, 0.6)
             out = nc.add(nc.tmean(nc.square(v)), nc.tmean(nc.mul(div, nc.tsum(v, axis=1))))
         tape.mark_output(out)
         tape.freeze()
@@ -320,16 +283,14 @@ def _record_fused_program(field, x):
     tape = nc.Tape()
     with tape:
         bound = field.bind(tape)
-        v, div = bound.velocity_and_divergence(nc.Tensor(x), 0.4, np.random.default_rng(3))
+        v, div = bound.velocity_and_divergence(nc.Tensor(x), 0.4)
         out = nc.add(nc.tmean(nc.square(v)), nc.tmean(div))
     tape.mark_output(out)
     tape.freeze()
     return out.data, tape
 
 
-@pytest.mark.parametrize("est", _ESTIMATORS, ids=["exact", "hutch3"])
-def test_fused_replay_matches_fresh_recording(monkeypatch, est):
-    pin_estimator(monkeypatch, est)
+def test_fused_replay_matches_fresh_recording():
     field = _mlp_field(3, (9, 7), "softplus", seed=81)
     x = np.random.default_rng(82).normal(size=(5, 3))
     _, tape = _record_fused_program(field, x)
@@ -354,7 +315,7 @@ def test_fused_nonfinite_weight_names_the_op():
             field.bind(tape).velocity_and_divergence(nc.Tensor(np.ones((3, 2))), 0.0)
     assert err.value.op == "velocity_divergence"
     # the op's inputs are registered first, so the reported index is the slot
-    # the op would take; the last node is its probe leaf, the op is not recorded
+    # the op would take; the last node is its time leaf, the op is not recorded
     assert err.value.index == len(tape.nodes)
     assert tape.nodes[-1].op == "const"
 
@@ -383,7 +344,7 @@ def test_augmented_overflow_reports_same_step_as_plain():
 
 # ---------------------------------------------------------------------------
 # the closed-form exact trace against the tangent kernel, which stays the
-# oracle (and the path for deeper stacks, other output layers and Hutchinson)
+# oracle (and the path for deeper stacks and other output layers)
 
 def _stage_case(field, m, seed):
     d = field.d
@@ -405,18 +366,17 @@ def _rel_err(got, want):
 @pytest.mark.parametrize("d", [1, 2, 8, 32])
 @pytest.mark.parametrize("widths", [(9,), (9, 7)], ids=["depth1", "depth2"])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
-def test_closed_form_matches_tangent_kernel(monkeypatch, d, widths, act):
-    pin_estimator(monkeypatch, "exact")
+def test_closed_form_matches_tangent_kernel(d, widths, act):
     m = 6
     field = _mlp_field(d, widths, act, seed=d + len(widths))
     x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
-    mode, empty, scale = vel.draw_probes(acts, m, d, None)
-    assert (mode, empty.shape, scale) == ("closed", (0, m, d), 1.0)
-    want_v, want_div = lean_forward(x, 0.4, _basis(m, d), params, acts, "tangent", 1.0)
-    got_v, got_div = lean_forward(x, 0.4, empty, params, acts, "closed", 1.0)
+    assert vel.divergence_mode(acts) == "closed"
+    assert vel.stage_tangents("closed", m, d) is None  # no (d, m, d) basis rides along
+    want_v, want_div = lean_forward(x, 0.4, params, acts, "tangent")
+    got_v, got_div = lean_forward(x, 0.4, params, acts, "closed")
     assert np.array_equal(got_v, want_v)
-    want_h, want_g = lean_vjp(x, 0.4, _basis(m, d), params, acts, "tangent", 1.0, v_bar, div_bar)
-    got_h, got_g = lean_vjp(x, 0.4, empty, params, acts, "closed", 1.0, v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, params, acts, "tangent", v_bar, div_bar)
+    got_h, got_g = lean_vjp(x, 0.4, params, acts, "closed", v_bar, div_bar)
     assert len(got_g) == len(want_g) == len(params)
     for got, want in zip([got_div, got_h, *got_g], [want_div, want_h, *want_g]):
         assert got.shape == want.shape
@@ -439,14 +399,13 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
     m = 5
     x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
     assert not vel.has_closed_form(acts)
-    mode, probes, scale = vel.draw_probes(acts, m, 3, None)
-    assert mode == "tangent" and scale == 1.0
-    assert np.array_equal(probes, _basis(m, 3))
+    assert vel.divergence_mode(acts) == "tangent"
+    assert np.array_equal(vel.stage_tangents("tangent", m, 3), _basis(m, 3))
     # the fused node runs the tangent kernel on the basis, bit for bit
     v, div = field.bind().velocity_and_divergence(nc.Tensor(x), 0.4)
-    want_v, want_div = lean_forward(x, 0.4, probes, params, acts, "tangent", 1.0)
+    want_v, want_div = lean_forward(x, 0.4, params, acts, "tangent")
     assert np.array_equal(v.data, want_v) and np.array_equal(div.data, want_div)
-    want_h, want_g = lean_vjp(x, 0.4, probes, params, acts, "tangent", 1.0, v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, params, acts, "tangent", v_bar, div_bar)
     tape = nc.Tape()
     with tape:
         bound = field.bind(tape)
@@ -460,46 +419,21 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
         assert np.array_equal(got, want)
 
 
-def test_hutchinson_keeps_tangents_on_closed_form_stacks(monkeypatch):
-    # Hutchinson never takes the closed form: same Rademacher draws from the
-    # rng, in the same order, and the tangent kernel
-    field = _mlp_field(4, (8, 8), "tanh", seed=9)
-    acts = tuple(layer.act for layer in field.layers)
-    assert vel.has_closed_form(acts)
-    pin_estimator(monkeypatch, 3)
-    mode, probes, scale = vel.draw_probes(acts, 5, 4, np.random.default_rng(10))
-    rng = np.random.default_rng(10)
-    want = np.stack([rng.integers(0, 2, size=(5, 4)) * 2.0 - 1.0 for _ in range(3)])
-    assert mode == "tangent" and scale == 1.0 / 3
-    assert np.array_equal(probes, want)
-    x = np.random.default_rng(11).normal(size=(5, 4))
-    got = divergence(field, x, 0.2, np.random.default_rng(10))
-    _, want_div = lean_forward(x, 0.2, want, field.parameter_arrays(), acts, "tangent", 1.0 / 3)
-    assert np.array_equal(got, want_div)
-
-
-# widths, d, then the mode, probe count K and trace scale the rule picks: the
-# exact trace up to EXACT_DIVERGENCE_MAX_DIM = 8 (the closed form for one or
-# two hidden layers, the d basis vectors for three), 8 Hutchinson probes above
-@pytest.mark.parametrize("widths, d, mode, k, scale", [
-    ((6,), 8, "closed", 0, 1.0),
-    ((6, 5), 8, "closed", 0, 1.0),
-    ((6, 5, 4), 8, "tangent", 8, 1.0),
-    ((6,), 9, "tangent", 8, 1.0 / 8),
-    ((6, 5), 9, "tangent", 8, 1.0 / 8),
-    ((6, 5, 4), 9, "tangent", 8, 1.0 / 8),
-], ids=["depth1-d8", "depth2-d8", "depth3-d8", "depth1-d9", "depth2-d9", "depth3-d9"])
-def test_draw_probes_rule(widths, d, mode, k, scale):
+# the rule reads the stack's shape alone, whatever d is: the closed form for
+# one or two hidden layers, the K = d basis tangents for three
+@pytest.mark.parametrize("d", [8, 9, 16], ids=["d8", "d9", "d16"])
+@pytest.mark.parametrize("widths, mode", [((6,), "closed"), ((6, 5), "closed"),
+                                          ((6, 5, 4), "tangent")],
+                         ids=["depth1", "depth2", "depth3"])
+def test_divergence_mode_rule(widths, mode, d):
     acts = tuple(layer.act for layer in _mlp_field(d, widths, "tanh", seed=1).layers)
     m = 3
-    got_mode, probes, got_scale = vel.draw_probes(acts, m, d, np.random.default_rng(2))
-    assert (got_mode, probes.shape, got_scale) == (mode, (k, m, d), scale)
-    if d == 8:
-        assert mode == "closed" or np.array_equal(probes, _basis(m, d))
+    assert vel.divergence_mode(acts) == mode
+    basis = vel.stage_tangents(mode, m, d)
+    if mode == "closed":
+        assert basis is None
     else:
-        assert set(np.unique(probes)) == {-1.0, 1.0}
-        with pytest.raises(ValueError, match="needs an rng"):
-            vel.draw_probes(acts, m, d, None)
+        assert basis.shape == (d, m, d) and np.array_equal(basis, _basis(m, d))
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +442,10 @@ def test_draw_probes_rule(widths, d, mode, k, scale):
 # replaced, kept in tests/stage_oracle.py
 
 _KERNEL_CASES = {
-    "velocity": ((9, 7), "velocity", None),
-    "tangent_exact_depth3": ((6, 5, 4), "tangent", "basis"),
-    "tangent_hutchinson": ((9, 7), "tangent", "rademacher"),
-    "closed_depth1": ((9,), "closed", None),
-    "closed_depth2": ((9, 7), "closed", None),
+    "velocity": ((9, 7), "velocity"),
+    "tangent_exact_depth3": ((6, 5, 4), "tangent"),
+    "closed_depth1": ((9,), "closed"),
+    "closed_depth2": ((9, 7), "closed"),
 }
 
 
@@ -529,24 +462,20 @@ def _assert_close_per_element(got, want):
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("case", list(_KERNEL_CASES))
 def test_lean_kernel_matches_concat_oracle(case, act, per_row, m):
-    widths, mode, probe_kind = _KERNEL_CASES[case]
+    widths, mode = _KERNEL_CASES[case]
     d = 3
     field = _mlp_field(d, widths, act, seed=len(widths) + m)
     params, acts = field.parameter_arrays(), tuple(layer.act for layer in field.layers)
     rng = np.random.default_rng(m)
     x = rng.normal(size=(m, d))
     tau = rng.uniform(size=m) if per_row else 0.4
-    scale, probes = 1.0, np.empty((0, m, d))
-    if probe_kind == "basis":
-        probes = _basis(m, d)
-    elif probe_kind == "rademacher":
-        scale, probes = 1.0 / 3, rng.integers(0, 2, size=(3, m, d)) * 2.0 - 1.0
+    probes = _basis(m, d) if mode == "tangent" else np.empty((0, m, d))
     h = np.concatenate([x, np.broadcast_to(np.reshape(tau, (-1, 1)), (m, 1))], axis=1)
     v_bar, div_bar = rng.normal(size=(m, d)), rng.normal(size=m)
-    want_v, want_div = stage_oracle.stage_forward(h, probes, params, acts, mode, scale)
-    got_v, got_div = lean_forward(x, tau, probes, params, acts, mode, scale)
-    want_h, want_g = stage_oracle.stage_vjp(h, probes, params, acts, mode, scale, v_bar, div_bar)
-    got_x, got_g = lean_vjp(x, tau, probes, params, acts, mode, scale, v_bar, div_bar)
+    want_v, want_div = stage_oracle.stage_forward(h, probes, params, acts, mode)
+    got_v, got_div = lean_forward(x, tau, params, acts, mode)
+    want_h, want_g = stage_oracle.stage_vjp(h, probes, params, acts, mode, v_bar, div_bar)
+    got_x, got_g = lean_vjp(x, tau, params, acts, mode, v_bar, div_bar)
     assert (got_div is None) == (want_div is None) == (mode == "velocity")
     assert len(got_g) == len(want_g) == len(params)
     pairs = [(got_v, want_v), (got_x, want_h[:, :d]), *zip(got_g, want_g)]
@@ -563,6 +492,6 @@ def test_lean_vjp_leaves_its_cotangents_unchanged():
     rng = np.random.default_rng(13)
     x, v_bar, div_bar = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=4)
     before = [a.copy() for a in (x, v_bar, div_bar, *params)]
-    for mode in ("velocity", "closed"):
-        lean_vjp(x, 0.3, np.empty((0, 4, 2)), params, acts, mode, 1.0, v_bar, div_bar)
+    for mode in ("velocity", "tangent", "closed"):
+        lean_vjp(x, 0.3, params, acts, mode, v_bar, div_bar)
     assert all(np.array_equal(a, b) for a, b in zip((x, v_bar, div_bar, *params), before))
