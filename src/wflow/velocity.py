@@ -305,7 +305,7 @@ def stage_vjp(x, tau, params, acts, mode, v_bar, div_bar, grads, coupling, ws):
     """
     m, d = x.shape
     basis = stage_tangents(mode, m, d)
-    k = 0 if basis is None else d
+    k = 0 if basis is None else len(basis)
     layers = _sweep(x, tau, basis, params, acts, True, ws)
     slope_bars = [None] * len(layers)
     if mode == "closed":

@@ -267,9 +267,31 @@ def _chain_program(fields, cfgs, x, direction, est, run):
     return y.data, (None if total is None else total.data), float(out.data), grads
 
 
-# the exact trace, or the velocity only
-_BLOCK_ESTIMATORS = ["exact", None]
-_BLOCK_IDS = ["exact", "velocity"]
+# the exact trace, the tangent kernel on 3 Rademacher probes per row (see
+# _pin_probes), or the velocity only
+_BLOCK_ESTIMATORS = ["exact", 3, None]
+_BLOCK_IDS = ["exact", "hutch3", "velocity"]
+
+
+def _pin_probes(monkeypatch, est):
+    """For an int ``est`` K, make every stage take the tangent kernel on K fixed probes.
+
+    The exact rule takes the closed form for one or two hidden layers and the
+    d basis vectors otherwise. K Rademacher probes per row, one draw per batch
+    shape, run the tangent algebra, forward and adjoint, on directions other
+    than the basis and on stacks that would take the closed form; the
+    divergence is then the sum of the K quadratic forms eps^T J eps.
+    """
+    if not isinstance(est, int):
+        return
+
+    def probes(mode, m, d):
+        if mode != "tangent":
+            return None
+        return np.random.default_rng(100 * m + d).integers(0, 2, size=(est, m, d)) * 2.0 - 1.0
+
+    monkeypatch.setattr(vel, "divergence_mode", lambda acts: "tangent")
+    monkeypatch.setattr(vel, "stage_tangents", probes)
 
 
 # one hidden layer (the closed form's c), two (its coupling B) and three (no
@@ -281,7 +303,8 @@ _BLOCK_IDS = ["exact", "velocity"]
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_block_adjoint_matches_stage_oracle(scheme, direction, est, blocks, widths):
+def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est, blocks, widths):
+    _pin_probes(monkeypatch, est)
     fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh",
                                  widths=widths)
     x = np.random.default_rng(blocks).normal(size=(6, 2))
@@ -304,7 +327,8 @@ def test_block_adjoint_matches_stage_oracle(scheme, direction, est, blocks, widt
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_block_adjoint_matches_finite_differences(scheme, direction, est, blocks):
+def test_block_adjoint_matches_finite_differences(monkeypatch, scheme, direction, est, blocks):
+    _pin_probes(monkeypatch, est)
     fields, cfgs = _chain_fields(blocks, scheme)
     x = np.random.default_rng(blocks + 10).normal(size=(3, 2))
     params = [p for f in fields for p in f.parameter_arrays()] + [x]
@@ -381,7 +405,8 @@ def _record_block_program(fields, cfgs, x, est):
 
 
 @pytest.mark.parametrize("est", _BLOCK_ESTIMATORS, ids=_BLOCK_IDS)
-def test_block_replay_matches_fresh_recording(est):
+def test_block_replay_matches_fresh_recording(monkeypatch, est):
+    _pin_probes(monkeypatch, est)
     fields, cfgs = _chain_fields(1, "rk4")
     x = np.random.default_rng(82).normal(size=(5, 2))
     _, tape = _record_block_program(fields, cfgs, x, est)

@@ -425,7 +425,7 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
 @pytest.mark.parametrize("widths, mode", [((6,), "closed"), ((6, 5), "closed"),
                                           ((6, 5, 4), "tangent")],
                          ids=["depth1", "depth2", "depth3"])
-def test_divergence_mode_rule(widths, mode, d):
+def test_draw_probes_rule(widths, mode, d):
     acts = tuple(layer.act for layer in _mlp_field(d, widths, "tanh", seed=1).layers)
     m = 3
     assert vel.divergence_mode(acts) == mode
