@@ -11,14 +11,16 @@ the raw strings for the echo and the typed values the tasks read. Checks that
 tie keys together (lengths against dim, metric sample sizes, the DRE grid)
 run in the tasks before any training.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure. An exit 2 or 3
-removes every artifact of the run and the output directory it made.
+Exit codes: 0 success, 2 config error (a run too large for memory counts as
+one), 3 numeric failure. An exit 2 or 3 removes every artifact of the run and
+the output directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -418,15 +420,22 @@ def _task_train(task, cfg, seed, writer):
 
 def _task_ot(cfg, seed, writer):
     source, target, train_pool, holdout = _dataset_pools(cfg, seed)
+    # a Gaussian moment fit of the count-point pool stands in for a density
+    # without a tape log-pdf, and its covariance needs d + 1 points
+    p_density = source if isinstance(source, ds.Gaussian) else None
+    q_density = target if isinstance(target, ds.Gaussian) else None
+    need = _min_points("kl_moment", train_pool.d)
+    if None in (p_density, q_density) and train_pool.m < need:
+        raise ConfigError(f"[dataset] count = {train_pool.m} is too small for the Gaussian "
+                          f"moment fit that stands in for a non-Gaussian density, which "
+                          f"needs at least {need} points")
     q_pool = ds.ParticleEnsemble(target.sample(train_pool.m,
                                                np.random.default_rng([seed, 88])))
     chn = _build_chain(cfg, train_pool.d, target if isinstance(target, ds.Gaussian)
                        else ds.standard_gaussian(train_pool.d), seed)
-    tcfg = _train_config(cfg, seed)
-    p_density = source if isinstance(source, ds.Gaussian) else None
-    q_density = target if isinstance(target, ds.Gaussian) else None
     penalty = cfg["ot"]["penalty"]
-    res = tp.ot_train(train_pool, q_pool, chn, penalty, tcfg,
+    tcfg = dataclasses.replace(_train_config(cfg, seed), gamma=penalty)
+    res = tp.ot_train(train_pool, q_pool, chn, tcfg,
                       p_density=p_density, q_density=q_density)
     flowchain.save_checkpoint(chn, writer.path("chain.wflw"))
     _write_loss_csv(writer, res.losses, res.wall_ms)
@@ -504,9 +513,9 @@ def _task_dro(cfg, seed, writer):
     if len(c) != train_pool.d:
         raise ConfigError(f"[dro] risk_c needs {train_pool.d} components")
     risk = tp.RiskFunction.linear(c)
-    tcfg = _train_config(cfg, seed)
     gamma = cfg["dro"]["gamma"]
-    res = tp.dro_train(risk, train_pool, gamma, tcfg)
+    tcfg = dataclasses.replace(_train_config(cfg, seed), gamma=gamma)
+    res = tp.dro_train(risk, train_pool, tcfg)
     _write_loss_csv(writer, res.losses, res.wall_ms)
     ds.save_particles_csv(writer.path("samples.csv"), res.ensemble)
     if train_pool.d == 2:
@@ -654,6 +663,14 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
         writer.rollback()
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
+    except (MemoryError, ValueError) as err:
+        # numpy refuses an array larger than the address space with this
+        # ValueError before it allocates; any other ValueError is a defect
+        if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
+            raise
+        writer.rollback()
+        print(f"config error: the run does not fit in memory: {err}", file=sys.stderr)
+        return 2
     # wall-clock and timestamps live outside the deterministic artifacts
     with open(writer.path("run_meta.json"), "w", encoding="ascii") as fh:
         json.dump({"started_unix": t0, "elapsed_s": time.time() - t0}, fh, indent=2)

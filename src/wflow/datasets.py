@@ -76,6 +76,12 @@ class Gaussian:
         # the whitening factor L^-T of the tape expressions: delta @ L^-T is white
         self._whiten = np.ascontiguousarray(np.linalg.inv(self._chol).T)
 
+    @classmethod
+    def moment_fit(cls, x) -> "Gaussian":
+        """The sample mean and covariance of ``x``; needs d + 1 points in general position."""
+        x = as_positions(x)
+        return cls(x.mean(axis=0), np.atleast_2d(np.cov(x, rowvar=False)))
+
     def log_pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1

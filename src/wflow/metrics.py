@@ -299,6 +299,4 @@ def kl_mc(logp, logq, samples_of_p) -> KlResult:
 
 def moment_fit_kl(ensemble, target: Gaussian) -> float:
     """Closed-form KL of the ensemble's Gaussian moment fit to a Gaussian target."""
-    x = as_positions(ensemble)
-    fit = Gaussian(x.mean(axis=0), np.atleast_2d(np.cov(x, rowvar=False)))
-    return fit.kl_to(target)
+    return Gaussian.moment_fit(ensemble).kl_to(target)

@@ -111,24 +111,38 @@ def cosine_lr(floor):
     return schedule
 
 
-def fit(step, params, cfg: TrainConfig, *, schedule=None, check=None):
+def _draw(source, n, rng):
+    """One minibatch of ``n`` points: ``source.sample(n, rng)`` from a density,
+    ``n`` distinct points from a pool, or the whole pool, shuffled, when it
+    holds fewer."""
+    if hasattr(source, "sample"):
+        return source.sample(n, rng)
+    return source[rng.choice(len(source), size=min(n, len(source)), replace=False)]
+
+
+def fit(loss, sources, params, cfg: TrainConfig, *, schedule=None, check=None):
     """The one minibatch loop behind every trainer; deterministic per seed.
 
-    Iteration ``it`` owns the stream ``default_rng([cfg.seed, it])``;
-    ``step(rng) -> (loss, grads)`` draws its batch from it and returns
-    gradients ordered like ``params``, which the optimizer updates in place.
+    ``sources`` are sample pools (arrays, ensembles; an empty one is a
+    ValueError) or densities. Iteration ``it`` draws a ``cfg.batch_size``
+    batch from each source in order (``_draw``) from the stream
+    ``default_rng([cfg.seed, it])``, and ``loss(*batches, rng) -> (loss,
+    grads)`` gets the rest of it; the optimizer updates ``params`` in place.
     ``schedule(it, iterations)`` scales ``cfg.learn_rate``; ``check(it,
     losses)`` runs after each update and may raise to stop the run. A
     NumericError in a step becomes TrainingDiverged with the losses so far.
     Returns (losses, cumulative wall ms), one entry per iteration.
     """
+    sources = [s if hasattr(s, "sample") else as_positions(s) for s in sources]
+    if any(not hasattr(s, "sample") and len(s) == 0 for s in sources):
+        raise ValueError("cannot train on an empty sample pool")
     opt = Adam(params, cfg.learn_rate) if cfg.optimizer == "adam" else Sgd(params, cfg.learn_rate)
     losses, wall = [], []
     t_start = time.perf_counter()
     for it in range(cfg.iterations):
         rng = np.random.default_rng([cfg.seed, it])
         try:
-            value, grads = step(rng)
+            value, grads = loss(*[_draw(s, cfg.batch_size, rng) for s in sources], rng)
         except nc.NumericError as err:
             raise TrainingDiverged(
                 f"loss became non-finite at iteration {it}: {err}",
@@ -261,33 +275,21 @@ def train_block(loss_kind, subject, data, cfg: TrainConfig, *, potential=None) -
     (ensemble0, ensemble1)), local_fm (block, ensemble). A block trains over
     its integrator's interval.
     """
-    if loss_kind not in ("nll", "jko", "fm", "local_fm"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if loss_kind == "fm":
-        pool0, pool1 = as_positions(data[0]), as_positions(data[1])
-        if len(pool0) != len(pool1):
-            raise nc.ShapeError("fm training expects equal-size sample pools")
-        pool_size = len(pool0)
-    else:
-        pool = as_positions(data)
-        pool_size = len(pool)
-    take = min(cfg.batch_size, pool_size)
-
-    def minibatch(rng):
-        idx = rng.choice(pool_size, size=take, replace=False)
-        if loss_kind == "nll":
-            return nll_loss(subject, pool[idx])
-        if loss_kind == "jko":
-            return jko_block_loss(subject, pool[idx], cfg.gamma, potential)
-        if loss_kind == "fm":
-            jdx = rng.choice(pool_size, size=take, replace=False)
-            return fm_loss(subject, pool0[idx], pool1[jdx], time_draws=cfg.time_draws, rng=rng)
+    losses_of = {
+        "nll": lambda x, rng: nll_loss(subject, x),
+        "jko": lambda x, rng: jko_block_loss(subject, x, cfg.gamma, potential),
+        "fm": lambda x0, x1, rng: fm_loss(subject, x0, x1, time_draws=cfg.time_draws, rng=rng),
         # mean-reverting step targets are constructed jointly with their
         # sources, so the local kind pairs them
-        x_l, x_r = make_local_fm_targets(pool[idx], cfg.gamma, rng)
-        return fm_loss(subject, x_l, x_r, paired=True, time_draws=cfg.time_draws, rng=rng)
-
-    losses, wall = fit(minibatch, subject.parameter_arrays(), cfg)
+        "local_fm": lambda x, rng: fm_loss(subject, *make_local_fm_targets(x, cfg.gamma, rng),
+                                           paired=True, time_draws=cfg.time_draws, rng=rng),
+    }
+    if loss_kind not in losses_of:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    sources = data if loss_kind == "fm" else (data,)
+    if loss_kind == "fm" and len(as_positions(data[0])) != len(as_positions(data[1])):
+        raise nc.ShapeError("fm training expects equal-size sample pools")
+    losses, wall = fit(losses_of[loss_kind], sources, subject.parameter_arrays(), cfg)
     for block in (subject.blocks if loss_kind == "nll" else [subject]):
         block.trained = True
     return TrainResult(losses, wall)

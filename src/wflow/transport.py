@@ -20,7 +20,7 @@ from wflow import numcore as nc
 from wflow import odeint
 from wflow.chain import FlowBlock, FlowChain
 from wflow.datasets import Gaussian, ParticleEnsemble, as_positions
-from wflow.objectives import TrainConfig, check_positive, cosine_lr, fit
+from wflow.objectives import TrainConfig, cosine_lr, fit
 from wflow.velocity import init_near_identity
 
 RATIO_WIDTHS = (64, 64)
@@ -68,22 +68,12 @@ def fit_logistic_ratio(samples0, samples1, cfg: TrainConfig,
                        widths=RATIO_WIDTHS) -> RatioModel:
     """Train phi ~ log(f1/f0) from two sample sets by minibatch logistic loss."""
     x0, x1 = as_positions(samples0), as_positions(samples1)
-    if len(x0) == 0 or len(x1) == 0:
-        raise ValueError("both sample sets must be nonempty")
     if x0.shape[1] != x1.shape[1]:
         raise nc.ShapeError(f"sample dimensions differ: {x0.shape[1]} vs {x1.shape[1]}")
-    rng_init = np.random.default_rng(cfg.seed)
-    layers = mlp.init_layers([x0.shape[1], *widths, 1], rng_init)
-    take0 = min(cfg.batch_size, len(x0))
-    take1 = min(cfg.batch_size, len(x1))
-
-    def minibatch(rng):
-        i0 = rng.choice(len(x0), size=take0, replace=False)
-        i1 = rng.choice(len(x1), size=take1, replace=False)
-        return logistic_ratio_loss(layers, x0[i0], x1[i1])
-
+    layers = mlp.init_layers([x0.shape[1], *widths, 1], np.random.default_rng(cfg.seed))
     # cosine decay to a 10% floor settles the late-phase minibatch noise
-    fit(minibatch, mlp.parameter_arrays(layers), cfg, schedule=cosine_lr(0.1))
+    fit(lambda b0, b1, rng: logistic_ratio_loss(layers, b0, b1), (x0, x1),
+        mlp.parameter_arrays(layers), cfg, schedule=cosine_lr(0.1))
     return RatioModel(layers)
 
 
@@ -168,41 +158,35 @@ def transport_cost(chain: FlowChain, p_samples) -> float:
     return total
 
 
-def ot_train(p_samples, q_samples, chain: FlowChain, gamma, cfg: TrainConfig,
+def ot_train(p_samples, q_samples, chain: FlowChain, cfg: TrainConfig,
              p_density=None, q_density=None) -> OtResult:
     """Fit the chain as a transport from p to q with endpoint KL penalties.
 
-    gamma weights the endpoint constraints. When analytic densities are not
-    supplied, Gaussian moment fits of the sample pools stand in for them
-    (exact whenever p and q really are Gaussian).
+    ``cfg.gamma`` weights the endpoint constraints. Each iteration draws a
+    batch from the p pool, then one from the q pool (``objectives.fit``).
+    When analytic densities are not supplied, Gaussian moment fits of the
+    sample pools stand in for them (exact whenever p and q really are
+    Gaussian).
     """
-    check_positive("gamma", gamma)
     xp_pool, xq_pool = as_positions(p_samples), as_positions(q_samples)
-    base_p = p_density if p_density is not None else _moment_gaussian(xp_pool)
-    base_q = q_density if q_density is not None else _moment_gaussian(xq_pool)
+    base_p = p_density if p_density is not None else Gaussian.moment_fit(xp_pool)
+    base_q = q_density if q_density is not None else Gaussian.moment_fit(xq_pool)
     for name, dens in (("p", base_p), ("q", base_q)):
         if not hasattr(dens, "log_pdf_expr"):
             raise TypeError(f"{name} density must expose a tape expression (Gaussian)")
-    take_p = min(cfg.batch_size, len(xp_pool))
-    take_q = min(cfg.batch_size, len(xq_pool))
     kls = [float("nan"), float("nan")]  # (kl_p, kl_q) of the latest step
 
-    def minibatch(rng):
-        ip = rng.choice(len(xp_pool), size=take_p, replace=False)
-        iq = rng.choice(len(xq_pool), size=take_q, replace=False)
-        value, grads, _, kls[0], kls[1] = _ot_loss(
-            chain.blocks, base_p, base_q, xp_pool[ip], xq_pool[iq], gamma)
+    def loss(xp, xq, rng):
+        value, grads, _, kls[0], kls[1] = _ot_loss(chain.blocks, base_p, base_q, xp, xq,
+                                                   cfg.gamma)
         return value, grads
 
     # cosine decay: the penalty weight amplifies late-phase gradient noise
-    losses, wall = fit(minibatch, chain.parameter_arrays(), cfg, schedule=cosine_lr(0.05))
+    losses, wall = fit(loss, (xp_pool, xq_pool), chain.parameter_arrays(), cfg,
+                       schedule=cosine_lr(0.05))
     for block in chain.blocks:
         block.trained = True
     return OtResult(transport_cost(chain, xp_pool), *kls, losses, wall)
-
-
-def _moment_gaussian(x) -> Gaussian:
-    return Gaussian(x.mean(axis=0), np.atleast_2d(np.cov(x, rowvar=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +224,6 @@ class DroResult:
     wall_ms: np.ndarray
 
 
-def _resolve_sampler(p_sampler):
-    if isinstance(p_sampler, ParticleEnsemble):
-        pool = p_sampler.positions
-
-        def draw(n, rng):
-            return pool[rng.choice(len(pool), size=min(n, len(pool)), replace=False)]
-
-        return draw, pool
-    if hasattr(p_sampler, "sample"):
-        return (lambda n, rng: p_sampler.sample(n, rng)), None
-    if callable(p_sampler):
-        return p_sampler, None
-    raise TypeError("p_sampler must be an ensemble, a density, or a callable")
-
-
 _DESCENT_WINDOW = 500
 
 
@@ -268,27 +237,28 @@ def _sustained_linear_descent(losses) -> bool:
     return drop1 > 1e-4 * scale and drop2 > 0.7 * drop1
 
 
-def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
+def dro_train(risk: RiskFunction, source, cfg: TrainConfig, *,
               widths=(64, 64), steps=8, seed_offset=0) -> DroResult:
     """Learn the worst-case transport min_F E[R(F(X)) + ||X - F(X)||^2 / (2 gamma)].
 
-    A single near-identity block plays the transport map. Sustained linear
+    ``gamma`` is ``cfg.gamma``. X comes from ``source``, a sample pool or a
+    density with ``sample(n, rng)``; ``objectives.fit`` draws each batch. A
+    single near-identity block plays the transport map. Sustained linear
     loss descent (no deceleration over 500 iterations) aborts with a
-    diagnosis: the risk is unbounded below at this gamma.
+    diagnosis: the risk is unbounded below at this gamma. The result's
+    ensemble maps the whole pool, or 4096 fresh draws of a density.
     """
-    check_positive("gamma", gamma)
-    draw, pool = _resolve_sampler(p_sampler)
-    d = as_positions(draw(1, np.random.default_rng(cfg.seed))).shape[1]
+    density = hasattr(source, "sample")
+    pool = None if density else as_positions(source)
+    d = source.d if density else pool.shape[1]
     field = init_near_identity(d, widths=widths, seed=cfg.seed + seed_offset)
     block = FlowBlock(field, odeint.IntegratorConfig("rk4", steps, (0.0, 1.0)))
 
-    def minibatch(rng):
-        x = as_positions(draw(cfg.batch_size, rng))
-
+    def loss(x, rng):
         def build(tape):
             y = odeint.integrate_tensor(field.bind(tape), nc.Tensor(x), block.integrator)
             move = nc.tsum(nc.square(y - nc.Tensor(x)), axis=1)
-            return nc.add(nc.tmean(risk(y)), nc.mul(nc.tmean(move), 1.0 / (2.0 * gamma)))
+            return nc.add(nc.tmean(risk(y)), nc.mul(nc.tmean(move), 1.0 / (2.0 * cfg.gamma)))
 
         return nc.value_and_grad(build)
 
@@ -296,14 +266,14 @@ def dro_train(risk: RiskFunction, p_sampler, gamma, cfg: TrainConfig, *,
         if it >= _DESCENT_WINDOW and it % 50 == 0 and _sustained_linear_descent(losses):
             raise UnboundedRiskError(
                 f"objective still descending linearly after {it} iterations "
-                f"(gamma={gamma}); risk appears unbounded below",
+                f"(gamma={cfg.gamma}); risk appears unbounded below",
                 np.asarray(losses),
             )
 
-    losses, wall = fit(minibatch, block.parameter_arrays(), cfg, check=check)
+    losses, wall = fit(loss, (source,), block.parameter_arrays(), cfg, check=check)
     block.trained = True
-    eval_rng = np.random.default_rng([cfg.seed, cfg.iterations])
-    x_eval = as_positions(pool if pool is not None else draw(4096, eval_rng))
+    x_eval = (source.sample(4096, np.random.default_rng([cfg.seed, cfg.iterations]))
+              if density else pool)
     y_eval = odeint.integrate(field, x_eval, block.integrator)
     risk_value = float(np.mean(risk.eval(y_eval)))
     movement = float(np.mean(np.sum((y_eval - x_eval) ** 2, axis=1)))

@@ -121,8 +121,9 @@ def ot_run():
     rng = np.random.default_rng(0)
     xp, xq = p.sample(4096, rng), q.sample(4096, rng)
     chain = fc.identity_chain(1, 1, steps=10, widths=(48,), t_total=1.0, seed=3)
-    cfg = obj.TrainConfig(learn_rate=0.008, batch_size=256, iterations=800, seed=1)
-    result = tp.ot_train(xp, xq, chain, gamma=50.0, cfg=cfg, p_density=p, q_density=q)
+    cfg = obj.TrainConfig(learn_rate=0.008, batch_size=256, iterations=800, seed=1,
+                          gamma=50.0)
+    result = tp.ot_train(xp, xq, chain, cfg=cfg, p_density=p, q_density=q)
     return {"chain": chain, "result": result, "p": p, "q": q}
 
 
@@ -462,8 +463,9 @@ def test_criterion_09_dro_oracle():
     risk = tp.RiskFunction.linear(c)
 
     # closed-form map recovery at unit step size
-    cfg = obj.TrainConfig(learn_rate=0.012, batch_size=256, iterations=500, seed=1)
-    res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=1.0, cfg=cfg, widths=(32,))
+    cfg = obj.TrainConfig(learn_rate=0.012, batch_size=256, iterations=500, seed=1,
+                          gamma=1.0)
+    res = tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg, widths=(32,))
     pts = ds.standard_gaussian(2).sample(1000, np.random.default_rng(2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 2.146]  # central 90% ball
     mapped = odeint.integrate(res.transport.field, pts, res.transport.integrator)
@@ -480,9 +482,9 @@ def test_criterion_09_dro_oracle():
     for seed in range(5):
         for gamma, lr in zip(gammas, (0.01, 0.015, 0.05)):
             cfg_g = obj.TrainConfig(learn_rate=lr, batch_size=192, iterations=350,
-                                    seed=100 + seed)
-            out = tp.dro_train(risk, ds.standard_gaussian(2), gamma=gamma,
-                               cfg=cfg_g, widths=(32,), seed_offset=seed)
+                                    seed=100 + seed, gamma=gamma)
+            out = tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg_g, widths=(32,),
+                               seed_offset=seed)
             risks[gamma].append(out.risk)
     ordered_per_seed = sum(
         risks[0.1][s] >= risks[1.0][s] >= risks[10.0][s] for s in range(5))

@@ -286,6 +286,80 @@ def test_diverged_training_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, key, trainer", [("ot", "penalty", "ot_train"),
+                                                ("dro", "gamma", "dro_train")])
+def test_ot_and_dro_train_at_their_own_gamma(tmp_path, monkeypatch, task, key, trainer):
+    # [train] gamma is the proximal step of train-jko and train-lfm only
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.extend(a.gamma for a in args if isinstance(a, cli.obj.TrainConfig))
+        raise cli.ConfigError("recorded")
+
+    monkeypatch.setattr(cli.tp, trainer, record)
+    cfg = _tiny_config(tmp_path, task, "train", "gamma", "7")
+    with open(cfg, "a") as fh:
+        fh.write(f"[{task}]\n{key} = 3.5\n")
+    assert cli.run_experiment(cfg, task=task, out=str(tmp_path / "out")) == 2
+    assert seen == [3.5]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_ot_moment_fit_below_d_plus_1_points_exit_2(tmp_path, capsys, monkeypatch, count):
+    # a mixture has no tape log-pdf, so a moment fit of the count-point pool
+    # stands in for it; below d + 1 = 3 points its covariance is singular
+    monkeypatch.setattr(cli.tp, "ot_train", lambda *args, **kwargs: pytest.fail("trained"))
+    cfg = _write(tmp_path, "ot.ini", f"""
+[experiment]
+task = ot
+[dataset]
+source = fig10-p
+target = fig10-q
+count = {count}
+holdout = 4
+""")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, out=str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"[dataset] count = {count}" in err and "at least 3 points" in err
+    assert not out.exists()
+
+
+def test_array_beyond_the_address_space_exit_2(tmp_path, capsys):
+    # numpy refuses 2^62 x 2 float64 values before it allocates anything
+    cfg = _tiny_config(tmp_path, "sample", "dataset", "count", str(2 ** 62))
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="sample", out=str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_memory_error_exit_2_with_rollback(tmp_path, capsys, monkeypatch):
+    # the failure comes after the checkpoint and loss trace are written
+    def sample(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli.flowchain, "sample", sample)
+    cfg = _tiny_config(tmp_path, "train-jko", "train", "iterations", "1")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="train-jko", out=str(out)) == 2
+    assert capsys.readouterr().err == ("config error: the run does not fit in memory: "
+                                       "Unable to allocate 1.00 TiB\n")
+    assert not out.exists()
+
+
+def test_other_value_errors_are_not_taken_for_memory(tmp_path, monkeypatch):
+    def sample(*args):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(cli.flowchain, "sample", sample)
+    cfg = _tiny_config(tmp_path, "sample", "dataset", "count", "4")
+    with pytest.raises(ValueError, match="a defect"):
+        cli.run_experiment(cfg, task="sample", out=str(tmp_path / "out"))
+
+
 def test_rollback_keeps_directories_it_did_not_make(tmp_path):
     out = tmp_path / "a" / "b"
     writer = cli.ArtifactWriter(str(out))

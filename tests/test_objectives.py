@@ -11,6 +11,7 @@ from wflow import metrics
 from wflow import numcore as nc
 from wflow import objectives as obj
 from wflow import odeint
+from wflow import transport as tp
 from wflow import velocity as vel
 
 
@@ -341,7 +342,7 @@ def test_fit_trace_stops_at_the_failing_iteration():
 
     cfg = obj.TrainConfig(learn_rate=0.1, iterations=10, seed=7, optimizer="sgd")
     with pytest.raises(obj.TrainingDiverged, match="iteration 4") as err:
-        obj.fit(step, [np.zeros(2)], cfg)
+        obj.fit(step, (), [np.zeros(2)], cfg)
     assert err.value.trace.ndim == 1
     assert err.value.trace.tolist() == [0.0, 1.0, 2.0, 3.0]
     # every iteration draws from its own stream [seed, it]
@@ -359,10 +360,83 @@ def test_fit_schedule_scales_the_rate_and_check_can_stop():
 
     cfg = obj.TrainConfig(learn_rate=0.5, iterations=6, optimizer="sgd")
     with pytest.raises(RuntimeError, match="stop"):
-        obj.fit(lambda rng: (0.0, [np.ones(1)]), [param], cfg,
+        obj.fit(lambda rng: (0.0, [np.ones(1)]), (), [param], cfg,
                 schedule=lambda it, n: 1.0 / (it + 1), check=check)
     assert seen == [(0, 1), (1, 2), (2, 3)]
     assert param[0] == -0.5 * (1.0 + 1.0 / 2 + 1.0 / 3)
+
+
+def _recording_loss(calls):
+    def loss(*args):
+        *batches, rng = args
+        calls.append(([b.copy() for b in batches], int(rng.integers(2**31))))
+        return 0.0, [np.zeros(1)]
+
+    return loss
+
+
+def test_fit_draws_each_source_in_order_then_hands_over_the_stream():
+    pool0 = np.arange(20.0).reshape(10, 2)
+    pool1 = ds.ParticleEnsemble(100.0 + np.arange(7.0).reshape(7, 1))
+    calls = []
+    cfg = obj.TrainConfig(batch_size=4, iterations=3, seed=7)
+    obj.fit(_recording_loss(calls), (pool0, pool1), [np.zeros(1)], cfg)
+    assert len(calls) == 3
+    for it, (batches, tail) in enumerate(calls):
+        rng = np.random.default_rng([7, it])
+        assert np.array_equal(batches[0], pool0[rng.choice(10, size=4, replace=False)])
+        assert np.array_equal(batches[1], pool1.positions[rng.choice(7, size=4, replace=False)])
+        assert tail == int(rng.integers(2**31))
+
+
+def test_fit_uses_a_pool_smaller_than_the_batch_whole_and_shuffled():
+    pool = np.arange(5.0).reshape(5, 1)
+    calls = []
+    cfg = obj.TrainConfig(batch_size=8, iterations=4, seed=2)
+    obj.fit(_recording_loss(calls), (pool,), [np.zeros(1)], cfg)
+    orders = [batches[0][:, 0].tolist() for batches, _ in calls]
+    assert all(sorted(order) == pool[:, 0].tolist() for order in orders)
+    assert any(order != pool[:, 0].tolist() for order in orders)
+    for it, order in enumerate(orders):
+        rng = np.random.default_rng([2, it])
+        assert order == pool[rng.choice(5, size=5, replace=False), 0].tolist()
+
+
+def test_fit_draws_a_density_with_its_sample():
+    density = ds.Gaussian([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
+    pool = np.arange(6.0).reshape(3, 2)
+    calls = []
+    cfg = obj.TrainConfig(batch_size=5, iterations=2, seed=4)
+    obj.fit(_recording_loss(calls), (density, pool), [np.zeros(1)], cfg)
+    for it, (batches, tail) in enumerate(calls):
+        rng = np.random.default_rng([4, it])
+        assert np.array_equal(batches[0], density.sample(5, rng))
+        assert np.array_equal(batches[1], pool[rng.choice(3, size=3, replace=False)])
+        assert tail == int(rng.integers(2**31))
+
+
+@pytest.mark.parametrize("empty", [np.zeros((0, 2)), ds.ParticleEnsemble(np.zeros((0, 2)))])
+def test_fit_rejects_an_empty_pool_before_the_first_iteration(empty):
+    calls, param = [], np.ones(1)
+    cfg = obj.TrainConfig(batch_size=4, iterations=3)
+    with pytest.raises(ValueError, match="empty"):
+        obj.fit(_recording_loss(calls), (np.ones((4, 2)), empty), [param], cfg)
+    assert calls == [] and param[0] == 1.0
+
+
+def test_trainers_reject_an_empty_pool():
+    empty, cfg = np.zeros((0, 1)), obj.TrainConfig(iterations=2)
+    block = _tiny_chain(1, 1, steps=2, widths=(4,)).blocks[0]
+    for train in (lambda: obj.train_block("jko", block, empty, cfg),
+                  lambda: obj.train_block("local_fm", block, empty, cfg),
+                  lambda: tp.ot_train(empty, np.ones((4, 1)), _tiny_chain(1, 1), cfg,
+                                      p_density=ds.standard_gaussian(1),
+                                      q_density=ds.standard_gaussian(1)),
+                  lambda: tp.dro_train(tp.RiskFunction.linear([1.0]), empty, cfg,
+                                       widths=(4,), steps=2),
+                  lambda: tp.fit_logistic_ratio(empty, np.ones((4, 1)), cfg)):
+        with pytest.raises(ValueError, match="empty"):
+            train()
 
 
 @pytest.mark.parametrize("floor, half", [(0.1, 0.45), (0.05, 0.475)])

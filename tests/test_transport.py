@@ -115,8 +115,8 @@ def test_ot_identity_when_p_equals_q():
     rng = np.random.default_rng(6)
     xp, xq = p.sample(1024, rng), p.sample(1024, rng)
     chn = fc.identity_chain(1, 1, steps=6, widths=(16,), t_total=1.0, seed=1)
-    cfg = obj.TrainConfig(learn_rate=0.005, batch_size=128, iterations=60, seed=2)
-    res = tp.ot_train(xp, xq, chn, gamma=5.0, cfg=cfg, p_density=p, q_density=p)
+    cfg = obj.TrainConfig(learn_rate=0.005, batch_size=128, iterations=60, seed=2, gamma=5.0)
+    res = tp.ot_train(xp, xq, chn, cfg=cfg, p_density=p, q_density=p)
     assert res.transport_cost <= 0.01
     mapped = fc.forward_map(chn, ds.ParticleEnsemble(xp[:200])).positions
     assert np.abs(mapped - xp[:200]).max() <= 0.15
@@ -132,8 +132,9 @@ def test_ot_cost_lower_bounded_by_w2():
     rng = np.random.default_rng(7)
     xp, xq = p.sample(512, rng), q.sample(512, rng)
     chn = fc.identity_chain(1, 1, steps=8, widths=(24,), t_total=1.0, seed=3)
-    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=128, iterations=250, seed=4)
-    res = tp.ot_train(xp, xq, chn, gamma=20.0, cfg=cfg, p_density=p, q_density=q)
+    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=128, iterations=250, seed=4,
+                          gamma=20.0)
+    res = tp.ot_train(xp, xq, chn, cfg=cfg, p_density=p, q_density=q)
     mapped = fc.forward_map(chn, ds.ParticleEnsemble(xp)).positions
     w2_same_particles = metrics.w2_exact(xp, mapped)
     assert res.transport_cost >= w2_same_particles**2 - 1e-9
@@ -142,18 +143,20 @@ def test_ot_cost_lower_bounded_by_w2():
 def test_ot_rejects_bad_gamma():
     chn = fc.identity_chain(1, 1, steps=4, widths=(4,))
     with pytest.raises(ValueError):
-        tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn, gamma=0.0,
-                    cfg=obj.TrainConfig(iterations=1))
+        tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn,
+                    cfg=obj.TrainConfig(iterations=1, gamma=0.0))
 
 
 @pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
 def test_ot_and_dro_reject_non_positive_or_non_finite_gamma(gamma):
+    # gamma lives in TrainConfig, which checks it for every trainer
     chn = fc.identity_chain(1, 1, steps=4, widths=(4,))
-    cfg = obj.TrainConfig(iterations=1)
     with pytest.raises(ValueError, match="gamma"):
-        tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn, gamma=gamma, cfg=cfg)
+        tp.ot_train(np.zeros((4, 1)), np.zeros((4, 1)), chn,
+                    obj.TrainConfig(iterations=1, gamma=gamma))
     with pytest.raises(ValueError, match="gamma"):
-        tp.dro_train(tp.RiskFunction.linear([1.0]), ds.standard_gaussian(1), gamma, cfg)
+        tp.dro_train(tp.RiskFunction.linear([1.0]), ds.standard_gaussian(1),
+                     obj.TrainConfig(iterations=1, gamma=gamma))
 
 
 def test_ot_divergence_raises_training_diverged():
@@ -163,7 +166,7 @@ def test_ot_divergence_raises_training_diverged():
     chn = fc.identity_chain(1, 1, steps=2, widths=(4,), t_total=1.0, seed=1)
     cfg = obj.TrainConfig(learn_rate=1e200, batch_size=16, iterations=5, seed=0)
     with pytest.raises(obj.TrainingDiverged) as err:
-        tp.ot_train(p.sample(32, rng), q.sample(32, rng), chn, gamma=1.0, cfg=cfg,
+        tp.ot_train(p.sample(32, rng), q.sample(32, rng), chn, cfg=cfg,
                     p_density=p, q_density=q)
     assert err.value.trace.ndim == 1
     assert 1 <= len(err.value.trace) < 5
@@ -191,7 +194,7 @@ def test_ot_loss_gradient_fd():
 def test_dro_constant_risk_keeps_identity():
     risk = tp.RiskFunction(lambda x: nc.mul(nc.tsum(nc.mul(x, 0.0), axis=1), 0.0))
     cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=40, seed=0)
-    res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=1.0, cfg=cfg)
+    res = tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg)
     x = ds.standard_gaussian(2).sample(200, np.random.default_rng(1))
     mapped = odeint.integrate(res.transport.field, x, res.transport.integrator)
     assert np.abs(mapped - x).max() <= 0.05
@@ -202,8 +205,9 @@ def test_dro_linear_risk_closed_form():
     c = np.array([1.0, -0.5])
     risk = tp.RiskFunction.linear(c)
     gamma = 1.0
-    cfg = obj.TrainConfig(learn_rate=0.012, batch_size=256, iterations=500, seed=1)
-    res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=gamma, cfg=cfg)
+    cfg = obj.TrainConfig(learn_rate=0.012, batch_size=256, iterations=500, seed=1,
+                          gamma=gamma)
+    res = tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg)
     pts = ds.standard_gaussian(2).sample(1000, np.random.default_rng(2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 2.146]  # central 90% ball
     mapped = odeint.integrate(res.transport.field, pts, res.transport.integrator)
@@ -230,8 +234,9 @@ def test_dro_quadratic_well_closed_form():
         return np.asarray(best)
 
     risk = tp.RiskFunction(risk_expr)
-    cfg = obj.TrainConfig(learn_rate=0.015, batch_size=256, iterations=500, seed=3)
-    res = tp.dro_train(risk, ds.standard_gaussian(2), gamma=gamma, cfg=cfg)
+    cfg = obj.TrainConfig(learn_rate=0.015, batch_size=256, iterations=500, seed=3,
+                          gamma=gamma)
+    res = tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg)
     pts = ds.standard_gaussian(2).sample(400, np.random.default_rng(4))
     pts = pts[np.linalg.norm(pts, axis=1) <= 1.5]
     mapped = odeint.integrate(res.transport.field, pts, res.transport.integrator)
@@ -247,16 +252,16 @@ def test_dro_unbounded_risk_detected():
         return nc.mul(nc.tsum(nc.square(x), axis=1), -1.0)
 
     risk = tp.RiskFunction(risk_expr)
-    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=1500, seed=5)
+    cfg = obj.TrainConfig(learn_rate=0.01, batch_size=64, iterations=1500, seed=5, gamma=2.0)
     with pytest.raises(tp.UnboundedRiskError):
-        tp.dro_train(risk, ds.standard_gaussian(2), gamma=2.0, cfg=cfg)
+        tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg)
 
 
 def test_dro_divergence_raises_training_diverged():
     risk = tp.RiskFunction.linear([1.0, 0.0])
     cfg = obj.TrainConfig(learn_rate=1e200, batch_size=16, iterations=5, seed=0)
     with pytest.raises(obj.TrainingDiverged) as err:
-        tp.dro_train(risk, ds.standard_gaussian(2), gamma=1.0, cfg=cfg, widths=(4,), steps=2)
+        tp.dro_train(risk, ds.standard_gaussian(2), cfg=cfg, widths=(4,), steps=2)
     assert err.value.trace.ndim == 1
     assert 1 <= len(err.value.trace) < 5
 
@@ -277,8 +282,8 @@ def test_dro_classifier_loss_risk_moves_across_boundary():
         return nc.softplus(nc.mul(phi, -1.0))
 
     risk = tp.RiskFunction(label1_loss)
-    cfg = obj.TrainConfig(learn_rate=0.02, batch_size=128, iterations=250, seed=8)
-    res = tp.dro_train(risk, p, gamma=4.0, cfg=cfg)
+    cfg = obj.TrainConfig(learn_rate=0.02, batch_size=128, iterations=250, seed=8, gamma=4.0)
+    res = tp.dro_train(risk, p, cfg=cfg)
     # clean samples score negative logits; worsened ones move positive
     base = clf.log_ratio(p.sample(1000, rng)).mean()
     worst = clf.log_ratio(res.ensemble.positions).mean()
@@ -320,8 +325,9 @@ def test_ot_variance_scaling_case():
     rng = np.random.default_rng(0)
     xp, xq = p.sample(4096, rng), q.sample(4096, rng)
     chain = fc.identity_chain(1, 1, steps=10, widths=(48,), t_total=1.0, seed=3)
-    cfg = obj.TrainConfig(learn_rate=0.008, batch_size=256, iterations=800, seed=1)
-    res = tp.ot_train(xp, xq, chain, gamma=50.0, cfg=cfg, p_density=p, q_density=q)
+    cfg = obj.TrainConfig(learn_rate=0.008, batch_size=256, iterations=800, seed=1,
+                          gamma=50.0)
+    res = tp.ot_train(xp, xq, chain, cfg=cfg, p_density=p, q_density=q)
     assert res.transport_cost == pytest.approx(1.0, abs=0.2)
     grid = np.linspace(-1.645, 1.645, 41)[:, None]
     mapped = fc.forward_map(chain, ds.ParticleEnsemble(grid)).positions
