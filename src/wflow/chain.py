@@ -34,8 +34,11 @@ FORMAT_VERSION = 1
 
 _SCHEME_CODE = {"euler": 0, "rk4": 1}
 _SCHEME_NAME = {v: k for k, v in _SCHEME_CODE.items()}
-_ACT_CODE = {"tanh": 0, "softplus": 1, "identity": 2}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
+
+
+def _act_code(j, n_layers):
+    """Layer j's activation code, set by its position: 0 (tanh) if hidden, 2 (identity) if last."""
+    return 2 if j == n_layers - 1 else 0
 
 
 class CheckpointError(RuntimeError):
@@ -234,10 +237,10 @@ def save_checkpoint(chain: FlowChain, path):
         parts.append(struct.pack("<dd", t_a, t_b))
         parts.append(struct.pack("<BIB", _SCHEME_CODE[block.integrator.scheme],
                                  block.integrator.steps, int(block.trained)))
-        parts.append(struct.pack("<H", len(block.field.layers)))
-        for layer in block.field.layers:
-            parts.append(struct.pack("<IIB", layer.w.shape[0], layer.w.shape[1],
-                                     _ACT_CODE[layer.act]))
+        n_layers = len(block.field.layers)
+        parts.append(struct.pack("<H", n_layers))
+        for j, layer in enumerate(block.field.layers):
+            parts.append(struct.pack("<IIB", *layer.w.shape, _act_code(j, n_layers)))
             parts.append(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
             parts.append(layer.b.astype("<f8").tobytes())
     _pack_density(parts, chain.base)
@@ -246,12 +249,6 @@ def save_checkpoint(chain: FlowChain, path):
     crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(header + payload + crc)
-
-
-def _decode(names, code, what):
-    if code not in names:
-        raise CheckpointError(f"unknown {what} code {code}")
-    return names[code]
 
 
 def load_checkpoint(path) -> FlowChain:
@@ -289,17 +286,21 @@ def load_checkpoint(path) -> FlowChain:
 def _unpack_chain(r: _Reader) -> FlowChain:
     n_blocks, d, t_total = r.take("<IId")
     blocks = []
-    for _ in range(n_blocks):
+    for n in range(n_blocks):
         t_a, t_b = r.take("<dd")
         scheme_code, steps, trained = r.take("<BIB")
         (n_layers,) = r.take("<H")
         layers = []
-        for _ in range(n_layers):
+        for j in range(n_layers):
             fan_in, fan_out, act_code = r.take("<IIB")
+            if act_code != _act_code(j, n_layers):
+                raise CheckpointError(
+                    f"unknown activation code {act_code} for layer {j} of block {n}: a hidden "
+                    f"layer has code 0 (tanh), the last layer code 2 (identity)")
             w = r.floats(fan_in * fan_out).reshape(fan_in, fan_out)
-            b = r.floats(fan_out)
-            layers.append(Layer(w, b, _decode(_ACT_NAME, act_code, "activation")))
-        scheme = _decode(_SCHEME_NAME, scheme_code, "integrator scheme")
-        cfg = odeint.IntegratorConfig(scheme, steps, (t_a, t_b))
+            layers.append(Layer(w, r.floats(fan_out)))
+        if scheme_code not in _SCHEME_NAME:
+            raise CheckpointError(f"unknown integrator scheme code {scheme_code}")
+        cfg = odeint.IntegratorConfig(_SCHEME_NAME[scheme_code], steps, (t_a, t_b))
         blocks.append(FlowBlock(VelocityField(layers, t_total, d), cfg, trained=bool(trained)))
     return FlowChain(blocks, _unpack_density(r))

@@ -239,10 +239,7 @@ def _dataset_pools(cfg, seed):
 
 
 def _train_config(cfg, seed) -> obj.TrainConfig:
-    train = cfg["train"]
-    return obj.TrainConfig(learn_rate=train["learn_rate"], batch_size=train["batch_size"],
-                           iterations=train["iterations"], seed=seed, gamma=train["gamma"],
-                           optimizer=train["optimizer"], time_draws=train["time_draws"])
+    return obj.TrainConfig(seed=seed, **cfg["train"])
 
 
 def _build_chain(cfg, d, base, seed):
@@ -395,7 +392,7 @@ def _task_train(task, cfg, seed, writer):
         kind = "jko" if task == "train-jko" else "local_fm"
         particles = train_pool
         for n, block in enumerate(chn.blocks):
-            step_cfg = obj.TrainConfig(**{**tcfg.__dict__, "seed": seed + 1000 * n})
+            step_cfg = dataclasses.replace(tcfg, seed=seed + 1000 * n)
             potential = target if kind == "jko" else None
             result = obj.train_block(kind, block, particles, step_cfg, potential=potential)
             particles = obj.push_particles(block, particles)
@@ -669,7 +666,8 @@ def run_experiment(config_path, task=None, seed=None, out=None) -> int:
         if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
             raise
         writer.rollback()
-        print(f"config error: the run does not fit in memory: {err}", file=sys.stderr)
+        reason = str(err) or type(err).__name__
+        print(f"config error: the run does not fit in memory: {reason}", file=sys.stderr)
         return 2
     # wall-clock and timestamps live outside the deterministic artifacts
     with open(writer.path("run_meta.json"), "w", encoding="ascii") as fh:

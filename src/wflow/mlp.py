@@ -1,4 +1,8 @@
-"""Plain dense layers shared by velocity fields and ratio classifiers."""
+"""Plain dense layers shared by velocity fields and ratio classifiers.
+
+Every stack has one shape: tanh hidden layers under a linear output layer,
+so a layer's activation follows from its position and is not stored.
+"""
 
 from __future__ import annotations
 
@@ -8,23 +12,18 @@ import numpy as np
 
 from wflow import numcore as nc
 
-ACTIVATIONS = ("tanh", "softplus", "identity")
-
 
 @dataclass
 class Layer:
     w: np.ndarray  # (fan_in, fan_out)
     b: np.ndarray  # (fan_out,)
-    act: str
 
     def __post_init__(self):
-        if self.act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.act!r}")
         self.w = np.asarray(self.w, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
 
 
-def init_layers(sizes, rng, hidden_act="tanh", zero_final=False) -> list[Layer]:
+def init_layers(sizes, rng, zero_final=False) -> list[Layer]:
     """Stack of dense layers; hidden weights ~ U(-s, s) with s = 1/sqrt(fan_in).
 
     ``zero_final`` zeroes the last layer's weights and bias exactly, so the
@@ -33,15 +32,12 @@ def init_layers(sizes, rng, hidden_act="tanh", zero_final=False) -> list[Layer]:
     layers = []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
-        final = i == len(sizes) - 2
-        if final and zero_final:
+        if i == len(sizes) - 2 and zero_final:
             w = np.zeros((fan_in, fan_out))
-            b = np.zeros(fan_out)
         else:
             s = 1.0 / np.sqrt(fan_in)
             w = rng.uniform(-s, s, size=(fan_in, fan_out))
-            b = np.zeros(fan_out)
-        layers.append(Layer(w, b, "identity" if final else hidden_act))
+        layers.append(Layer(w, np.zeros(fan_out)))
     return layers
 
 
@@ -63,14 +59,10 @@ class BoundLayers:
             w, b = nc.Tensor(layer.w), nc.Tensor(layer.b)
             if tape is not None:
                 w, b = tape.watch(w), tape.watch(b)
-            self.entries.append((w, b, layer.act))
+            self.entries.append((w, b))
 
     def forward(self, h: nc.Tensor) -> nc.Tensor:
-        """Apply all layers in order."""
-        for w, b, act in self.entries:
-            h = nc.affine(h, w, b)
-            if act == "tanh":
-                h = nc.tanh(h)
-            elif act == "softplus":
-                h = nc.softplus(h)
-        return h
+        """Apply all layers in order: tanh after each but the last."""
+        for w, b in self.entries[:-1]:
+            h = nc.tanh(nc.affine(h, w, b))
+        return nc.affine(h, *self.entries[-1])

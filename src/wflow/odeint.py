@@ -21,7 +21,7 @@ recomputes them from the grid bit for bit. The end state and the divergence
 integral are differentiable in the field parameters and in x0. The block
 meta carries the stage kernel's mode: velocity for velocity-only
 integration, else the exact trace that ``velocity.divergence_mode`` picks
-from the stack's shape, at every d: the closed form for one or two hidden
+from the stack's layer count, at every d: the closed form for one or two hidden
 layers, d basis tangents otherwise. A closed block builds its coupling once
 in the forward loop and once in the adjoint; every stage reuses it, and the
 stage kernel's workspace too. On a 2-core x86-64 host (one BLAS
@@ -101,7 +101,6 @@ def _grid(cfg: IntegratorConfig, direction: str):
 class _Block(NamedTuple):
     """Static description of one block integration (the primitive's meta)."""
 
-    acts: tuple
     mode: str         # stage kernel mode: velocity, tangent or closed
     scheme: str
     steps: int
@@ -114,9 +113,8 @@ class _Block(NamedTuple):
 def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, divergence) -> _Block:
     """The block's meta; its mode is velocity only, or the exact trace's when ``divergence``."""
     t, h = _grid(cfg, direction)
-    mode = velocity.divergence_mode(bound.acts) if divergence else "velocity"
-    return _Block(bound.acts, mode, cfg.scheme, cfg.steps, t, h, 1.0 / bound.field.t_total,
-                  direction)
+    mode = velocity.divergence_mode(len(bound.field.layers)) if divergence else "velocity"
+    return _Block(mode, cfg.scheme, cfg.steps, t, h, 1.0 / bound.field.t_total, direction)
 
 
 def _combine_rk4(x, k1, k2, k3, k4, h):
@@ -157,7 +155,7 @@ def _run(x, params, blk: _Block, stage_inputs=None):
     def stage(xs):
         nonlocal s
         xin[:, s % per] = xs
-        v, div = velocity.stage_forward(xs, taus[s], params, blk.acts, blk.mode, coupling, ws)
+        v, div = velocity.stage_forward(xs, taus[s], params, blk.mode, coupling, ws)
         s += 1
         return v, div
 
@@ -218,8 +216,8 @@ def _integrate_block_bwd(node, inputs, g):
 
     def pull(s, k_bar, weight):
         """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
-        x_bar = velocity.stage_vjp(np.ascontiguousarray(xs[:, s]), taus[s], params, blk.acts,
-                                   blk.mode, k_bar, ld_bar * weight, grads, coupling, ws)
+        x_bar = velocity.stage_vjp(np.ascontiguousarray(xs[:, s]), taus[s], params, blk.mode,
+                                   k_bar, ld_bar * weight, grads, coupling, ws)
         x_bar += xs_bar[:, s]
         return x_bar
 

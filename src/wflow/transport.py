@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def telescopic_log_ratio(path, x, cfg: TrainConfig) -> np.ndarray:
     xq = as_positions(x)
     total = np.zeros(len(xq))
     for n in range(len(path) - 1):
-        model = fit_logistic_ratio(path[n], path[n + 1],
-                                   TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + n}))
+        model = fit_logistic_ratio(path[n], path[n + 1], replace(cfg, seed=cfg.seed + n))
         total += model.log_ratio(xq)
     return total
 

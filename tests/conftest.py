@@ -4,26 +4,75 @@ The affine-velocity helpers give exact flow maps (matrix exponentials) and
 exact Gaussian pushforwards, independent of the numerical integrators they
 are used to check. ``affine_field`` builds the velocity field those maps
 solve, and ``eval_velocity``/``divergence`` evaluate any field eagerly at a
-single point or a batch.
+single point or a batch. ``write_zero_dim_checkpoint`` hand-packs a .wflw
+file that no chain the library builds can write, and
+``assert_declared_acts_refused`` writes one whose layers declare
+activations other than their positions give.
 """
 
+import struct
+import zlib
+
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+from wflow import chain as fc
+from wflow import datasets as ds
 from wflow import mlp
 from wflow import numcore as nc
+from wflow import odeint
 from wflow.velocity import VelocityField
 
 
 def affine_field(a, c=None, t_total=1.0) -> VelocityField:
-    """Single identity-activation layer realizing v(x) = A x + c, time-independent."""
+    """A lone linear output layer realizing v(x) = A x + c, time-independent."""
     a = np.asarray(a, dtype=np.float64)
     d = a.shape[0]
     c = np.zeros(d) if c is None else np.asarray(c, dtype=np.float64)
     w = np.zeros((d + 1, d))
     w[:d, :] = a.T  # affine computes x @ w, so rows index input coords
-    layers = [mlp.Layer(w, c.copy(), "identity")]
+    layers = [mlp.Layer(w, c.copy())]
     return VelocityField(layers, t_total, d)
+
+
+def write_zero_dim_checkpoint(path):
+    """A well-formed .wflw, valid CRC, of a 0-D chain: one block of layers
+    (1, 4) and (4, 0) over a 0-D Gaussian base."""
+    payload = b"".join([
+        struct.pack("<IId", 1, 0, 1.0), struct.pack("<dd", 0.0, 1.0),
+        struct.pack("<BIBH", 1, 2, 0, 2),  # rk4, 2 steps, untrained, 2 layers
+        struct.pack("<IIB", 1, 4, 0), np.full(8, 0.5).astype("<f8").tobytes(),
+        struct.pack("<IIB", 4, 0, 2),
+        struct.pack("<BI", 0, 0),  # Gaussian base of dimension 0
+    ])
+    header = b"WFLW" + struct.pack("<HQ", 1, len(payload))
+    path.write_bytes(header + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+_ACT_CODE = {"tanh": 0, "softplus": 1, "identity": 2}
+
+
+def assert_declared_acts_refused(field, hidden, output, tmp_path):
+    """A .wflw of ``field`` whose hidden layers declare ``hidden`` and whose
+    last layer declares ``output`` does not load.
+
+    A stack's activations follow from position, tanh hidden layers under an
+    identity output; any other stack could reach the library only through
+    such a file, so the reader's refusal keeps it from every kernel.
+    """
+    n_layers = len(field.layers)
+    declared = [_ACT_CODE[hidden]] * (n_layers - 1) + [_ACT_CODE[output]]
+    j = next(j for j, code in enumerate(declared) if code != fc._act_code(j, n_layers))
+    cfg = odeint.IntegratorConfig("rk4", 2, (0.0, field.t_total))
+    base = ds.Gaussian(np.zeros(field.d), np.eye(field.d))
+    path = tmp_path / "declared.wflw"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fc, "_act_code", lambda i, n: declared[i])
+        fc.save_checkpoint(fc.FlowChain([fc.FlowBlock(field, cfg)], base), path)
+    with pytest.raises(fc.CheckpointError,
+                       match=f"unknown activation code {declared[j]} for layer {j} of block 0"):
+        fc.load_checkpoint(path)
 
 
 def _as_batch(x):

@@ -13,29 +13,25 @@ import numpy as np
 from wflow import numcore as nc
 from wflow import velocity as vel
 
-def _activate(act, z, want_slope=True):
-    """act(z) and its slope act'(z); the slope is None for identity layers or when unwanted."""
-    if act == "tanh":
-        a = np.tanh(z)
-        return a, (1.0 - a * a) if want_slope else None
-    if act == "softplus":
-        return nc._softplus_fwd((z,), ()), (nc._sigmoid_np(z) if want_slope else None)
-    return z, None
 
-
-def _sweep(h, probes, params, acts, want_slopes=True):
+def _sweep(h, probes, params, want_slopes=True):
     """Yield (a_in, u_in, a_out, slope, t, u_out) for each layer in order.
 
-    ``a`` are the primal activations (m, width); ``u`` the K stacked tangents
-    as one (K*m, width) block, so each layer's tangent is one GEMM; ``t`` is
-    the tangent before the slope multiplies it. With K = 0 the tangent
-    entries are None.
+    ``a`` are the primal activations (m, width), tanh for a hidden layer and
+    the affine output itself for the last layer, whose slope is None; ``u``
+    the K stacked tangents as one (K*m, width) block, so each layer's tangent
+    is one GEMM; ``t`` is the tangent before the slope multiplies it. With
+    K = 0 the tangent entries are None.
     """
     k, m, d = probes.shape
     a, u = h, (probes.reshape(k * m, d) if k else None)
-    for i, act in enumerate(acts):
+    last = len(params) // 2 - 1
+    for i in range(last + 1):
         w, b = params[2 * i], params[2 * i + 1]
-        a_out, slope = _activate(act, a @ w + b, want_slopes or k > 0)
+        a_out, slope = a @ w + b, None
+        if i < last:
+            a_out = np.tanh(a_out)
+            slope = 1.0 - a_out * a_out if want_slopes or k > 0 else None
         t = u_out = None
         if k:
             t = u @ (w[:d] if i == 0 else w)
@@ -45,9 +41,8 @@ def _sweep(h, probes, params, acts, want_slopes=True):
 
 
 def _hidden_slopes(layers):
-    """D_i = act'(z_i) of each hidden layer of a sweep; ones for identity layers."""
-    return [np.ones_like(a_out) if slope is None else slope
-            for _, _, a_out, slope, _, _ in layers[:-1]]
+    """D_i = tanh'(z_i) of each hidden layer of a sweep."""
+    return [slope for _, _, _, slope, _, _ in layers[:-1]]
 
 
 def _coupling(params, d):
@@ -81,29 +76,29 @@ def _closed_cotangents(layers, params, d, div_bar):
             [w2.T @ cross_bar, coupling_bar * cross.T, cross_bar @ w0x.T])
 
 
-def stage_forward(h, probes, params, acts, mode):
+def stage_forward(h, probes, params, mode):
     """Velocity (m, d) and divergence (m,) at the stage input h; div is None in velocity mode."""
     if mode == "closed":
-        layers = list(_sweep(h, probes, params, acts))
+        layers = list(_sweep(h, probes, params))
         slopes = _hidden_slopes(layers)
         div = slopes[0] @ _coupling(params, h.shape[1] - 1)
         if len(slopes) == 2:
             div = (div * slopes[1]).sum(axis=1)
         return layers[-1][2], div
-    for _, _, v, _, _, u in _sweep(h, probes, params, acts, want_slopes=False):
+    for _, _, v, _, _, u in _sweep(h, probes, params, want_slopes=False):
         pass
     if mode == "velocity":
         return v, None
     return v, (u.reshape(probes.shape) * probes).sum(axis=2).sum(axis=0)
 
 
-def stage_vjp(h, probes, params, acts, mode, v_bar, div_bar):
+def stage_vjp(h, probes, params, mode, v_bar, div_bar):
     """Pull (v_bar, div_bar) back through one stage: (h_bar, [w0_bar, b0_bar, ...]).
 
     ``div_bar`` is ignored in velocity mode.
     """
     k, m, d = probes.shape
-    layers = list(_sweep(h, probes, params, acts))
+    layers = list(_sweep(h, probes, params))
     slope_bars, coupling_bars = [None] * len(layers), None
     if mode == "closed":
         slope_bars, coupling_bars = _closed_cotangents(layers, params, d, div_bar)
@@ -124,12 +119,9 @@ def stage_vjp(h, probes, params, acts, mode, v_bar, div_bar):
             z_bar = a_bar
         elif slope_bar is None:
             z_bar = a_bar * slope
-        # z_bar = a_bar act' + slope_bar d(act')/dz, where d(act')/dz is
-        # -2 a act' for tanh and act' (1 - act') for softplus
-        elif acts[i] == "tanh":
-            z_bar = slope * (a_bar - 2.0 * a_out * slope_bar)
         else:
-            z_bar = slope * (a_bar + (1.0 - slope) * slope_bar)
+            # z_bar = a_bar tanh' + slope_bar d(tanh')/dz, d(tanh')/dz = -2 a tanh'
+            z_bar = slope * (a_bar - 2.0 * a_out * slope_bar)
         w_bar = a_in.T @ z_bar
         if k and i == 0:
             w_bar[:d] += u_in.T @ t_bar
@@ -155,16 +147,16 @@ def time_column(bound, t, m):
 # one-call wrappers of the lean kernel in wflow.velocity, with the oracle's
 # return values: (v, div) and (x_bar, [w0_bar, b0_bar, ...])
 
-def lean_forward(x, tau, params, acts, mode):
+def lean_forward(x, tau, params, mode):
     coupling = vel.stage_coupling(mode, params, x.shape[1])
-    return vel.stage_forward(x, tau, params, acts, mode, coupling,
+    return vel.stage_forward(x, tau, params, mode, coupling,
                              vel.stage_workspace(params, len(x)))
 
 
-def lean_vjp(x, tau, params, acts, mode, v_bar, div_bar):
+def lean_vjp(x, tau, params, mode, v_bar, div_bar):
     d = x.shape[1]
     coupling = vel.stage_coupling(mode, params, d)
     grads = [np.zeros_like(p) for p in params]
-    x_bar = vel.stage_vjp(x, tau, params, acts, mode, v_bar, div_bar, grads, coupling,
+    x_bar = vel.stage_vjp(x, tau, params, mode, v_bar, div_bar, grads, coupling,
                           vel.stage_workspace(params, len(x)))
     return x_bar, grads

@@ -7,14 +7,16 @@ import zlib
 import numpy as np
 import pytest
 from conftest import (affine_field, affine_flow_map, compose_affine, gaussian_kl,
-                      gaussian_logpdf, push_gaussian)
+                      gaussian_logpdf, push_gaussian, write_zero_dim_checkpoint)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wflow import chain as fc
 from wflow import datasets as ds
 from wflow import numcore as nc
 from wflow import odeint
 from wflow import velocity as vel
-from wflow.mlp import Layer
+from wflow.mlp import Layer, init_layers
 
 
 def _perturbed_chain(d, n_blocks, seed=0, scale=0.25, steps=32, widths=(12, 12)):
@@ -168,8 +170,8 @@ def test_eager_log_density_bit_identical_to_taped():
 def test_push_log_density_ends_at_forward_map_bit_for_bit(widths):
     # the CLI's kl_moment reads this end state in place of forward_map's
     chn = _perturbed_chain(3, 2, seed=4, steps=5, widths=widths)
-    acts = [layer.act for layer in chn.blocks[0].field.layers]
-    assert vel.has_closed_form(acts) == (widths == (12, 12))
+    mode = vel.divergence_mode(len(chn.blocks[0].field.layers))
+    assert mode == ("closed" if widths == (12, 12) else "tangent")
     x = np.random.default_rng(5).normal(size=(40, 3))
     logp, end = fc.push_log_density(chn, x)
     assert end.tobytes() == fc.forward_map(chn, ds.ParticleEnsemble(x)).positions.tobytes()
@@ -254,19 +256,85 @@ _SCHEME_AT = struct.calcsize("<IId") + struct.calcsize("<dd")
 _ACT_AT = _SCHEME_AT + struct.calcsize("<BIB") + struct.calcsize("<H") + struct.calcsize("<II")
 
 
-@pytest.mark.parametrize("offset,what", [(_SCHEME_AT, "scheme"), (_ACT_AT, "activation")])
-def test_checkpoint_unknown_code_rejected(tmp_path, offset, what):
+# a layer's activation code must match its position; with d = 1 and widths
+# (4,), the output layer's header follows the hidden layer's (2, 4) weights
+# and 4 biases
+_OUTPUT_ACT_AT = _ACT_AT + 1 + 8 * (2 * 4 + 4) + struct.calcsize("<II")
+
+
+@pytest.mark.parametrize("offset,code,match", [
+    (_SCHEME_AT, 9, "unknown integrator scheme code 9"),
+    (_ACT_AT, 9, "unknown activation code 9 for layer 0 of block 0"),
+    (_ACT_AT, 1, "unknown activation code 1 for layer 0 of block 0"),
+    (_OUTPUT_ACT_AT, 0, "unknown activation code 0 for layer 1 of block 0"),
+], ids=["32-scheme", "48-activation", "softplus_hidden", "tanh_output"])
+def test_checkpoint_unknown_code_rejected(tmp_path, offset, code, match):
     chn = _perturbed_chain(1, 1, seed=23, steps=4, widths=(4,))
     path = tmp_path / "c.wflw"
     fc.save_checkpoint(chn, path)
     blob = bytearray(path.read_bytes())
     start = len(fc.MAGIC) + struct.calcsize("<HQ")
-    assert blob[start + offset] in (0, 1)  # rk4 and tanh are the codes written
-    blob[start + offset] = 9
+    assert blob[start + offset] in (0, 1, 2)  # rk4, tanh and identity are the codes written
+    blob[start + offset] = code
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[start:-4])) & 0xFFFFFFFF)
     path.write_bytes(bytes(blob))
-    with pytest.raises(fc.CheckpointError, match=f"unknown .*{what} code 9"):
+    with pytest.raises(fc.CheckpointError, match=match):
         fc.load_checkpoint(path)
+
+
+def test_checkpoint_zero_dimensional_rejected(tmp_path):
+    path = tmp_path / "d0.wflw"
+    write_zero_dim_checkpoint(path)
+    with pytest.raises(fc.CheckpointError, match="dimension must be positive, got 0"):
+        fc.load_checkpoint(path)
+
+
+@st.composite
+def _random_chains(draw):
+    """A chain of 1-3 blocks at d 1-3, each of 0-3 hidden layers of widths 1-6."""
+    d = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(1, 3))
+    t_total = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.linspace(0.0, t_total, n_blocks + 1)
+    blocks = []
+    for i in range(n_blocks):
+        widths = draw(st.lists(st.integers(1, 6), max_size=3))
+        layers = init_layers([d + 1, *widths, d], rng)
+        for layer in layers:
+            layer.w += 0.3 * rng.normal(size=layer.w.shape)
+            layer.b += 0.3 * rng.normal(size=layer.b.shape)
+        cfg = odeint.IntegratorConfig(draw(st.sampled_from(odeint.SCHEMES)),
+                                      draw(st.integers(1, 4)), (edges[i], edges[i + 1]))
+        blocks.append(fc.FlowBlock(vel.VelocityField(layers, t_total, d), cfg,
+                                   trained=draw(st.booleans())))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = rng.normal(size=(d, d))
+        comps.append(ds.Gaussian(rng.normal(size=d), a @ a.T + np.eye(d)))
+    if len(comps) == 1 and draw(st.booleans()):
+        base = comps[0]
+    else:
+        raw = rng.uniform(0.5, 1.5, size=len(comps))
+        base = ds.GaussianMixture(raw / raw.sum(), comps)
+    return fc.FlowChain(blocks, base), rng.normal(size=(4, d))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_random_chains())
+def test_checkpoint_round_trip_random_chains(tmp_path, case):
+    chn, x = case
+    path = tmp_path / "c.wflw"
+    fc.save_checkpoint(chn, path)
+    blob = path.read_bytes()
+    loaded = fc.load_checkpoint(path)
+    fc.save_checkpoint(loaded, path)
+    assert path.read_bytes() == blob
+    assert len(loaded.parameter_arrays()) == len(chn.parameter_arrays())
+    for a, b in zip(chn.parameter_arrays(), loaded.parameter_arrays()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(fc.log_density(loaded, x), fc.log_density(chn, x))
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -446,8 +514,7 @@ def test_chain_requires_fields_to_embed_time_over_the_tiling_end():
 
 
 def test_field_rejects_unchained_layer_widths():
-    layers = [Layer(np.zeros((3, 4)), np.zeros(4), "tanh"),
-              Layer(np.zeros((5, 2)), np.zeros(2), "identity")]
+    layers = [Layer(np.zeros((3, 4)), np.zeros(4)), Layer(np.zeros((5, 2)), np.zeros(2))]
     with pytest.raises(ValueError, match="chain"):
         vel.VelocityField(layers, 1.0, 2)
     with pytest.raises(ValueError, match="at least one layer"):

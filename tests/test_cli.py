@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import write_zero_dim_checkpoint
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -350,6 +351,19 @@ def test_memory_error_exit_2_with_rollback(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_memory_error_without_message_names_its_class(tmp_path, capsys, monkeypatch):
+    def sample(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.flowchain, "sample", sample)
+    cfg = _tiny_config(tmp_path, "sample", "dataset", "count", "4")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, task="sample", out=str(out)) == 2
+    assert capsys.readouterr().err == ("config error: the run does not fit in memory: "
+                                       "MemoryError\n")
+    assert not out.exists()
+
+
 def test_other_value_errors_are_not_taken_for_memory(tmp_path, monkeypatch):
     def sample(*args):
         raise ValueError("a defect")
@@ -455,6 +469,24 @@ checkpoint = {ckpt}
     # partial outputs are removed on failure
     assert not (out / "report.json").exists()
     assert not (out / "samples.csv").exists()
+
+
+def test_zero_dimensional_checkpoint_exit_3(tmp_path, capsys):
+    ckpt = tmp_path / "d0.wflw"
+    write_zero_dim_checkpoint(ckpt)
+    cfg = _write(tmp_path, "sample.ini", f"""
+[experiment]
+task = sample
+[dataset]
+count = 5
+[model]
+checkpoint = {ckpt}
+""")
+    out = tmp_path / "out"
+    assert cli.run_experiment(cfg, out=str(out)) == 3
+    assert capsys.readouterr().err == ("numeric failure: invalid checkpoint contents: "
+                                       "dimension must be positive, got 0\n")
+    assert not out.exists()
 
 
 def test_train_jko_artifacts(tmp_path):

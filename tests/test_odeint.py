@@ -3,7 +3,7 @@
 import gradcheck
 import numpy as np
 import pytest
-from conftest import affine_field, affine_flow_map
+from conftest import affine_field, affine_flow_map, assert_declared_acts_refused
 from gradcheck import replay
 from stage_oracle import time_column
 
@@ -228,12 +228,12 @@ def _block(bound, x0, cfg, direction, est=None):
     return aug.x, aug.logdet
 
 
-def _chain_fields(blocks, scheme, act="tanh", widths=(5, 4)):
+def _chain_fields(blocks, scheme, widths=(5, 4)):
     edges = np.linspace(0.0, 1.0, blocks + 1)
     fields, cfgs = [], []
     for i in range(blocks):
         interval = (float(edges[i]), float(edges[i + 1]))
-        field = vel.init_near_identity(2, widths=widths, seed=40 + i, hidden_act=act)
+        field = vel.init_near_identity(2, widths=widths, seed=40 + i)
         rng = np.random.default_rng(50 + i)
         for layer in field.layers:
             layer.w += 0.5 * rng.normal(size=layer.w.shape)
@@ -290,7 +290,7 @@ def _pin_probes(monkeypatch, est):
             return None
         return np.random.default_rng(100 * m + d).integers(0, 2, size=(est, m, d)) * 2.0 - 1.0
 
-    monkeypatch.setattr(vel, "divergence_mode", lambda acts: "tangent")
+    monkeypatch.setattr(vel, "divergence_mode", lambda n_layers: "tangent")
     monkeypatch.setattr(vel, "stage_tangents", probes)
 
 
@@ -305,8 +305,7 @@ def _pin_probes(monkeypatch, est):
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
 def test_block_adjoint_matches_stage_oracle(monkeypatch, scheme, direction, est, blocks, widths):
     _pin_probes(monkeypatch, est)
-    fields, cfgs = _chain_fields(blocks, scheme, act="softplus" if blocks == 2 else "tanh",
-                                 widths=widths)
+    fields, cfgs = _chain_fields(blocks, scheme, widths=widths)
     x = np.random.default_rng(blocks).normal(size=(6, 2))
     want = _chain_program(fields, cfgs, x, direction, est, _stage_loop)
     got = _chain_program(fields, cfgs, x, direction, est, _block)
@@ -442,12 +441,16 @@ def test_eager_integration_bit_identical_to_stage_loop(scheme, direction):
 @pytest.mark.parametrize("widths", [(5,), (5, 4)], ids=["depth1", "depth2"])
 @pytest.mark.parametrize("act", ["tanh", "softplus"])
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_closed_form_block_adjoint_matches_finite_differences(scheme, act, widths):
-    field = vel.init_near_identity(2, widths=widths, seed=23, hidden_act=act)
+def test_closed_form_block_adjoint_matches_finite_differences(tmp_path, scheme, act, widths):
+    field = vel.init_near_identity(2, widths=widths, seed=23)
     rng = np.random.default_rng(24)
     for layer in field.layers:
         layer.w += 0.5 * rng.normal(size=layer.w.shape)
         layer.b += 0.3 * rng.normal(size=layer.b.shape)
+    if act != "tanh":
+        # a stack's hidden layers are tanh, and a .wflw declaring softplus does not load
+        assert_declared_acts_refused(field, act, "identity", tmp_path)
+        return
     cfg = odeint.IntegratorConfig(scheme, 3, (0.0, 1.0))
     est = "exact"
     assert odeint._block_meta(field.bind(), cfg, "forward", True).mode == "closed"

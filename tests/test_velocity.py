@@ -4,7 +4,7 @@ import gradcheck
 import numpy as np
 import pytest
 import stage_oracle
-from conftest import affine_field, divergence, eval_velocity
+from conftest import affine_field, assert_declared_acts_refused, divergence, eval_velocity
 from gradcheck import replay
 from stage_oracle import lean_forward, lean_vjp, time_column
 
@@ -35,7 +35,7 @@ def test_init_rejects_bad_dim():
 
 
 def test_affine_single_layer_evaluation():
-    # single identity layer acting on (x, t~): A x + c * t~
+    # a lone linear layer acting on (x, t~): A x + c * t~
     a = np.array([[0.5, -1.0], [2.0, 0.25]])
     field = affine_field(a, t_total=2.0)
     # wire the time column by hand to check the embedding scale
@@ -68,7 +68,7 @@ def test_divergence_linear_trace():
     assert divergence(affine_field(a), np.ones(2), 0.0) == pytest.approx(0.0)
 
 
-def _random_field(d, seed, scale=0.4, widths=(12, 12)):
+def _mlp_field(d, widths, seed, scale=0.5):
     field = vel.init_near_identity(d, widths=widths, seed=seed)
     rng = np.random.default_rng(seed + 100)
     for layer in field.layers:
@@ -86,8 +86,8 @@ def test_exact_divergence_matches_fd_jacobian_trace(d):
     t = 0.37
     h = 1e-6
     for widths, mode in (((12,), "closed"), ((12, 12), "closed"), ((12, 12, 12), "tangent")):
-        field = _random_field(d, seed=d, widths=widths)
-        assert vel.divergence_mode(tuple(layer.act for layer in field.layers)) == mode
+        field = _mlp_field(d, widths, seed=d, scale=0.4)
+        assert vel.divergence_mode(len(field.layers)) == mode
         trace = 0.0
         for j in range(d):
             e = np.zeros(d)
@@ -101,7 +101,7 @@ def test_exact_divergence_matches_fd_jacobian_trace(d):
 
 def test_velocity_continuous_in_time():
     # no hidden time discretization: velocity varies smoothly across the interval
-    field = _random_field(2, seed=33)
+    field = _mlp_field(2, (12, 12), seed=33, scale=0.4)
     x = np.array([0.5, 0.5])
     ts = np.linspace(0.0, 1.0, 101)
     vals = np.stack([eval_velocity(field, x, t) for t in ts])
@@ -110,7 +110,7 @@ def test_velocity_continuous_in_time():
 
 
 def test_divergence_differentiable_in_parameters():
-    field = _random_field(2, seed=44)
+    field = _mlp_field(2, (12, 12), seed=44, scale=0.4)
     params = field.parameter_arrays()
     x = np.random.default_rng(0).normal(size=(4, 2))
 
@@ -130,41 +130,22 @@ def test_divergence_differentiable_in_parameters():
 
 # ---------------------------------------------------------------------------
 # the fused velocity_divergence primitive against the per-basis and per-probe
-# directional-derivative chains it replaced, written out here as the oracle;
-# its sigmoid slope takes an exp primitive that the library does not need
-
-def _exp_fwd(args, meta):
-    return np.exp(args[0])
-
-
-def _exp_bwd(node, inputs, g):
-    return (g * node.value,)
-
-
-nc._primitive("exp", _exp_fwd, _exp_bwd)
-
+# directional-derivative chains it replaced, written out here as the oracle
 
 def _chain_velocity_and_divergence(bound, x, t, est):
     m, d = x.shape
     h = nc.concat([x, time_column(bound, t, m)], axis=1)
     derivs = []
-    for w, b, act in bound.bound.entries:
-        z = nc.affine(h, w, b)
-        if act == "tanh":
-            h = nc.tanh(z)
-            derivs.append(nc.add(1.0, nc.mul(nc.square(h), -1.0)))
-        elif act == "softplus":
-            h = nc.softplus(z)
-            log_sigmoid = nc.mul(nc.softplus(nc.mul(z, -1.0)), -1.0)
-            derivs.append(nc._apply("exp", (log_sigmoid,)))
-        else:
-            h = z
-            derivs.append(None)
+    for w, b in bound.bound.entries[:-1]:
+        h = nc.tanh(nc.affine(h, w, b))
+        derivs.append(nc.add(1.0, nc.mul(nc.square(h), -1.0)))
+    h = nc.affine(h, *bound.bound.entries[-1])
+    derivs.append(None)
     if est is None:
         return h, None
 
     def chain(u):
-        for (w, _, _), deriv in zip(bound.bound.entries, derivs):
+        for (w, _), deriv in zip(bound.bound.entries, derivs):
             u = nc.matmul(u, w)
             if deriv is not None:
                 u = nc.mul(u, deriv)
@@ -205,24 +186,19 @@ def _values_and_grads(field, x, est, evaluate, seed=5):
     return v.data, (None if div is None else div.data), [g.data for g in nc.grad(tape)]
 
 
-def _mlp_field(d, widths, act, seed, scale=0.5):
-    field = vel.init_near_identity(d, widths=widths, seed=seed, hidden_act=act)
-    rng = np.random.default_rng(seed + 100)
-    for layer in field.layers:
-        layer.w += scale * rng.normal(size=layer.w.shape)
-        layer.b += scale * rng.normal(size=layer.b.shape)
-    return field
-
-
 # the exact trace (closed for one or two hidden layers, tangents for three),
-# or the velocity alone
+# or the velocity alone; ``act`` is the hidden activation a .wflw of the
+# field declares, and only tanh, the one a hidden layer has, loads
 @pytest.mark.parametrize("est", ["exact", None], ids=["exact", "velocity"])
 @pytest.mark.parametrize("m", [1, 6])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("widths", [(7,), (12, 12), (6, 5, 4)])
 @pytest.mark.parametrize("d", [1, 2, 5])
-def test_fused_matches_chain_oracle(d, widths, act, m, est):
-    field = _mlp_field(d, widths, act, seed=10 * d + len(widths))
+def test_fused_matches_chain_oracle(tmp_path, d, widths, act, m, est):
+    field = _mlp_field(d, widths, seed=10 * d + len(widths))
+    if act != "tanh":
+        assert_declared_acts_refused(field, act, "identity", tmp_path)
+        return
     x = np.random.default_rng(d + m).normal(size=(m, d))
     want = _values_and_grads(field, x, est, _chain_velocity_and_divergence)
     got = _values_and_grads(field, x, est, _fused)
@@ -250,8 +226,11 @@ def test_fused_matches_chain_oracle_affine_field(m):
 
 
 @pytest.mark.parametrize("act", ["tanh", "softplus"])
-def test_fused_gradient_matches_finite_differences(act):
-    field = _mlp_field(2, (5, 4), act, seed=61, scale=0.4)
+def test_fused_gradient_matches_finite_differences(tmp_path, act):
+    field = _mlp_field(2, (5, 4), seed=61, scale=0.4)
+    if act != "tanh":
+        assert_declared_acts_refused(field, act, "identity", tmp_path)
+        return
     x = np.random.default_rng(62).normal(size=(3, 2))
     params = [*field.parameter_arrays(), x]
 
@@ -271,7 +250,7 @@ def test_fused_gradient_matches_finite_differences(act):
 
 
 def test_fused_node_one_per_call():
-    field = _mlp_field(2, (8, 8), "tanh", seed=71)
+    field = _mlp_field(2, (8, 8), seed=71)
     tape = nc.Tape()
     with tape:
         field.bind(tape).velocity_and_divergence(nc.Tensor(np.ones((4, 2))), 0.2)
@@ -291,7 +270,7 @@ def _record_fused_program(field, x):
 
 
 def test_fused_replay_matches_fresh_recording():
-    field = _mlp_field(3, (9, 7), "softplus", seed=81)
+    field = _mlp_field(3, (9, 7), seed=81)
     x = np.random.default_rng(82).normal(size=(5, 3))
     _, tape = _record_fused_program(field, x)
     before = [g.data for g in nc.grad(tape)]
@@ -307,7 +286,7 @@ def test_fused_replay_matches_fresh_recording():
 
 
 def test_fused_nonfinite_weight_names_the_op():
-    field = _mlp_field(2, (6,), "tanh", seed=91)
+    field = _mlp_field(2, (6,), seed=91)
     field.layers[1].w[2, 0] = np.nan
     tape = nc.Tape()
     with pytest.raises(nc.NumericError) as err:
@@ -321,7 +300,7 @@ def test_fused_nonfinite_weight_names_the_op():
 
 
 def test_fused_nonfinite_weight_through_odeint_reports_step():
-    field = _mlp_field(2, (6,), "tanh", seed=92)
+    field = _mlp_field(2, (6,), seed=92)
     field.layers[0].b[1] = np.nan
     cfg = odeint.IntegratorConfig("rk4", 4, (0.0, 1.0))
     with pytest.raises(odeint.IntegrationError) as err:
@@ -344,15 +323,14 @@ def test_augmented_overflow_reports_same_step_as_plain():
 
 # ---------------------------------------------------------------------------
 # the closed-form exact trace against the tangent kernel, which stays the
-# oracle (and the path for deeper stacks and other output layers)
+# oracle (and the path for deeper stacks and a lone output layer)
 
 def _stage_case(field, m, seed):
     d = field.d
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(m, d))
-    acts = tuple(layer.act for layer in field.layers)
     cotangents = (rng.normal(size=(m, d)), rng.normal(size=m))
-    return x, field.parameter_arrays(), acts, cotangents
+    return x, field.parameter_arrays(), cotangents
 
 
 def _basis(m, d):
@@ -366,46 +344,46 @@ def _rel_err(got, want):
 @pytest.mark.parametrize("d", [1, 2, 8, 32])
 @pytest.mark.parametrize("widths", [(9,), (9, 7)], ids=["depth1", "depth2"])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
-def test_closed_form_matches_tangent_kernel(d, widths, act):
+def test_closed_form_matches_tangent_kernel(tmp_path, d, widths, act):
     m = 6
-    field = _mlp_field(d, widths, act, seed=d + len(widths))
-    x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=d)
-    assert vel.divergence_mode(acts) == "closed"
+    field = _mlp_field(d, widths, seed=d + len(widths))
+    if act != "tanh":
+        assert_declared_acts_refused(field, act, "identity", tmp_path)
+        return
+    x, params, (v_bar, div_bar) = _stage_case(field, m, seed=d)
+    assert vel.divergence_mode(len(field.layers)) == "closed"
     assert vel.stage_tangents("closed", m, d) is None  # no (d, m, d) basis rides along
-    want_v, want_div = lean_forward(x, 0.4, params, acts, "tangent")
-    got_v, got_div = lean_forward(x, 0.4, params, acts, "closed")
+    want_v, want_div = lean_forward(x, 0.4, params, "tangent")
+    got_v, got_div = lean_forward(x, 0.4, params, "closed")
     assert np.array_equal(got_v, want_v)
-    want_h, want_g = lean_vjp(x, 0.4, params, acts, "tangent", v_bar, div_bar)
-    got_h, got_g = lean_vjp(x, 0.4, params, acts, "closed", v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, params, "tangent", v_bar, div_bar)
+    got_h, got_g = lean_vjp(x, 0.4, params, "closed", v_bar, div_bar)
     assert len(got_g) == len(want_g) == len(params)
     for got, want in zip([got_div, got_h, *got_g], [want_div, want_h, *want_g]):
         assert got.shape == want.shape
         assert _rel_err(got, want) <= 1e-12
 
 
-def _tanh_output_field(d, seed):
-    field = _mlp_field(d, (6, 5), "softplus", seed=seed)
-    field.layers[-1].act = "tanh"
-    return field
-
-
-@pytest.mark.parametrize("make", [
-    lambda: _mlp_field(3, (6, 5, 4), "tanh", seed=5),
-    lambda: _tanh_output_field(3, seed=6),
-    lambda: affine_field(np.random.default_rng(7).normal(size=(3, 3))),
+@pytest.mark.parametrize("make, output", [
+    (lambda: _mlp_field(3, (6, 5, 4), seed=5), "identity"),
+    (lambda: _mlp_field(3, (6, 5), seed=6), "tanh"),
+    (lambda: affine_field(np.random.default_rng(7).normal(size=(3, 3))), "identity"),
 ], ids=["depth3", "tanh_output", "affine"])
-def test_exact_trace_outside_closed_form_keeps_tangents(make):
+def test_exact_trace_outside_closed_form_keeps_tangents(tmp_path, make, output):
     field = make()
+    if output != "identity":
+        # no stack has a tanh output layer, and a .wflw declaring one does not load
+        assert_declared_acts_refused(field, "tanh", output, tmp_path)
+        return
     m = 5
-    x, params, acts, (v_bar, div_bar) = _stage_case(field, m, seed=8)
-    assert not vel.has_closed_form(acts)
-    assert vel.divergence_mode(acts) == "tangent"
+    x, params, (v_bar, div_bar) = _stage_case(field, m, seed=8)
+    assert vel.divergence_mode(len(field.layers)) == "tangent"
     assert np.array_equal(vel.stage_tangents("tangent", m, 3), _basis(m, 3))
     # the fused node runs the tangent kernel on the basis, bit for bit
     v, div = field.bind().velocity_and_divergence(nc.Tensor(x), 0.4)
-    want_v, want_div = lean_forward(x, 0.4, params, acts, "tangent")
+    want_v, want_div = lean_forward(x, 0.4, params, "tangent")
     assert np.array_equal(v.data, want_v) and np.array_equal(div.data, want_div)
-    want_h, want_g = lean_vjp(x, 0.4, params, acts, "tangent", v_bar, div_bar)
+    want_h, want_g = lean_vjp(x, 0.4, params, "tangent", v_bar, div_bar)
     tape = nc.Tape()
     with tape:
         bound = field.bind(tape)
@@ -419,16 +397,15 @@ def test_exact_trace_outside_closed_form_keeps_tangents(make):
         assert np.array_equal(got, want)
 
 
-# the rule reads the stack's shape alone, whatever d is: the closed form for
+# the rule reads the layer count alone, whatever d is: the closed form for
 # one or two hidden layers, the K = d basis tangents for three
 @pytest.mark.parametrize("d", [8, 9, 16], ids=["d8", "d9", "d16"])
 @pytest.mark.parametrize("widths, mode", [((6,), "closed"), ((6, 5), "closed"),
                                           ((6, 5, 4), "tangent")],
                          ids=["depth1", "depth2", "depth3"])
 def test_draw_probes_rule(widths, mode, d):
-    acts = tuple(layer.act for layer in _mlp_field(d, widths, "tanh", seed=1).layers)
     m = 3
-    assert vel.divergence_mode(acts) == mode
+    assert vel.divergence_mode(len(_mlp_field(d, widths, seed=1).layers)) == mode
     basis = vel.stage_tangents(mode, m, d)
     if mode == "closed":
         assert basis is None
@@ -461,21 +438,24 @@ def _assert_close_per_element(got, want):
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar_t", "per_row_t"])
 @pytest.mark.parametrize("act", ["tanh", "softplus", "identity"])
 @pytest.mark.parametrize("case", list(_KERNEL_CASES))
-def test_lean_kernel_matches_concat_oracle(case, act, per_row, m):
+def test_lean_kernel_matches_concat_oracle(tmp_path, case, act, per_row, m):
     widths, mode = _KERNEL_CASES[case]
     d = 3
-    field = _mlp_field(d, widths, act, seed=len(widths) + m)
-    params, acts = field.parameter_arrays(), tuple(layer.act for layer in field.layers)
+    field = _mlp_field(d, widths, seed=len(widths) + m)
+    if act != "tanh":
+        assert_declared_acts_refused(field, act, "identity", tmp_path)
+        return
+    params = field.parameter_arrays()
     rng = np.random.default_rng(m)
     x = rng.normal(size=(m, d))
     tau = rng.uniform(size=m) if per_row else 0.4
     probes = _basis(m, d) if mode == "tangent" else np.empty((0, m, d))
     h = np.concatenate([x, np.broadcast_to(np.reshape(tau, (-1, 1)), (m, 1))], axis=1)
     v_bar, div_bar = rng.normal(size=(m, d)), rng.normal(size=m)
-    want_v, want_div = stage_oracle.stage_forward(h, probes, params, acts, mode)
-    got_v, got_div = lean_forward(x, tau, params, acts, mode)
-    want_h, want_g = stage_oracle.stage_vjp(h, probes, params, acts, mode, v_bar, div_bar)
-    got_x, got_g = lean_vjp(x, tau, params, acts, mode, v_bar, div_bar)
+    want_v, want_div = stage_oracle.stage_forward(h, probes, params, mode)
+    got_v, got_div = lean_forward(x, tau, params, mode)
+    want_h, want_g = stage_oracle.stage_vjp(h, probes, params, mode, v_bar, div_bar)
+    got_x, got_g = lean_vjp(x, tau, params, mode, v_bar, div_bar)
     assert (got_div is None) == (want_div is None) == (mode == "velocity")
     assert len(got_g) == len(want_g) == len(params)
     pairs = [(got_v, want_v), (got_x, want_h[:, :d]), *zip(got_g, want_g)]
@@ -487,11 +467,10 @@ def test_lean_kernel_matches_concat_oracle(case, act, per_row, m):
 
 def test_lean_vjp_leaves_its_cotangents_unchanged():
     # the VJP updates cotangents in place on its own buffers only
-    field = _mlp_field(2, (6, 5), "tanh", seed=12)
-    params, acts = field.parameter_arrays(), tuple(layer.act for layer in field.layers)
+    params = _mlp_field(2, (6, 5), seed=12).parameter_arrays()
     rng = np.random.default_rng(13)
     x, v_bar, div_bar = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), rng.normal(size=4)
     before = [a.copy() for a in (x, v_bar, div_bar, *params)]
     for mode in ("velocity", "tangent", "closed"):
-        lean_vjp(x, 0.3, params, acts, mode, v_bar, div_bar)
+        lean_vjp(x, 0.3, params, mode, v_bar, div_bar)
     assert all(np.array_equal(a, b) for a, b in zip((x, v_bar, div_bar, *params), before))
