@@ -390,12 +390,9 @@ def _task_train(task, cfg, seed, writer):
         losses, walls = result.losses, result.wall_ms
     else:  # progressive: train-jko / train-lfm
         kind = "jko" if task == "train-jko" else "local_fm"
-        particles = train_pool
-        for n, block in enumerate(chn.blocks):
-            step_cfg = dataclasses.replace(tcfg, seed=seed + 1000 * n)
-            potential = target if kind == "jko" else None
-            result = obj.train_block(kind, block, particles, step_cfg, potential=potential)
-            particles = obj.push_particles(block, particles)
+        cfgs = [dataclasses.replace(tcfg, seed=seed + 1000 * n) for n in range(len(chn.blocks))]
+        for n, (result, particles) in enumerate(
+                obj.train_progressive(kind, chn.blocks, train_pool, cfgs, potential=target)):
             losses.extend(result.losses)
             walls.extend(result.wall_ms)
             summary = {"block": n, "final_loss": float(result.losses[-1])}

@@ -13,7 +13,8 @@ Four ways to train a transport:
 
 Progressive kinds (jko, local_fm) assume earlier blocks are trained, frozen,
 and already applied to the data; training block n never touches parameters
-of blocks before it.
+of blocks before it. ``train_progressive`` is the one loop that trains them
+in order, each on the particles the blocks before it pushed.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         check_positive("learn_rate", self.learn_rate)
         check_positive("gamma", self.gamma)
-        for name in ("batch_size", "time_draws"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, least in (("batch_size", 1), ("time_draws", 1), ("iterations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -299,3 +300,17 @@ def push_particles(block: FlowBlock, ensemble: ParticleEnsemble) -> ParticleEnse
     """Apply one trained block to stored particles (the progressive update step)."""
     out = odeint.integrate(block.field, ensemble.positions, block.integrator)
     return ParticleEnsemble(out)
+
+
+def train_progressive(kind, blocks, pool, cfgs, *, potential=None):
+    """Train jko or local_fm ``blocks`` in order, block n with ``cfgs[n]`` on ``pool``
+    pushed through the blocks before it (jko against ``potential``; local_fm reads
+    none); yields (TrainResult, pushed pool) per block."""
+    if kind not in ("jko", "local_fm"):
+        raise ValueError(f"progressive training takes jko or local_fm, got {kind!r}")
+    if len(cfgs) != len(blocks):
+        raise ValueError(f"{len(cfgs)} train configs for {len(blocks)} blocks")
+    for block, cfg in zip(blocks, cfgs):
+        result = train_block(kind, block, pool, cfg, potential=potential)
+        pool = push_particles(block, pool)
+        yield result, pool

@@ -33,6 +33,7 @@ stages) takes a median 105.7 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -89,15 +90,6 @@ class AugmentedState:
         return nc.tsum(nc.square(delta), axis=1)
 
 
-def _grid(cfg: IntegratorConfig, direction: str):
-    t_a, t_b = cfg.interval
-    if direction == "forward":
-        return t_a, cfg.h
-    if direction == "reverse":
-        return t_b, -cfg.h
-    raise ValueError(f"direction must be forward or reverse, got {direction!r}")
-
-
 class _Block(NamedTuple):
     """Static description of one block integration (the primitive's meta)."""
 
@@ -112,7 +104,9 @@ class _Block(NamedTuple):
 
 def _block_meta(bound: BoundVelocity, cfg: IntegratorConfig, direction, divergence) -> _Block:
     """The block's meta; its mode is velocity only, or the exact trace's when ``divergence``."""
-    t, h = _grid(cfg, direction)
+    if direction not in ("forward", "reverse"):
+        raise ValueError(f"direction must be forward or reverse, got {direction!r}")
+    t, h = (cfg.interval[0], cfg.h) if direction == "forward" else (cfg.interval[1], -cfg.h)
     mode = velocity.divergence_mode(len(bound.field.layers)) if divergence else "velocity"
     return _Block(mode, cfg.scheme, cfg.steps, t, h, 1.0 / bound.field.t_total, direction)
 
@@ -121,18 +115,16 @@ def _combine_rk4(x, k1, k2, k3, k4, h):
     return x + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
 
 
-def _stage_taus(blk: _Block):
-    """The embedded time t / t_total of every stage, in stage order.
+def _step_starts(blk: _Block):
+    """Each step's start time, accumulated as ``t += h``: a lazy walk for the
+    forward loop, and the same floats, bit for bit, for the adjoint."""
+    return accumulate(repeat(blk.h, blk.steps - 1), initial=blk.t)
 
-    The step start accumulates as ``t += h``, the same in the forward loop and
-    in the adjoint, so both see the same times bit for bit.
-    """
+
+def _stage_times(blk: _Block, t):
+    """The embedded times t / t_total of one step's stages, from its start ``t``."""
     offsets = (0.0,) if blk.scheme == "euler" else (0.0, blk.h / 2.0, blk.h / 2.0, blk.h)
-    taus, t = [], blk.t
-    for _ in range(blk.steps):
-        taus.extend((t + dt) * blk.t_scale for dt in offsets)
-        t += blk.h
-    return taus
+    return [(t + dt) * blk.t_scale for dt in offsets]
 
 
 def _run(x, params, blk: _Block, stage_inputs=None):
@@ -147,32 +139,28 @@ def _run(x, params, blk: _Block, stage_inputs=None):
     logdet = np.zeros(m)
     # eager runs keep one step's stage inputs, for the finiteness check only
     step_inputs = np.empty((m, per, d)) if stage_inputs is None else None
-    taus = _stage_taus(blk)
     coupling = velocity.stage_coupling(blk.mode, params, d)
     ws = velocity.stage_workspace(params, m)
-    s = 0
 
-    def stage(xs):
-        nonlocal s
-        xin[:, s % per] = xs
-        v, div = velocity.stage_forward(xs, taus[s], params, blk.mode, coupling, ws)
-        s += 1
-        return v, div
+    def stage(j, xs):
+        xin[:, j] = xs
+        return velocity.stage_forward(xs, taus[j], params, blk.mode, coupling, ws)
 
     h = blk.h
     with np.errstate(all="ignore"):
-        for i in range(blk.steps):
+        for i, t in enumerate(_step_starts(blk)):
             xin = step_inputs if stage_inputs is None else stage_inputs[:, i * per:(i + 1) * per]
+            taus = _stage_times(blk, t)
             if blk.scheme == "euler":
-                v, div = stage(x)
+                v, div = stage(0, x)
                 x = x + v * h
                 if div is not None:
                     logdet = logdet + div * h
             else:
-                k1, d1 = stage(x)
-                k2, d2 = stage(x + k1 * (h / 2.0))
-                k3, d3 = stage(x + k2 * (h / 2.0))
-                k4, d4 = stage(x + k3 * h)
+                k1, d1 = stage(0, x)
+                k2, d2 = stage(1, x + k1 * (h / 2.0))
+                k3, d3 = stage(2, x + k2 * (h / 2.0))
+                k4, d4 = stage(3, x + k3 * h)
                 x = _combine_rk4(x, k1, k2, k3, k4, h)
                 if d1 is not None:
                     logdet = _combine_rk4(logdet, d1, d2, d3, d4, h)
@@ -209,30 +197,30 @@ def _integrate_block_bwd(node, inputs, g):
     per = _STAGES[blk.scheme]
     xs, xs_bar = _stage_columns(node.value, d), _stage_columns(g, d)
     ld_bar = g[:, d]  # logdet enters additively, so its cotangent is the same at every step
-    taus = _stage_taus(blk)
     coupling = velocity.stage_coupling(blk.mode, params, d)
     grads = [np.zeros_like(p) for p in params]
     ws = velocity.stage_workspace(params, m)
 
-    def pull(s, k_bar, weight):
-        """Cotangent of stage s's x input, given its velocity cotangent and div weight."""
-        x_bar = velocity.stage_vjp(np.ascontiguousarray(xs[:, s]), taus[s], params, blk.mode,
+    def pull(j, k_bar, weight):
+        """Cotangent of step i's stage j x input, given its velocity cotangent and div weight."""
+        s = i * per + j
+        x_bar = velocity.stage_vjp(np.ascontiguousarray(xs[:, s]), taus[j], params, blk.mode,
                                    k_bar, ld_bar * weight, grads, coupling, ws)
         x_bar += xs_bar[:, s]
         return x_bar
 
     h = blk.h
     x_bar = g[:, :d]
-    for i in range(blk.steps - 1, -1, -1):
-        s = i * per
+    for i, t in reversed(list(enumerate(_step_starts(blk)))):
+        taus = _stage_times(blk, t)
         if blk.scheme == "euler":
-            x_bar = x_bar + pull(s, x_bar * h, h)
+            x_bar = x_bar + pull(0, x_bar * h, h)
             continue
         c = x_bar * (h / 6.0)
-        x4 = pull(s + 3, c, h / 6.0)
-        x3 = pull(s + 2, c * 2.0 + x4 * h, (h / 6.0) * 2.0)
-        x2 = pull(s + 1, c * 2.0 + x3 * (h / 2.0), (h / 6.0) * 2.0)
-        x1 = pull(s, c + x2 * (h / 2.0), h / 6.0)
+        x4 = pull(3, c, h / 6.0)
+        x3 = pull(2, c * 2.0 + x4 * h, (h / 6.0) * 2.0)
+        x2 = pull(1, c * 2.0 + x3 * (h / 2.0), (h / 6.0) * 2.0)
+        x1 = pull(0, c + x2 * (h / 2.0), h / 6.0)
         x_bar = x_bar + x4 + x3 + x2 + x1
     return (x_bar, *grads)
 

@@ -46,19 +46,14 @@ def jko_run():
     shifted = ds.standard_gaussian(2).sample(2048, np.random.default_rng([42, 101]))
     data = ds.ParticleEnsemble(shifted + np.array([3.0, 0.0]))
     t0 = time.perf_counter()
-    particles = data
-    blocks = []
-    kl_trace = [metrics.moment_fit_kl(particles, target)]
-    for n in range(6):
-        interval = (float(n), float(n + 1))
-        field = vel.init_near_identity(2, widths=(64, 64), seed=10 + n, t_total=6.0)
-        block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 10, interval))
-        cfg = obj.TrainConfig(learn_rate=0.012, batch_size=192, iterations=220,
-                              seed=n, gamma=1.0)
-        obj.train_block("jko", block, particles, cfg, potential=target)
-        particles = obj.push_particles(block, particles)
-        kl_trace.append(metrics.moment_fit_kl(particles, target))
-        blocks.append(block)
+    blocks = [fc.FlowBlock(vel.init_near_identity(2, widths=(64, 64), seed=10 + n, t_total=6.0),
+                           odeint.IntegratorConfig("rk4", 10, (float(n), float(n + 1))))
+              for n in range(6)]
+    cfgs = [obj.TrainConfig(learn_rate=0.012, batch_size=192, iterations=220, seed=n, gamma=1.0)
+            for n in range(6)]
+    kl_trace = [metrics.moment_fit_kl(data, target)]
+    for _, pushed in obj.train_progressive("jko", blocks, data, cfgs, potential=target):
+        kl_trace.append(metrics.moment_fit_kl(pushed, target))
     elapsed = time.perf_counter() - t0
     # the same trained fields re-hosted on the contract-grade 32-step grid
     chain32 = fc.FlowChain(
@@ -94,18 +89,16 @@ def fm_run():
 def _train_local_fm(gamma_n, seed=0):
     p0 = ds.fig10_p()
     data = ds.ParticleEnsemble(p0.sample(2048, np.random.default_rng(seed)))
-    particles = data
-    blocks = []
-    for n in range(6):
-        interval = (float(n), float(n + 1))
-        field = vel.init_near_identity(2, widths=(64, 64), seed=seed + 10 * n, t_total=6.0)
-        block = fc.FlowBlock(field, odeint.IntegratorConfig("rk4", 10, interval))
-        cfg = obj.TrainConfig(learn_rate=0.01, batch_size=256, iterations=400,
-                              seed=seed + n, gamma=gamma_n)
-        obj.train_block("local_fm", block, particles, cfg)
-        particles = obj.push_particles(block, particles)
-        blocks.append(block)
-    return fc.FlowChain(blocks, ds.standard_gaussian(2)), data, particles
+    blocks = [fc.FlowBlock(vel.init_near_identity(2, widths=(64, 64), seed=seed + 10 * n,
+                                                  t_total=6.0),
+                           odeint.IntegratorConfig("rk4", 10, (float(n), float(n + 1))))
+              for n in range(6)]
+    cfgs = [obj.TrainConfig(learn_rate=0.01, batch_size=256, iterations=400, seed=seed + n,
+                            gamma=gamma_n)
+            for n in range(6)]
+    for _, pushed in obj.train_progressive("local_fm", blocks, data, cfgs):
+        pass
+    return fc.FlowChain(blocks, ds.standard_gaussian(2)), data, pushed
 
 
 @pytest.fixture(scope="module")

@@ -109,6 +109,7 @@ _TINY = {
     "train-jko": _TINY_TRAIN,
     "train-lfm": _TINY_TRAIN,
     "train-cnf": _TINY_TRAIN,
+    "train-fm": _TINY_TRAIN,
     "ot": _TINY_TRAIN,
     "dro": "[dataset]\ncount = 64\nholdout = 32\n[train]\nbatch_size = 16\niterations = 2\n",
     "dre": "[dataset]\ncount = 64\nholdout = 32\n[dre]\nbridges = 2\ngrid = 4\n"
@@ -708,6 +709,21 @@ gamma = 0.25
     assert (out / "chain.wflw").exists()
     report = json.loads((out / "report.json").read_text())
     assert len(report["blocks"]) == 2
+
+
+@pytest.mark.parametrize("task, blocks", [
+    ("train-jko", "2"), ("train-lfm", "2"), ("train-cnf", "1"), ("train-fm", "1")])
+def test_train_rerun_byte_identical(tmp_path, task, blocks):
+    # every artifact but the wall-clock ones, timing.csv and run_meta.json
+    cfg = _tiny_config(tmp_path, f"{task}+nll,kl_moment,mmd", "model", "blocks", blocks)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert cli.run_experiment(cfg, task=task, out=str(out)) == 0
+    names = sorted(os.listdir(runs[0]))
+    assert names == sorted(os.listdir(runs[1]))
+    assert {"chain.wflw", "loss.csv", "report.json", "samples.csv"} <= set(names)
+    for name in set(names) - {"timing.csv", "run_meta.json"}:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_train_lfm_reads_time_draws(tmp_path):

@@ -102,8 +102,9 @@ def _zero_logpdf(x):
 @pytest.mark.parametrize("name,make", [
     ("batch_size", lambda: obj.TrainConfig(batch_size=0)),
     ("time_draws", lambda: obj.TrainConfig(time_draws=0)),
+    ("iterations", lambda: obj.TrainConfig(iterations=-1)),
     ("samples_of_p", lambda: metrics.kl_mc(_zero_logpdf, _zero_logpdf, np.zeros((1, 2)))),
-], ids=["batch_size", "time_draws", "kl_mc"])
+], ids=["batch_size", "time_draws", "iterations", "kl_mc"])
 def test_sizes_below_one_batch_or_two_samples_rejected(name, make):
     # unchecked, a jko block fails at a reshape on an empty batch, zero time
     # draws train as one, and one KL sample gives a NaN standard error
@@ -309,16 +310,53 @@ def test_progressive_purity_earlier_blocks_frozen():
     chn = _tiny_chain(2, 3, seed=15, steps=4, widths=(6,))
     data = ds.ParticleEnsemble(np.random.default_rng(2).normal(size=(128, 2)))
     cfg = obj.TrainConfig(learn_rate=0.01, batch_size=32, iterations=8, seed=1)
-    particles = data
     checksums = []
-    for block in chn.blocks:
-        obj.train_block("jko", block, particles, cfg)
-        particles = obj.push_particles(block, particles)
+    trained = obj.train_progressive("jko", chn.blocks, data, [cfg] * len(chn.blocks))
+    for block, _ in zip(chn.blocks, trained):
         checksums.append([p.copy() for p in block.parameter_arrays()])
         # training later blocks must not have touched earlier ones
         for earlier, saved in zip(chn.blocks, checksums[:-1]):
             for p, s in zip(earlier.parameter_arrays(), saved):
                 assert np.array_equal(p, s)
+    assert len(checksums) == len(chn.blocks)
+
+
+def test_progressive_trains_each_block_on_the_pool_pushed_before_it(monkeypatch):
+    # through the module's train_block and push_particles, the names a tracer wraps
+    calls = []
+
+    def train_block(kind, block, pool, cfg, *, potential):
+        calls.append((kind, block, pool, cfg.seed, potential))
+        return cfg.seed
+
+    monkeypatch.setattr(obj, "train_block", train_block)
+    monkeypatch.setattr(obj, "push_particles", lambda block, pool: pool + [block])
+    cfgs = [obj.TrainConfig(seed=7), obj.TrainConfig(seed=8)]
+    out = list(obj.train_progressive("local_fm", ["a", "b"], [], cfgs, potential="V"))
+    assert out == [(7, ["a"]), (8, ["a", "b"])]
+    assert calls == [("local_fm", "a", [], 7, "V"), ("local_fm", "b", ["a"], 8, "V")]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_progressive_config_count_must_match_blocks(count):
+    chn = _perturb(_tiny_chain(2, 2, steps=2, widths=(4,)), seed=16)
+    before = [p.copy() for p in chn.parameter_arrays()]
+    data = ds.ParticleEnsemble(np.random.default_rng(3).normal(size=(32, 2)))
+    cfgs = [obj.TrainConfig(batch_size=8, iterations=2)] * count
+    with pytest.raises(ValueError, match=f"{count} train configs for 2 blocks"):
+        next(obj.train_progressive("jko", chn.blocks, data, cfgs))
+    for b, a in zip(before, chn.parameter_arrays()):
+        assert np.array_equal(b, a)
+    assert not any(block.trained for block in chn.blocks)
+
+
+@pytest.mark.parametrize("kind", ["nll", "fm"])
+def test_progressive_refuses_non_progressive_kinds(kind):
+    chn = _tiny_chain(2, 1, steps=2, widths=(4,))
+    data = ds.ParticleEnsemble(np.random.default_rng(4).normal(size=(32, 2)))
+    with pytest.raises(ValueError, match=f"got '{kind}'"):
+        next(obj.train_progressive(kind, chn.blocks, data, [obj.TrainConfig(iterations=1)]))
+    assert not chn.blocks[0].trained
 
 
 def test_divergent_training_aborts_with_trace():

@@ -1,5 +1,7 @@
 """Fixed-step integration: accuracy, invertibility, augmented divergence state."""
 
+import tracemalloc
+
 import gradcheck
 import numpy as np
 import pytest
@@ -147,6 +149,21 @@ def test_nonfinite_state_reports_step():
     with pytest.raises(odeint.IntegrationError) as err:
         odeint.integrate(field, np.array([1.0]), cfg)
     assert err.value.step >= 0
+
+
+def test_eager_integration_memory_flat_in_steps():
+    # the loop walks each step's start as it goes, so its memory is flat in the
+    # step count; one float per stage would take some 660 kB at 5,000 rk4 steps
+    field = vel.init_near_identity(2, widths=(4, 4), seed=0)
+    x0 = np.random.default_rng(1).normal(size=(3, 2))
+    odeint.integrate_augmented(field, x0, odeint.IntegratorConfig("rk4", 2))
+    tracemalloc.start()
+    try:
+        odeint.integrate_augmented(field, x0, odeint.IntegratorConfig("rk4", 5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("run", [
